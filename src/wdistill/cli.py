@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -62,14 +61,16 @@ def _load_spec_text(raw: str) -> object:
 def _parse_graph(raw: str | None, preset: str | None) -> ConfigGraph:
     if (raw is None) == (preset is None):
         raise DistillationError("give exactly one graph source (--graph or --preset)")
-    if preset is not None:
-        name, _, size = preset.partition(":")
-        return graph_catalog(name, int(size) if size else None)
-    stripped = raw.strip()
-    if not (stripped.startswith("{") or stripped.startswith("@")):
-        name, _, size = stripped.partition(":")
-        return graph_catalog(name, int(size) if size else None)
-    return ConfigGraph.from_json(_load_spec_text(raw))
+    if preset is None:
+        preset = raw.strip()
+        if preset.startswith("{") or preset.startswith("@"):
+            return ConfigGraph.from_json(_load_spec_text(raw))
+    name, _, size = preset.partition(":")
+    try:
+        n = int(size) if size else None
+    except ValueError:
+        raise DistillationError(f"graph size {size!r} in {preset!r} is not an integer") from None
+    return graph_catalog(name, n)
 
 
 def _parse_state(raw: str, graph: ConfigGraph) -> WState:
@@ -136,11 +137,7 @@ def cmd_tree(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     tree = build_protocol_tree(cfg.state, cfg.graph, cfg.epsilon, cfg.loop_cap)
-    workers = None
-    env = os.environ.get("W_DISTILL_THREADS")
-    if env:
-        workers = max(1, int(env))
-    result = simulate(tree, cfg.trials, cfg.seed, workers=workers)
+    result = simulate(tree, cfg.trials, cfg.seed)
     if cfg.fmt == "csv":
         return _write_out(result.to_csv(), cfg.out)
     return _write_out(result.to_json(), cfg.out)
@@ -281,11 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         return cmd_verify(args)
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, FileNotFoundError, DistillationError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except DistillationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

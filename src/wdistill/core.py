@@ -67,14 +67,18 @@ class WState:
     ``components[i]`` is the weight of party ``labels[i]``; the weight of
     the all-zero amplitude is the derived ``x0 = 1 - sum(components)``.
     Weights below ``ZERO_COMPONENT`` are clamped to exactly zero, which
-    marks that party as disentangled.  Instances are immutable.
+    marks that party as disentangled.  Non-numeric and non-finite weights
+    raise :class:`InvalidInputError`.  Instances are immutable.
     """
 
     components: tuple[float, ...]
     labels: tuple[str, ...]
 
     def __init__(self, components: Sequence[float], labels: Sequence[str] | None = None):
-        comps = tuple(float(c) for c in components)
+        try:
+            comps = tuple(float(c) for c in components)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"non-numeric component in {components!r}") from None
         if labels is None:
             labels = default_labels(len(comps))
         labels = tuple(str(l) for l in labels)
@@ -90,6 +94,8 @@ class WState:
                 raise InvalidInputError(f"negative component {c}")
             cleaned.append(0.0 if c < ZERO_COMPONENT else c)
         total = sum(cleaned)
+        if not math.isfinite(total):
+            raise InvalidInputError(f"non-finite component in {comps}")
         if total > 1.0 + COMPONENT_SUM_TOL:
             raise InvalidInputError(f"components sum to {total} > 1")
         object.__setattr__(self, "components", tuple(cleaned))

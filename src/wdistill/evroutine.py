@@ -137,39 +137,35 @@ def ev_measurement(state: WState, k: str) -> LocalMeasurement:
 # party weights are tracked.
 
 
-def _equal_branch(comps, k):
-    """(probability, new comps) for the 'equal' outcome of party k."""
+def _step(comps, labels, tag, party):
+    """Children of an isolate or measure step, as ``(p, comps, labels)``,
+    and the failure mass.
+
+    Isolating party k keeps the others entangled with probability 1 - x_k
+    and fails otherwise.  Measuring k either lifts x_k to the current
+    maximum ('equal', which keeps the ``labels`` object) or removes k
+    ('vanish').  Outcomes rarer than NULL_OUTCOME_PROB are dropped.
+    """
+    k = labels.index(party)
     xk = comps[k]
+    rest = labels[:k] + labels[k + 1:]
+    children = []
+    if tag == "isolate":
+        p = 1.0 - xk
+        if p >= NULL_OUTCOME_PROB:
+            children.append((p, tuple(c / p for c in comps[:k] + comps[k + 1:]), rest))
+        return children, xk if xk >= NULL_OUTCOME_PROB else 0.0
     imax = comps.index(max(comps))
     a = xk / comps[imax]
-    p = a * (1.0 - xk) + xk
-    if p < NULL_OUTCOME_PROB:
-        return p, ()
-    new = [a * c / p for c in comps]
-    new[k] = new[imax]  # force the intended exact tie
-    return p, tuple(new)
-
-
-def _vanish_branch(comps, labels, k):
-    """(probability, comps without k, labels without k)."""
-    xk = comps[k]
-    imax = comps.index(max(comps))
-    a = xk / comps[imax]
-    p = (1.0 - a) * (1.0 - xk)
-    if p < NULL_OUTCOME_PROB:
-        return p, (), ()
-    new = tuple(c / (1.0 - xk) for i, c in enumerate(comps) if i != k)
-    return p, new, tuple(l for i, l in enumerate(labels) if i != k)
-
-
-def _drop_isolated(comps, labels, k):
-    """(probability of staying entangled, comps without k, labels without k)."""
-    xk = comps[k]
-    p = 1.0 - xk
-    if p < NULL_OUTCOME_PROB:
-        return p, (), ()
-    new = tuple(c / p for i, c in enumerate(comps) if i != k)
-    return p, new, tuple(l for i, l in enumerate(labels) if i != k)
+    pe = a * (1.0 - xk) + xk
+    if pe >= NULL_OUTCOME_PROB:
+        new = [a * c / pe for c in comps]
+        new[k] = new[imax]  # force the intended exact tie
+        children.append((pe, tuple(new), labels))
+    pv = (1.0 - a) * (1.0 - xk)
+    if pv >= NULL_OUTCOME_PROB:
+        children.append((pv, tuple(c / (1.0 - xk) for c in comps[:k] + comps[k + 1:]), rest))
+    return children, 0.0
 
 
 def _restrict_edges(edges, labels):
@@ -182,8 +178,9 @@ def enumerate_ev(comps, labels, edges) -> dict:
 
     Returns a map from terminal to probability; terminals are either an
     ordered tuple of party labels (a standard W state on those parties) or
-    the FAILURE sentinel.  Raw-tuple variant of :func:`ev_distribution`
-    shared with the protocol-tree builder.
+    the FAILURE sentinel.  Raw-tuple variant of :func:`ev_distribution`;
+    its branch rule :func:`_step` is shared with :func:`ev_tree` and the
+    protocol-tree builder.
     """
     acc: dict = {}
     depth_cap = 2 * len(labels)
@@ -201,20 +198,12 @@ def enumerate_ev(comps, labels, edges) -> dict:
         if tag == "terminal":
             acc[labels] = acc.get(labels, 0.0) + pathp
             return
-        k = labels.index(party)
-        if tag == "isolate":
-            p, new, newlab = _drop_isolated(comps, labels, k)
-            if p >= NULL_OUTCOME_PROB:
-                visit(new, newlab, _restrict_edges(edges, newlab), pathp * p, depth + 1)
-            if 1.0 - p >= NULL_OUTCOME_PROB:
-                acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * (1.0 - p)
-            return
-        pe, eq = _equal_branch(comps, k)
-        if pe >= NULL_OUTCOME_PROB:
-            visit(eq, labels, edges, pathp * pe, depth + 1)
-        pv, van, vanlab = _vanish_branch(comps, labels, k)
-        if pv >= NULL_OUTCOME_PROB:
-            visit(van, vanlab, _restrict_edges(edges, vanlab), pathp * pv, depth + 1)
+        children, fail = _step(comps, labels, tag, party)
+        for p, sub, sublab in children:
+            subedges = edges if sublab is labels else _restrict_edges(edges, sublab)
+            visit(sub, sublab, subedges, pathp * p, depth + 1)
+        if fail:
+            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
     visit(tuple(comps), tuple(labels), frozenset(edges), 1.0, 0)
     return acc
@@ -293,7 +282,10 @@ class EvNode:
 
 
 def ev_tree(state: WState, graph: ConfigGraph) -> EvNode:
-    """Build the full branch tree, for DOT export and by-hand inspection."""
+    """Build the full branch tree, for DOT export and by-hand inspection.
+
+    Walks the same branch rule as :func:`enumerate_ev`, keeping every node.
+    """
     if state.x0 > X0_TOL:
         raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
 
@@ -307,22 +299,14 @@ def ev_tree(state: WState, graph: ConfigGraph) -> EvNode:
             return EvNode(st, g, pathp, "failure", None, ())
         if tag == "terminal":
             return EvNode(st, g, pathp, "terminal", None, ())
-        k = labels.index(party)
-        children = []
-        if tag == "isolate":
-            p, new, newlab = _drop_isolated(comps, labels, k)
-            if p >= NULL_OUTCOME_PROB:
-                children.append((p, build(new, newlab, _restrict_edges(edges, newlab), pathp * p)))
-            if 1.0 - p >= NULL_OUTCOME_PROB:
-                children.append((1.0 - p, EvNode(None, None, pathp * (1.0 - p), "failure", None, ())))
-            return EvNode(st, g, pathp, "isolate", party, tuple(children))
-        pe, eq = _equal_branch(comps, k)
-        if pe >= NULL_OUTCOME_PROB:
-            children.append((pe, build(eq, labels, edges, pathp * pe)))
-        pv, van, vanlab = _vanish_branch(comps, labels, k)
-        if pv >= NULL_OUTCOME_PROB:
-            children.append((pv, build(van, vanlab, _restrict_edges(edges, vanlab), pathp * pv)))
-        return EvNode(st, g, pathp, "measure", party, tuple(children))
+        steps, fail = _step(comps, labels, tag, party)
+        children = [
+            (p, build(sub, sublab, _restrict_edges(edges, sublab), pathp * p))
+            for p, sub, sublab in steps
+        ]
+        if fail:
+            children.append((fail, EvNode(None, None, pathp * fail, "failure", None, ())))
+        return EvNode(st, g, pathp, tag, party, tuple(children))
 
     return build(state.components, state.labels, frozenset(graph.edges), 1.0)
 
@@ -359,70 +343,21 @@ def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:
     """Largest change in any terminal probability when the measuring-party
     tie-break prefers the highest index instead of the lowest.
 
-    Diagnostic only: nothing in the protocol relies on the answer being
-    zero, this just records how the enumeration responds to the one choice
-    left open by the selection rules.
+    Reversing the party order flips every lowest-index choice of
+    :func:`_select`, so this compares the enumeration on the state with
+    the enumeration on its reversal.  Diagnostic only: nothing in the
+    protocol relies on the answer being zero, this just records how the
+    enumeration responds to the one choice left open by the selection
+    rules.
     """
-    base = enumerate_ev(state.components, state.labels, graph.edges)
 
-    # rerun with reversed preference among non-maximal candidates
-    acc: dict = {}
+    def by_party_set(comps, labels):
+        out: dict = {}
+        for term, p in enumerate_ev(comps, labels, graph.edges).items():
+            key = term if term is FAILURE else tuple(sorted(term))
+            out[key] = out.get(key, 0.0) + p
+        return out
 
-    def select_rev(comps, labels, edges):
-        deg = _degrees(labels, edges)
-        isolated = [l for l in labels if deg[l] == 0]
-        if isolated:
-            if len(labels) == 2:
-                return "fail2", None
-            return "isolate", isolated[-1]
-        xmax = max(comps)
-        maximal = [c >= xmax * (1.0 - MAX_EQUAL_RTOL) for c in comps]
-        if all(maximal):
-            return "terminal", None
-        max_parties = {labels[i] for i in range(len(labels)) if maximal[i]}
-        fallback = None
-        chosen = None
-        for i, l in enumerate(labels):
-            if maximal[i]:
-                continue
-            fallback = l
-            if _neighbors(l, edges) & max_parties:
-                chosen = l
-        return "measure", chosen if chosen is not None else fallback
-
-    def visit(comps, labels, edges, pathp):
-        if len(labels) < 2:
-            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
-            return
-        tag, party = select_rev(comps, labels, edges)
-        if tag == "fail2":
-            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
-            return
-        if tag == "terminal":
-            key = tuple(sorted(labels))
-            acc[key] = acc.get(key, 0.0) + pathp
-            return
-        k = labels.index(party)
-        if tag == "isolate":
-            p, new, newlab = _drop_isolated(comps, labels, k)
-            if p >= NULL_OUTCOME_PROB:
-                visit(new, newlab, _restrict_edges(edges, newlab), pathp * p)
-            if 1.0 - p >= NULL_OUTCOME_PROB:
-                acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * (1.0 - p)
-            return
-        pe, eq = _equal_branch(comps, k)
-        if pe >= NULL_OUTCOME_PROB:
-            visit(eq, labels, edges, pathp * pe)
-        pv, van, vanlab = _vanish_branch(comps, labels, k)
-        if pv >= NULL_OUTCOME_PROB:
-            visit(van, vanlab, _restrict_edges(edges, vanlab), pathp * pv)
-
-    visit(state.components, state.labels, frozenset(graph.edges), 1.0)
-
-    keys = {tuple(sorted(t)) if t is not FAILURE else t for t in base} | set(acc)
-    worst = 0.0
-    for key in keys:
-        b = sum(p for t, p in base.items() if (t is FAILURE and key is FAILURE) or (t is not FAILURE and tuple(sorted(t)) == key))
-        r = acc.get(key, 0.0)
-        worst = max(worst, abs(b - r))
-    return worst
+    base = by_party_set(state.components, state.labels)
+    rev = by_party_set(state.components[::-1], state.labels[::-1])
+    return max(abs(base.get(key, 0.0) - rev.get(key, 0.0)) for key in base.keys() | rev.keys())

@@ -21,6 +21,7 @@ from numpy.polynomial import polynomial as nppoly
 from .core import (
     FAILURE,
     ConfigGraph,
+    Epr,
     Failure,
     InvalidInputError,
     LocalMeasurement,
@@ -31,7 +32,7 @@ from .core import (
     WState,
     component_update,
 )
-from .evroutine import X0_TOL, _restrict_edges, _select, enumerate_ev
+from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumerate_ev, ev_measurement
 
 CHEB_NODES_PER_PARTY = 4       # interpolation nodes = 4 * |S|
 GRID_POINTS = 10_001           # dense scan of [0, 1] before refinement
@@ -71,6 +72,24 @@ def phase1_success_probability(state: WState) -> float:
     return 2.0 * xn * (1.0 - x0) / (x0 + 2.0 * xn + math.sqrt(x0 * x0 + 4.0 * xn * x0))
 
 
+def _phase1_step(comps, labels):
+    """The x0-removal measurement on raw components and its children as
+    ``(p, comps, labels)``: outcome 1 cancels x0 and renormalizes, outcome
+    2 zeroes the measuring party, which leaves state and graph."""
+    st = WState(comps, labels)
+    m = phase1_measurement(st)
+    k = labels.index(m.party)
+    p1 = phase1_success_probability(st)
+    total = sum(comps)
+    children = [(p1, tuple(c / total for c in comps), labels)]
+    p2 = 1.0 - p1
+    if p2 >= NULL_OUTCOME_PROB:
+        a2 = m.outcomes[1][0]
+        rest = tuple(a2 * c / p2 for i, c in enumerate(comps) if i != k)
+        children.append((p2, rest, labels[:k] + labels[k + 1:]))
+    return m, children
+
+
 def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
     """Iterate x0-removal until every branch lands on an x0 = 0 state or a
     product state.  Residual terminals keep the pruned graph."""
@@ -90,19 +109,8 @@ def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistributio
             key = Residual(st, graph.induced(labels))
             entries[key] = entries.get(key, 0.0) + pathp
             return
-        st = WState(comps, labels)
-        m = phase1_measurement(st)
-        k = labels.index(m.party)
-        p1 = phase1_success_probability(st)
-        # outcome 1 exactly cancels x0: components renormalize
-        total = sum(comps)
-        visit(tuple(c / total for c in comps), labels, pathp * p1)
-        # outcome 2 zeroes the measuring party; it leaves state and graph
-        a2, _, _ = m.outcomes[1]
-        p2 = 1.0 - p1
-        if p2 >= NULL_OUTCOME_PROB:
-            rest = tuple(a2 * c / p2 for i, c in enumerate(comps) if i != k)
-            visit(rest, tuple(l for i, l in enumerate(labels) if i != k), pathp * p2)
+        for p, sub, sublab in _phase1_step(comps, labels)[1]:
+            visit(sub, sublab, pathp * p)
 
     visit(state.components, state.labels, 1.0)
     items = sorted(
@@ -197,18 +205,6 @@ def _golden_max(fn, lo: float, hi: float, tol: float = ALPHA_TOL):
     return x, fn(x)
 
 
-def _least_party(labels, edges) -> str:
-    deg = {l: 0 for l in labels}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    best = labels[0]
-    for l in labels[1:]:
-        if deg[l] < deg[best]:
-            best = l
-    return best
-
-
 def _y_alpha(labels, k_index: int, alpha: float):
     """Post state of the peel-off measurement's outcome 1: weight 1 on the
     measuring party and alpha elsewhere, normalized."""
@@ -243,7 +239,7 @@ class PhaseThreeSolver:
         n = len(labels)
         if n <= 2:
             raise PreconditionError("the cycle function needs more than two parties")
-        k = _least_party(labels, edges)
+        k = min(labels, key=_degrees(labels, edges).__getitem__)
         ki = labels.index(k)
         drop_labels = tuple(l for l in labels if l != k)
         out2 = (1.0 - alpha) * (n - 1) / n * self.p3(drop_labels, edges).value
@@ -285,11 +281,7 @@ class PhaseThreeSolver:
     def _optimize(self, labels, edges, name) -> OptimizationReport:
         n = len(labels)
         m = n - 1
-        deg = {l: 0 for l in labels}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        has_loop = min(deg.values()) > 0  # an isolated party never loops
+        has_loop = min(_degrees(labels, edges).values()) > 0  # an isolated party never loops
 
         xs = _chebyshev_nodes(CHEB_NODES_PER_PARTY * n)
         ys = [self.f_alpha(labels, edges, float(x)) for x in xs]
@@ -345,10 +337,7 @@ class PhaseThreeSolver:
         party, bypassing the lowest-index tie-break."""
         labels = tuple(labels)
         edges = _restrict_edges(frozenset(edges), labels)
-        deg = {l: 0 for l in labels}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
+        deg = _degrees(labels, edges)
         dmin = min(deg.values())
         out = {}
         for k in (l for l in labels if deg[l] == dmin):
@@ -443,20 +432,6 @@ def p_fl(graph: ConfigGraph) -> float:
 
 
 @dataclass(frozen=True)
-class EprLeaf:
-    parties: tuple[str, str]
-
-    def label(self) -> str:
-        return f"EPR({self.parties[0]},{self.parties[1]})"
-
-
-@dataclass(frozen=True)
-class FailLeaf:
-    def label(self) -> str:
-        return "FAIL"
-
-
-@dataclass(frozen=True)
 class TruncationLeaf:
     """Loop cut off after loop_cap cycles.  ``continuation_value`` is the
     success probability the unbounded loop would still collect from here."""
@@ -490,7 +465,12 @@ class DecisionNode:
 
 @dataclass(frozen=True)
 class ProtocolTree:
-    """Finite executable rendering of the three protocol phases."""
+    """Finite executable rendering of the three protocol phases.
+
+    Inner nodes are :class:`DecisionNode`; leaves are the core terminals
+    :class:`~wdistill.core.Epr` (success) and ``FAILURE``, plus a
+    :class:`TruncationLeaf` wherever a loop was cut.
+    """
 
     root: object
     state: WState
@@ -505,9 +485,9 @@ class ProtocolTree:
         as failures, a lower bound that grows with loop_cap."""
 
         def walk(node) -> float:
-            if isinstance(node, EprLeaf):
+            if isinstance(node, Epr):
                 return 1.0
-            if isinstance(node, FailLeaf):
+            if isinstance(node, Failure):
                 return 0.0
             if isinstance(node, TruncationLeaf):
                 return node.continuation_value if credit_truncation else 0.0
@@ -519,7 +499,7 @@ class ProtocolTree:
         def walk(node, pathp) -> float:
             if isinstance(node, TruncationLeaf):
                 return pathp
-            if isinstance(node, (EprLeaf, FailLeaf)):
+            if not isinstance(node, DecisionNode):
                 return 0.0
             return sum(walk(child, pathp * p) for p, child in node.children)
 
@@ -530,7 +510,7 @@ class ProtocolTree:
         acc: dict[str, float] = {}
 
         def walk(node, pathp):
-            if isinstance(node, (EprLeaf, FailLeaf, TruncationLeaf)):
+            if not isinstance(node, DecisionNode):
                 acc[node.label()] = acc.get(node.label(), 0.0) + pathp
                 return
             for p, child in node.children:
@@ -541,7 +521,7 @@ class ProtocolTree:
 
     def node_count(self) -> int:
         def walk(node) -> int:
-            if isinstance(node, (EprLeaf, FailLeaf, TruncationLeaf)):
+            if not isinstance(node, DecisionNode):
                 return 1
             return 1 + sum(walk(child) for _, child in node.children)
 
@@ -554,7 +534,7 @@ class ProtocolTree:
         def walk(node) -> int:
             me = counter[0]
             counter[0] += 1
-            shape = ' shape=oval' if isinstance(node, (EprLeaf, FailLeaf, TruncationLeaf)) else ""
+            shape = "" if isinstance(node, DecisionNode) else " shape=oval"
             lines.append(f'  n{me} [label="{node.label()}"{shape}];')
             if isinstance(node, DecisionNode):
                 for p, child in node.children:
@@ -568,10 +548,10 @@ class ProtocolTree:
 
     def to_json(self) -> dict:
         def walk(node):
-            if isinstance(node, (EprLeaf, FailLeaf)):
-                return {"leaf": node.label()}
             if isinstance(node, TruncationLeaf):
                 return {"leaf": node.label(), "continuation_value": node.continuation_value}
+            if not isinstance(node, DecisionNode):
+                return {"leaf": node.label()}
             out = {
                 "label": node.label(),
                 "phase": node.phase,
@@ -604,7 +584,9 @@ def build_protocol_tree(
     Loops on a standard W subset run loop_cap times; the residual mass
     lands on a truncation leaf annotated with the value the unbounded loop
     would still collect.  Limit-attained optimizations use alpha = 1 -
-    epsilon.
+    epsilon.  Phase-1, isolate and equal-or-vanish children come from the
+    same branch rules as :func:`phase1_distribution` and
+    :func:`~wdistill.evroutine.enumerate_ev`.
     """
     if not (0.0 < epsilon < 0.5):
         raise PreconditionError("epsilon must lie in (0, 0.5)")
@@ -627,29 +609,21 @@ def build_protocol_tree(
             comps = tuple(comps[i] for i in live)
         x0 = max(0.0, 1.0 - sum(comps))
         if len(labels) < 2 or sum(1 for c in comps if c > 0.0) <= 1:
-            return FailLeaf()
+            return FAILURE
         edges = _restrict_edges(full_edges, labels)
         st = WState(comps, labels)
         g = ConfigGraph(labels, edges)
         if x0 > X0_TOL:
-            m = phase1_measurement(st)
-            k = labels.index(m.party)
-            p1 = phase1_success_probability(st)
-            total = sum(comps)
-            children = [(p1, build(tuple(c / total for c in comps), labels, loops))]
-            p2 = 1.0 - p1
-            if p2 >= NULL_OUTCOME_PROB:
-                a2 = m.outcomes[1][0]
-                rest = tuple(a2 * c / p2 for i, c in enumerate(comps) if i != k)
-                children.append((p2, build(rest, tuple(l for i, l in enumerate(labels) if i != k), loops)))
-            return DecisionNode(st, g, m, "phase1", tuple(children))
+            m, steps = _phase1_step(comps, labels)
+            children = tuple((p, build(sub, sublab, loops)) for p, sub, sublab in steps)
+            return DecisionNode(st, g, m, "phase1", children)
 
         tag, party = _select(comps, labels, edges)
         if tag == "fail2":
-            return FailLeaf()
+            return FAILURE
         if tag == "terminal":
             if len(labels) == 2:
-                return EprLeaf(tuple(sorted(labels)))
+                return Epr(labels)
             key = (labels, edges)
             seen = loops.get(key, 0)
             report = solver.p3(labels, edges)
@@ -658,7 +632,7 @@ def build_protocol_tree(
                 return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha))
             loops = dict(loops)
             loops[key] = seen + 1
-            k = _least_party(labels, edges)
+            k = min(labels, key=_degrees(labels, edges).__getitem__)
             ki = labels.index(k)
             m = LocalMeasurement.diagonal(k, [(alpha, 1.0), (1.0 - alpha, 0.0)])
             n = len(labels)
@@ -671,34 +645,14 @@ def build_protocol_tree(
                 children.append((p2, build(rest, tuple(l for l in labels if l != k), loops)))
             return DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=seen + 1)
 
-        ki = labels.index(party)
+        steps, fail = _step(comps, labels, tag, party)
+        children = [(p, build(sub, sublab, loops)) for p, sub, sublab in steps]
+        if fail:
+            children.append((fail, FAILURE))
         if tag == "isolate":
             m = LocalMeasurement.diagonal(party, [(1.0, 0.0), (0.0, 1.0)])
-            xk = comps[ki]
-            children = []
-            if 1.0 - xk >= NULL_OUTCOME_PROB:
-                rest = tuple(c / (1.0 - xk) for i, c in enumerate(comps) if i != ki)
-                children.append((1.0 - xk, build(rest, tuple(l for i, l in enumerate(labels) if i != ki), loops)))
-            if xk >= NULL_OUTCOME_PROB:
-                children.append((xk, FailLeaf()))
             return DecisionNode(st, g, m, "isolate", tuple(children))
-
-        xk = comps[ki]
-        xmax = max(comps)
-        a = xk / xmax
-        m = LocalMeasurement.diagonal(party, [(a, 1.0), (1.0 - a, 0.0)])
-        children = []
-        pe = a * (1.0 - xk) + xk
-        if pe >= NULL_OUTCOME_PROB:
-            imax = comps.index(xmax)
-            eq = [a * c / pe for c in comps]
-            eq[ki] = eq[imax]
-            children.append((pe, build(tuple(eq), labels, loops)))
-        pv = (1.0 - a) * (1.0 - xk)
-        if pv >= NULL_OUTCOME_PROB:
-            van = tuple(c / (1.0 - xk) for i, c in enumerate(comps) if i != ki)
-            children.append((pv, build(van, tuple(l for i, l in enumerate(labels) if i != ki), loops)))
-        return DecisionNode(st, g, m, "ev", tuple(children))
+        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children))
 
     root = build(state.components, state.labels, {})
     return ProtocolTree(root, state, graph, epsilon, loop_cap)

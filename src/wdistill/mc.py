@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .core import (
+    Epr,
+    Failure,
     InternalConsistencyError,
     InvalidInputError,
     InvalidMeasurementError,
@@ -30,13 +30,13 @@ from .core import (
     graph_catalog,
     kt_averages,
 )
-from .lpo import EprLeaf, FailLeaf, ProtocolTree, TruncationLeaf
+from .lpo import ProtocolTree, TruncationLeaf
 
 MAX_ORACLE_PARTIES = 12
 ORACLE_MATCH_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 RNG_ALGORITHM = "numpy-pcg64"
-SIM_CHUNK = 1 << 18  # trials per RNG stream, independent of worker count
+SIM_CHUNK = 1 << 18  # trials per RNG stream
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,11 @@ class SimResult:
 def _descend(node, count: int, rng: np.random.Generator, counts: dict, successes: list):
     if count <= 0:
         return
-    if isinstance(node, EprLeaf):
+    if isinstance(node, Epr):
         counts[node.label()] = counts.get(node.label(), 0) + count
         successes[0] += count
         return
-    if isinstance(node, FailLeaf):
+    if isinstance(node, Failure):
         counts[node.label()] = counts.get(node.label(), 0) + count
         return
     if isinstance(node, TruncationLeaf):
@@ -229,41 +229,19 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
 
     Counts are split multinomially branch by branch, in fixed-size chunks
     with one RNG stream each, so results are byte-identical for a given
-    seed regardless of how many workers execute the chunks.  The
-    W_DISTILL_THREADS environment variable caps the worker count.
+    seed.  ``workers`` is accepted for compatibility and ignored: the walk
+    holds the interpreter lock, so worker threads only slowed it down.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     chunk_count = (trials + SIM_CHUNK - 1) // SIM_CHUNK
     streams = np.random.SeedSequence(seed).spawn(chunk_count)
     sizes = [SIM_CHUNK] * (chunk_count - 1) + [trials - SIM_CHUNK * (chunk_count - 1)]
-
-    env_cap = os.environ.get("W_DISTILL_THREADS")
-    cap = int(env_cap) if env_cap else None
-    requested = workers or 1
-    use = max(1, min(requested, cap) if cap else requested)
-
-    def run_chunk(args):
-        size, stream = args
-        rng = np.random.Generator(np.random.PCG64(stream))
-        counts: dict = {}
-        successes = [0]
-        _descend(tree.root, size, rng, counts, successes)
-        return counts, successes[0]
-
-    jobs = list(zip(sizes, streams))
-    if use > 1:
-        with ThreadPoolExecutor(max_workers=use) as pool:
-            partials = list(pool.map(run_chunk, jobs))
-    else:
-        partials = [run_chunk(j) for j in jobs]
-
     counts: dict = {}
-    success = 0
-    for part, s in partials:
-        success += s
-        for label, c in part.items():
-            counts[label] = counts.get(label, 0) + c
+    successes = [0]
+    for size, stream in zip(sizes, streams):
+        _descend(tree.root, size, np.random.Generator(np.random.PCG64(stream)), counts, successes)
+    success = successes[0]
 
     analytic = tree.leaf_probabilities()
     terminals = []

@@ -49,8 +49,19 @@ def test_prob_json_format_round_trips(capsys, tmp_path):
     assert payload["bound"]["bound"] == "gamma"
 
 
-def test_prob_malformed_json_exits_2(capsys):
-    code, _, err = run_cli(capsys, "prob", "--state", "[0.5, 0.3", "--preset", "triangle")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--state", "[0.5, 0.3", "--preset", "triangle"),
+        ("--state", "[NaN,0.3,0.2]", "--preset", "triangle"),
+        ("--state", '[0.5,"x",0.2]', "--preset", "triangle"),
+        ("--state", "W6", "--preset", "pairs:x"),
+        ("--state", "W6", "--graph", "pairs:x"),
+    ],
+    ids=["truncated-json", "nan-component", "string-component", "preset-size", "graph-size"],
+)
+def test_prob_malformed_json_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, "prob", *argv)
     assert code == 2
     assert "bad input" in err
 
@@ -122,6 +133,16 @@ def test_simulate_json_and_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "label,count,probability,empirical,std_err,z"
+
+
+def test_simulate_ignores_the_deprecated_thread_variable(capsys, monkeypatch):
+    argv = ("simulate", "--state", "W3", "--preset", "triangle", "--trials", "5000", "--seed", "2")
+    code, base, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("W_DISTILL_THREADS", "abc")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == base
 
 
 def test_fuzz_command(capsys):

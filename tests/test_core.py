@@ -36,6 +36,12 @@ def test_state_invariants():
         WState([0.5, -0.1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None])
+def test_state_rejects_non_numeric_and_non_finite_components(bad):
+    with pytest.raises(InvalidInputError):
+        WState([0.5, bad, 0.2])
+
+
 def test_tiny_components_are_disentangled():
     s = WState([0.5, 1e-16, 0.5 - 1e-16])
     assert s.components[1] == 0.0

@@ -5,7 +5,9 @@ import pytest
 
 from wdistill import (
     ConfigGraph,
+    Epr,
     FAILURE,
+    Failure,
     PreconditionError,
     Residual,
     WState,
@@ -24,7 +26,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import DecisionNode, EprLeaf, FailLeaf, PhaseThreeSolver
+from wdistill.lpo import DecisionNode, PhaseThreeSolver
 from wdistill.verify import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -278,7 +280,7 @@ def test_p_fl_examples():
 def test_tree_two_party_edge_is_single_leaf(solver):
     g = ConfigGraph("AB", [("A", "B")])
     tree = build_protocol_tree(standard_w("AB"), g, solver=solver)
-    assert isinstance(tree.root, EprLeaf)
+    assert isinstance(tree.root, Epr)
     assert tree.analytic_value() == 1.0
 
 
@@ -333,27 +335,23 @@ def test_tree_handles_positive_x0(solver):
     assert tree.analytic_value() == pytest.approx(p_lpo(s, g, solver), abs=2e-3)
 
 
-def test_six_party_pairs_tree_matches_the_oracle_and_beats_the_baseline(solver):
-    # an executed check of the 8/15 value that does not use the optimizer:
-    # every branch of the pairs:6 tree agrees with the dense state-vector
-    # oracle, every EPR leaf is a target pair, and with each cut loop
-    # counted as a failure the tree still beats the baseline's 2/5
-    # (see docs/decisions.md)
-    g = graph_catalog("pairs", 6)
-    tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.3, loop_cap=5, solver=solver)
+def assert_tree_matches_the_oracle(tree, g):
+    """Every branch of ``tree`` agrees with the dense state-vector oracle
+    applied to its node's recorded measurement, every EPR leaf is a target
+    pair, and every failure leaves no target pair between two weighted
+    parties."""
 
     def expected_post(child):
-        if isinstance(child, EprLeaf):
+        if isinstance(child, Epr):
             return {l: 0.5 for l in child.parties}
-        if isinstance(child, FailLeaf):
+        if isinstance(child, Failure):
             return None
         return dict(zip(child.state.labels, child.state.components))
 
-    assert isinstance(tree.root, DecisionNode)
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if isinstance(node, EprLeaf):
+        if isinstance(node, Epr):
             assert g.has_edge(*node.parties)
         if not isinstance(node, DecisionNode):
             continue
@@ -366,14 +364,43 @@ def test_six_party_pairs_tree_matches_the_oracle_and_beats_the_baseline(solver):
             assert abs(p - q) <= ORACLE_TOL
             want = expected_post(child)
             if want is None:
-                # a failure leaves no target pair between two weighted parties
                 live = [l for l in post.labels if post.component(l) > ORACLE_TOL]
                 assert not any(g.has_edge(a, b) for a in live for b in live if a < b)
             else:
                 for l in post.labels:
                     assert abs(post.component(l) - want.get(l, 0.0)) <= ORACLE_TOL
             stack.append(child)
+
+
+def test_six_party_pairs_tree_matches_the_oracle_and_beats_the_baseline(solver):
+    # an executed check of the 8/15 value that does not use the optimizer:
+    # every branch of the pairs:6 tree agrees with the dense state-vector
+    # oracle, every EPR leaf is a target pair, and with each cut loop
+    # counted as a failure the tree still beats the baseline's 2/5
+    # (see docs/decisions.md)
+    g = graph_catalog("pairs", 6)
+    tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.3, loop_cap=5, solver=solver)
+    assert isinstance(tree.root, DecisionNode)
+    assert_tree_matches_the_oracle(tree, g)
     assert tree.analytic_value(credit_truncation=False) > 0.4
+
+
+@pytest.mark.parametrize(
+    "name", ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
+)
+@pytest.mark.parametrize("x0", [0.0, 0.2])
+def test_tree_branches_match_the_oracle_on_every_fixed_preset(solver, name, x0):
+    # the phase-1, isolate, equal-or-vanish and peel-off children are what
+    # the oracle gives for each node's recorded measurement; the x0 > 0
+    # state starts with x0 removal and reaches isolated parties
+    g = graph_catalog(name)
+    if x0:
+        weights = np.arange(1.0, g.n + 1.0)
+        state = WState((1.0 - x0) * weights / weights.sum(), g.labels)
+    else:
+        state = standard_w(g.labels)
+    tree = build_protocol_tree(state, g, epsilon=0.3, loop_cap=2, solver=solver)
+    assert_tree_matches_the_oracle(tree, g)
 
 
 def test_tree_rejects_bad_parameters(solver):
