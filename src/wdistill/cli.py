@@ -164,7 +164,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.name == "sep-vs-locc":
-        lines = ["N,p_lpo,p_sep"]
+        lines = ["N,p_fl,p_sep"]
         for n in range(2, args.n_max + 1):
             lines.append(f"{n},{_fmt(2.0 / (2 * n - 1))},{_fmt(math.sqrt(1.0 / n))}")
     else:

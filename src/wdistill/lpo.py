@@ -4,8 +4,9 @@ Three phases: remove the x0 weight, symmetrize with the equal-or-vanish
 subroutine, then peel parties off in order of graph connectivity.  The
 recursion over party subsets reduces the whole protocol to a family of
 one-dimensional maximizations over the peel-off parameter alpha, each of
-which is solved exactly by recovering the cycle-success function as a
-polynomial and deflating its shared (1 - alpha) roots.
+which is solved exactly: the cycle-success function is recovered as a
+polynomial, its shared (1 - alpha) root is deflated, and the maximum is
+taken over alpha = 0, alpha = 1 and the real critical points between.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     ConfigGraph,
     Epr,
     Failure,
+    InternalConsistencyError,
     InvalidInputError,
     LocalMeasurement,
     NULL_OUTCOME_PROB,
@@ -34,9 +36,6 @@ from .core import (
 )
 from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumerate_ev, ev_measurement
 
-CHEB_NODES_PER_PARTY = 4       # interpolation nodes = 4 * |S|
-GRID_POINTS = 10_001           # dense scan of [0, 1] before refinement
-ALPHA_TOL = 1e-10              # golden-section width target
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
 COEF_TRIM = 1e-11
 
@@ -87,6 +86,24 @@ def _phase1_step(comps, labels):
         a2 = m.outcomes[1][0]
         rest = tuple(a2 * c / p2 for i, c in enumerate(comps) if i != k)
         children.append((p2, rest, labels[:k] + labels[k + 1:]))
+    return m, children
+
+
+def _peel_step(labels, edges, alpha: float):
+    """The peel-off measurement by the least-connected party (lowest index
+    on a tie) and its children as ``(p, comps, labels)``: outcome 1 keeps
+    weight 1 on that party and alpha elsewhere, normalized; outcome 2
+    removes the party and leaves the others uniform."""
+    k = min(labels, key=_degrees(labels, edges).__getitem__)
+    n = len(labels)
+    p1 = (1.0 + alpha * (n - 1)) / n
+    scale = 1.0 / (n * p1)
+    m = LocalMeasurement.diagonal(k, [(alpha, 1.0), (1.0 - alpha, 0.0)])
+    children = [(p1, tuple(scale if l == k else alpha * scale for l in labels), labels)]
+    p2 = (1.0 - alpha) * (n - 1) / n
+    if p2 >= NULL_OUTCOME_PROB:
+        rest = tuple(1.0 / (n - 1) for _ in range(n - 1))
+        children.append((p2, rest, tuple(l for l in labels if l != k)))
     return m, children
 
 
@@ -177,41 +194,14 @@ def fit_polynomial(xs, ys) -> np.ndarray:
 
 def _objective_value(f_coef: np.ndarray, has_loop: bool, m: int, alpha) -> float:
     """Evaluate f(a) or the deflated f(a)/(1 - a^m), regular on all of
-    [0, 1] because f(1) = 0 whenever the node loops."""
+    [0, 1] because f(1) = 0 whenever the node loops.  ``alpha`` may be an
+    array."""
     if not has_loop:
         return nppoly.polyval(alpha, f_coef)
     quotient, remainder = nppoly.polydiv(f_coef, np.array([1.0, -1.0]))
     del remainder  # asserted small by the caller
     denom = nppoly.polyval(alpha, np.ones(m))
     return nppoly.polyval(alpha, quotient) / denom
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float = ALPHA_TOL):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _y_alpha(labels, k_index: int, alpha: float):
-    """Post state of the peel-off measurement's outcome 1: weight 1 on the
-    measuring party and alpha elsewhere, normalized."""
-    n = len(labels)
-    p_alpha = (1.0 + alpha * (n - 1)) / n
-    scale = 1.0 / (n * p_alpha)
-    return tuple(scale if i == k_index else alpha * scale for i in range(n)), p_alpha
 
 
 def _subgraph_key(labels, edges) -> str:
@@ -239,12 +229,8 @@ class PhaseThreeSolver:
         n = len(labels)
         if n <= 2:
             raise PreconditionError("the cycle function needs more than two parties")
-        k = min(labels, key=_degrees(labels, edges).__getitem__)
-        ki = labels.index(k)
-        drop_labels = tuple(l for l in labels if l != k)
-        out2 = (1.0 - alpha) * (n - 1) / n * self.p3(drop_labels, edges).value
-        y, p_alpha = _y_alpha(labels, ki, alpha)
-        total = out2
+        (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
+        total = sum(p * self.p3(sub, edges).value for p, _, sub in rest)
         for term, lam in enumerate_ev(y, labels, edges).items():
             if term is FAILURE or len(term) == n:
                 continue
@@ -283,34 +269,38 @@ class PhaseThreeSolver:
         m = n - 1
         has_loop = min(_degrees(labels, edges).values()) > 0  # an isolated party never loops
 
-        xs = _chebyshev_nodes(CHEB_NODES_PER_PARTY * n)
-        ys = [self.f_alpha(labels, edges, float(x)) for x in xs]
-        f_coef = fit_polynomial(xs, ys)
+        # |S| + 2 nodes: f has degree below |S|, so the two spare nodes
+        # check the fit
+        xs = _chebyshev_nodes(n + 2)
+        f_coef = fit_polynomial(xs, [self.f_alpha(labels, edges, float(x)) for x in xs])
+        if len(f_coef) > n:
+            raise InternalConsistencyError(
+                f"cycle function on {name} has degree {len(f_coef) - 1}, above {n - 1}"
+            )
         if has_loop:
             f_at_1 = float(nppoly.polyval(1.0, f_coef))
             if abs(f_at_1) > 1e-10:
                 raise PreconditionError(
                     f"cycle function does not vanish at alpha=1 on {name}: {f_at_1}"
                 )
-            quotient, _ = nppoly.polydiv(f_coef, np.array([1.0, -1.0]))
-
-            def g(a):
-                return nppoly.polyval(a, quotient) / nppoly.polyval(a, np.ones(m))
-
+            # d/da (q / s) has the numerator q's - qs', q = f / (1 - a),
+            # s = 1 + a + ... + a^(m-1)
+            q = nppoly.polydiv(f_coef, np.array([1.0, -1.0]))[0]
+            s = np.ones(m)
+            slope = nppoly.polysub(
+                nppoly.polymul(nppoly.polyder(q), s), nppoly.polymul(q, nppoly.polyder(s))
+            )
         else:
-
-            def g(a):
-                return nppoly.polyval(a, f_coef)
-
-        grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        vals = g(grid)
+            slope = nppoly.polyder(f_coef)
+        # companion-matrix eigenvalues: real roots come back with zero
+        # imaginary part, the others in conjugate pairs
+        roots = nppoly.polyroots(slope)
+        roots = roots[roots.imag == 0].real
+        points = np.array([0.0, *roots[(roots > 0.0) & (roots < 1.0)], 1.0])
+        vals = _objective_value(f_coef, has_loop, m, points)
         best = int(np.argmax(vals))
-        lo = grid[max(0, best - 1)]
-        hi = grid[min(GRID_POINTS - 1, best + 1)]
-        x_star, v_star = _golden_max(g, float(lo), float(hi))
-
-        v_zero = float(g(0.0))
-        v_end = float(g(1.0))
+        x_star, v_star = float(points[best]), float(vals[best])
+        v_zero, v_end = float(vals[0]), float(vals[-1])
         tol = 1e-12 * max(1.0, abs(v_star), abs(v_zero), abs(v_end))
         attained_at_limit = False
         if v_zero >= max(v_star, v_end) - tol:  # prefer alpha = 0 on a plateau
@@ -372,21 +362,18 @@ class PhaseThreeSolver:
         )
 
 
-_DEFAULT_SOLVER = PhaseThreeSolver()
-
-
 def f_alpha(parties, graph: ConfigGraph, alpha: float, solver: PhaseThreeSolver | None = None) -> float:
-    solver = solver or _DEFAULT_SOLVER
+    solver = solver or PhaseThreeSolver()
     return solver.f_alpha(tuple(parties), graph.edges, alpha)
 
 
 def p3(parties, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> OptimizationReport:
-    solver = solver or _DEFAULT_SOLVER
+    solver = solver or PhaseThreeSolver()
     return solver.p3(tuple(parties), graph.edges)
 
 
 def p_lpo(state: WState, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> float:
-    solver = solver or _DEFAULT_SOLVER
+    solver = solver or PhaseThreeSolver()
     return solver.p_lpo(state, graph)
 
 
@@ -479,10 +466,17 @@ class ProtocolTree:
     loop_cap: int
 
     def analytic_value(self, credit_truncation: bool = True) -> float:
-        """Success probability of the tree.  With truncation credit the
-        cut loops contribute their continuation value, giving the value of
-        the unbounded protocol at the chosen alphas; without it they count
-        as failures, a lower bound that grows with loop_cap."""
+        """Success probability of the tree.  With truncation credit each
+        cut loop contributes its continuation value; without it the cut
+        loops count as failures, a lower bound that grows with loop_cap.
+
+        The credited value is not exactly that of the unbounded protocol
+        at the tree's alphas: the continuation value comes from
+        :meth:`PhaseThreeSolver.value_at`, whose sub-values are the
+        optimizer's limits, while the tree runs limit-attained subtrees at
+        alpha = 1 - epsilon.  At the standard W state with epsilon 1e-3 the
+        gap is 1.7e-4 on complete:5 with loop cap 3, 7.9e-5 on IV with loop
+        cap 20, and about 1e-14 on triangle, VI and III-c."""
 
         def walk(node) -> float:
             if isinstance(node, Epr):
@@ -594,7 +588,7 @@ def build_protocol_tree(
         raise PreconditionError("loop_cap must be at least 1")
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    solver = solver or _DEFAULT_SOLVER
+    solver = solver or PhaseThreeSolver()
     limit = sys.getrecursionlimit()
     if limit < 100_000:
         sys.setrecursionlimit(100_000)
@@ -632,18 +626,9 @@ def build_protocol_tree(
                 return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha))
             loops = dict(loops)
             loops[key] = seen + 1
-            k = min(labels, key=_degrees(labels, edges).__getitem__)
-            ki = labels.index(k)
-            m = LocalMeasurement.diagonal(k, [(alpha, 1.0), (1.0 - alpha, 0.0)])
-            n = len(labels)
-            children = []
-            y, p_alpha = _y_alpha(labels, ki, alpha)
-            children.append((p_alpha, build(y, labels, loops)))
-            p2 = (1.0 - alpha) * (n - 1) / n
-            if p2 >= NULL_OUTCOME_PROB:
-                rest = tuple(1.0 / (n - 1) for _ in range(n - 1))
-                children.append((p2, build(rest, tuple(l for l in labels if l != k), loops)))
-            return DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=seen + 1)
+            m, steps = _peel_step(labels, edges, alpha)
+            children = tuple((p, build(sub, sublab, loops)) for p, sub, sublab in steps)
+            return DecisionNode(st, g, m, "phase3", children, alpha=alpha, cycle=seen + 1)
 
         steps, fail = _step(comps, labels, tag, party)
         children = [(p, build(sub, sublab, loops)) for p, sub, sublab in steps]

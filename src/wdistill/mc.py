@@ -314,6 +314,8 @@ def monotone_fuzz(
     """
     if weak_radius > 0.1:
         raise PreconditionError("weak_radius must not exceed 0.1")
+    if n_states < 1 or n_measurements < 1:
+        raise PreconditionError("the fuzz needs at least one state and one measurement")
     graph = None
     if function_id == "kt_i":
         check = _kt_i_violation

@@ -155,11 +155,21 @@ def test_fuzz_command(capsys):
     assert payload["max_violation"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "argv", [("--states", "0"), ("--measurements", "0")], ids=["no-states", "no-measurements"]
+)
+def test_fuzz_without_checks_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "fuzz", "--function", "kt_i", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
+
+
 def test_figure_sep_vs_locc(capsys):
     code, out, _ = run_cli(capsys, "figure", "--name", "sep-vs-locc", "--n-max", "5")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "N,p_lpo,p_sep"
+    assert lines[0] == "N,p_fl,p_sep"
     first = lines[1].split(",")
     assert first[0] == "2"
     assert float(first[1]) == pytest.approx(2 / 3, abs=1e-9)

@@ -1,8 +1,11 @@
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
 
+from wdistill import lpo as lpo_mod
 from wdistill import (
     ConfigGraph,
     Epr,
@@ -30,6 +33,7 @@ from wdistill.lpo import DecisionNode, PhaseThreeSolver
 from wdistill.verify import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
+FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +150,7 @@ def test_p3_three_party_values(solver):
 def test_p3_paw_interior_maximum(solver):
     rep = p3(("A", "B", "C", "D"), graph_catalog("VI"), solver)
     assert rep.value == pytest.approx((3 + SQRT3) / 6, abs=1e-10)
-    assert rep.argmax_alpha == pytest.approx((SQRT3 - 1) / 2, abs=1e-6)
+    assert rep.argmax_alpha == pytest.approx((SQRT3 - 1) / 2, abs=1e-12)
     assert not rep.attained_at_limit
 
 
@@ -193,6 +197,30 @@ def test_p3_diagnostic_reports_all_least_parties(solver):
     assert max(values.values()) == pytest.approx(min(values.values()), abs=1e-10)
 
 
+def test_p3_argmax_is_a_critical_point():
+    # every interior optimum is a zero of the objective's slope, so the
+    # central difference there is second order in h
+    h = 1e-5
+    graphs = [graph_catalog(name) for name in FIXED_PRESETS]
+    graphs += [graph_catalog("complete", 5), graph_catalog("pairs", 6)]
+    graphs += [
+        ConfigGraph("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E")]),
+        ConfigGraph("ABCDEF", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F")]),
+    ]
+    interior = 0
+    for g in graphs:
+        solver = PhaseThreeSolver()
+        solver.p_lpo(standard_w(g.labels), g)
+        for rep in solver.reports():
+            a = rep.argmax_alpha
+            if rep.attained_at_limit or a == 0.0:
+                continue
+            interior += 1
+            slope = (rep.objective(a + h) - rep.objective(a - h)) / (2 * h)
+            assert abs(slope) <= 1e-9, (rep.subgraph_key, a, slope)
+    assert interior > 0
+
+
 def test_p3_invariant_under_relabeling_all_four_node_graphs():
     # exhaustive over the 63 nonempty four-node edge sets, sampled perms
     rng = np.random.default_rng(31)
@@ -232,6 +260,36 @@ def test_p_lpo_three_party_worked_examples(solver):
     s = WState([0.5, 0.3, 0.2])
     assert p_lpo(s, graph_catalog("wedge"), solver) == pytest.approx(0.76, abs=1e-10)
     assert p_lpo(s, graph_catalog("triangle"), solver) == pytest.approx(0.88, abs=1e-10)
+
+
+def reachable_solvers(module):
+    """PhaseThreeSolver instances reachable from the module's namespace,
+    without entering other modules or their classes and functions."""
+    found, seen, todo = [], set(), list(vars(module).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, types.ModuleType):
+            continue
+        if isinstance(obj, (type, types.FunctionType)) and obj.__module__ != module.__name__:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, PhaseThreeSolver):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_calls_without_a_solver_leave_no_solver_behind(monkeypatch):
+    g = graph_catalog("VI")
+    w = standard_w(g.labels)
+    p_lpo(w, g)
+    p3(g.labels, g)
+    f_alpha(g.labels, g, 0.3)
+    build_protocol_tree(w, g, loop_cap=2)
+    assert reachable_solvers(lpo_mod) == []
+    # the walk does find a solver that a module-level cache would keep
+    monkeypatch.setattr(lpo_mod, "_cache", {"memo": [PhaseThreeSolver()]}, raising=False)
+    assert len(reachable_solvers(lpo_mod)) == 1
 
 
 def test_p_lpo_four_party_pairs(solver):
@@ -385,9 +443,7 @@ def test_six_party_pairs_tree_matches_the_oracle_and_beats_the_baseline(solver):
     assert tree.analytic_value(credit_truncation=False) > 0.4
 
 
-@pytest.mark.parametrize(
-    "name", ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
-)
+@pytest.mark.parametrize("name", FIXED_PRESETS)
 @pytest.mark.parametrize("x0", [0.0, 0.2])
 def test_tree_branches_match_the_oracle_on_every_fixed_preset(solver, name, x0):
     # the phase-1, isolate, equal-or-vanish and peel-off children are what
