@@ -38,6 +38,7 @@ from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumer
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
 COEF_TRIM = 1e-11
+MAX_TREE_LEVELS = 3_000        # decision nodes on one branch of a protocol tree
 
 SQRT3 = math.sqrt(3.0)
 
@@ -456,7 +457,10 @@ class ProtocolTree:
 
     Inner nodes are :class:`DecisionNode`; leaves are the core terminals
     :class:`~wdistill.core.Epr` (success) and ``FAILURE``, plus a
-    :class:`TruncationLeaf` wherever a loop was cut.
+    :class:`TruncationLeaf` wherever a loop was cut.  Equal subtrees are
+    one shared object, so the nodes form a DAG; :meth:`analytic_value`
+    and :meth:`node_count` visit each shared node once, and
+    :meth:`node_count` still counts the unrolled tree.
     """
 
     root: object
@@ -478,6 +482,8 @@ class ProtocolTree:
         gap is 1.7e-4 on complete:5 with loop cap 3, 7.9e-5 on IV with loop
         cap 20, and about 1e-14 on triangle, VI and III-c."""
 
+        memo: dict[int, float] = {}
+
         def walk(node) -> float:
             if isinstance(node, Epr):
                 return 1.0
@@ -485,7 +491,9 @@ class ProtocolTree:
                 return 0.0
             if isinstance(node, TruncationLeaf):
                 return node.continuation_value if credit_truncation else 0.0
-            return sum(p * walk(child) for p, child in node.children)
+            if id(node) not in memo:
+                memo[id(node)] = sum(p * walk(child) for p, child in node.children)
+            return memo[id(node)]
 
         return walk(self.root)
 
@@ -514,10 +522,16 @@ class ProtocolTree:
         return acc
 
     def node_count(self) -> int:
+        """Nodes of the unrolled tree: a shared subtree counts once for
+        every place it occurs."""
+        memo: dict[int, int] = {}
+
         def walk(node) -> int:
             if not isinstance(node, DecisionNode):
                 return 1
-            return 1 + sum(walk(child) for _, child in node.children)
+            if id(node) not in memo:
+                memo[id(node)] = 1 + sum(walk(child) for _, child in node.children)
+            return memo[id(node)]
 
         return walk(self.root)
 
@@ -581,6 +595,13 @@ def build_protocol_tree(
     epsilon.  Phase-1, isolate and equal-or-vanish children come from the
     same branch rules as :func:`phase1_distribution` and
     :func:`~wdistill.evroutine.enumerate_ev`.
+
+    Each distinct subtree is built once and shared wherever it recurs (a
+    subtree depends only on its state and on the loop counts of its own
+    label subsets), so the tree holds far fewer objects than
+    :meth:`ProtocolTree.node_count` reports.  A branch deeper than
+    MAX_TREE_LEVELS decision nodes raises :class:`PreconditionError`,
+    because walking it recursively would overflow the C stack.
     """
     if not (0.0 < epsilon < 0.5):
         raise PreconditionError("epsilon must lie in (0, 0.5)")
@@ -594,52 +615,79 @@ def build_protocol_tree(
         sys.setrecursionlimit(100_000)
 
     full_edges = frozenset(graph.edges)
+    shared: dict = {}  # sharing key -> (subtree, decision levels on its deepest branch)
+    too_deep = (
+        f"a branch of the tree goes deeper than {MAX_TREE_LEVELS} decision levels; lower loop_cap"
+    )
 
-    def build(comps, labels, loops: dict):
+    def build(comps, labels, loops: dict, depth: int):
+        """The subtree for this state below ``depth`` decision levels and
+        its own number of levels; an equal subtree built before is reused."""
         # drop parties that carry no weight
         live = tuple(i for i, c in enumerate(comps) if c > 0.0)
         if len(live) != len(comps):
             labels = tuple(labels[i] for i in live)
             comps = tuple(comps[i] for i in live)
+        if len(labels) < 2:
+            return FAILURE, 0
+        # labels only shrink along a branch, so a loop count over other
+        # parties is never read below here
+        parties = frozenset(labels)
+        loops = {k: v for k, v in loops.items() if k <= parties}
+        key = (comps, labels, frozenset(loops.items()))
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = decide(comps, labels, loops, depth)
+        if depth + hit[1] > MAX_TREE_LEVELS:
+            raise PreconditionError(too_deep)
+        return hit
+
+    def branch(steps, loops: dict, depth: int):
+        """Children ``(p, subtree)`` of a decision node below ``depth``
+        levels, and the levels from that node down."""
+        if depth >= MAX_TREE_LEVELS:
+            raise PreconditionError(too_deep)
+        built = [(p, *build(sub, sublab, loops, depth + 1)) for p, sub, sublab in steps]
+        below = max((levels for _, _, levels in built), default=0)
+        return [(p, node) for p, node, _ in built], 1 + below
+
+    def decide(comps, labels, loops: dict, depth: int):
+        """The subtree for a state with no equal subtree built yet."""
         x0 = max(0.0, 1.0 - sum(comps))
-        if len(labels) < 2 or sum(1 for c in comps if c > 0.0) <= 1:
-            return FAILURE
         edges = _restrict_edges(full_edges, labels)
         st = WState(comps, labels)
         g = ConfigGraph(labels, edges)
         if x0 > X0_TOL:
             m, steps = _phase1_step(comps, labels)
-            children = tuple((p, build(sub, sublab, loops)) for p, sub, sublab in steps)
-            return DecisionNode(st, g, m, "phase1", children)
+            children, levels = branch(steps, loops, depth)
+            return DecisionNode(st, g, m, "phase1", tuple(children)), levels
 
         tag, party = _select(comps, labels, edges)
         if tag == "fail2":
-            return FAILURE
+            return FAILURE, 0
         if tag == "terminal":
             if len(labels) == 2:
-                return Epr(labels)
-            key = (labels, edges)
-            seen = loops.get(key, 0)
+                return Epr(labels), 0
+            seen = loops.get(frozenset(labels), 0)
             report = solver.p3(labels, edges)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
             if seen >= loop_cap:
-                return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha))
-            loops = dict(loops)
-            loops[key] = seen + 1
+                return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha)), 0
             m, steps = _peel_step(labels, edges, alpha)
-            children = tuple((p, build(sub, sublab, loops)) for p, sub, sublab in steps)
-            return DecisionNode(st, g, m, "phase3", children, alpha=alpha, cycle=seen + 1)
+            children, levels = branch(steps, {**loops, frozenset(labels): seen + 1}, depth)
+            node = DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=seen + 1)
+            return node, levels
 
         steps, fail = _step(comps, labels, tag, party)
-        children = [(p, build(sub, sublab, loops)) for p, sub, sublab in steps]
+        children, levels = branch(steps, loops, depth)
         if fail:
             children.append((fail, FAILURE))
         if tag == "isolate":
             m = LocalMeasurement.diagonal(party, [(1.0, 0.0), (0.0, 1.0)])
-            return DecisionNode(st, g, m, "isolate", tuple(children))
-        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children))
+            return DecisionNode(st, g, m, "isolate", tuple(children)), levels
+        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children)), levels
 
-    root = build(state.components, state.labels, {})
+    root, _ = build(state.components, state.labels, {}, 0)
     return ProtocolTree(root, state, graph, epsilon, loop_cap)
 
 

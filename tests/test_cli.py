@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +146,58 @@ def test_simulate_ignores_the_deprecated_thread_variable(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == base
+
+
+BAD_NUMBERS = [
+    ("tree", "--loop-cap", "0"),
+    ("tree", "--loop-cap", "-3"),
+    ("tree", "--epsilon", "nan"),
+    ("tree", "--epsilon", "0.5"),
+    ("tree", "--epsilon", "inf"),
+    ("simulate", "--loop-cap", "0"),
+    ("simulate", "--loop-cap", "-3"),
+    ("simulate", "--epsilon", "nan"),
+    ("simulate", "--epsilon", "0.5"),
+    ("simulate", "--epsilon", "inf"),
+    ("simulate", "--trials", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_NUMBERS, ids=["-".join(a) for a in BAD_NUMBERS])
+def test_tree_and_simulate_reject_bad_numbers(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, command, "--state", "W3", "--preset", "triangle", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("tree", "--loop-cap", "5000"), 2),
+        (("tree", "--loop-cap", "100000"), 2),
+        (("simulate", "--loop-cap", "10000"), 2),
+        (("tree", "--loop-cap", "200", "--format", "dot"), 0),
+        (("simulate", "--loop-cap", "200"), 0),
+    ],
+    ids=["tree-5000", "tree-100000", "simulate-10000", "tree-200", "simulate-200"],
+)
+def test_deep_loop_caps_exit_2_without_crashing(argv, code):
+    # in a child process, so that a stack overflow fails the test instead
+    # of killing the test run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command, *rest = argv
+    run = subprocess.run(
+        [sys.executable, "-m", "wdistill.cli", command, "--state", "W3", "--preset", "triangle",
+         *rest],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    if code == 2:
+        assert run.stderr.startswith("error: bad input: ")
+        assert "decision levels" in run.stderr
 
 
 def test_fuzz_command(capsys):

@@ -29,7 +29,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import DecisionNode, PhaseThreeSolver
+from wdistill.lpo import MAX_TREE_LEVELS, DecisionNode, PhaseThreeSolver, TruncationLeaf
 from wdistill.verify import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -406,13 +406,14 @@ def assert_tree_matches_the_oracle(tree, g):
             return None
         return dict(zip(child.state.labels, child.state.components))
 
-    stack = [tree.root]
+    stack, checked = [tree.root], set()
     while stack:
         node = stack.pop()
         if isinstance(node, Epr):
             assert g.has_edge(*node.parties)
-        if not isinstance(node, DecisionNode):
+        if not isinstance(node, DecisionNode) or id(node) in checked:
             continue
+        checked.add(id(node))
         outcomes = [
             (q, post) for q, post in statevector_oracle(node.state, node.measurement)
             if post is not None
@@ -457,6 +458,76 @@ def test_tree_branches_match_the_oracle_on_every_fixed_preset(solver, name, x0):
         state = standard_w(g.labels)
     tree = build_protocol_tree(state, g, epsilon=0.3, loop_cap=2, solver=solver)
     assert_tree_matches_the_oracle(tree, g)
+
+
+def decision_nodes(tree):
+    """The distinct DecisionNode objects reachable from the root."""
+    found, stack = {}, [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DecisionNode) and id(node) not in found:
+            found[id(node)] = node
+            stack.extend(child for _, child in node.children)
+    return list(found.values())
+
+
+def unshared_value(node, credit_truncation):
+    """The tree value by a plain recursive walk that revisits every
+    shared node."""
+    if isinstance(node, Epr):
+        return 1.0
+    if isinstance(node, Failure):
+        return 0.0
+    if isinstance(node, TruncationLeaf):
+        return node.continuation_value if credit_truncation else 0.0
+    return sum(p * unshared_value(child, credit_truncation) for p, child in node.children)
+
+
+def test_tree_builds_each_distinct_subtree_once(solver):
+    g = graph_catalog("complete", 5)
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=3, solver=solver)
+    assert len(decision_nodes(tree)) <= 250
+    assert tree.node_count() == 5_569
+    for credit in (True, False):
+        assert tree.analytic_value(credit) == unshared_value(tree.root, credit)
+
+
+def test_shared_tree_matches_the_oracle_at_a_large_loop_cap(solver):
+    # 173,121 unrolled nodes, but each of the 593 distinct decision nodes
+    # is checked once
+    g = graph_catalog("complete", 5)
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=10, solver=solver)
+    assert tree.node_count() == 173_121
+    assert len(decision_nodes(tree)) == 593
+    assert_tree_matches_the_oracle(tree, g)
+
+
+def deepest_branch(tree):
+    """Decision nodes on the longest root-to-leaf path, found without
+    recursion."""
+    levels: dict[int, int] = {}
+    stack = [tree.root]
+    while stack:
+        node = stack[-1]
+        pending = [
+            c for _, c in node.children if isinstance(c, DecisionNode) and id(c) not in levels
+        ]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        levels[id(node)] = 1 + max(levels.get(id(c), 0) for _, c in node.children)
+    return levels[id(tree.root)]
+
+
+def test_tree_depth_is_capped(solver):
+    # each triangle loop takes three decision levels
+    g = graph_catalog("triangle")
+    w = standard_w(g.labels)
+    cap = MAX_TREE_LEVELS // 3
+    assert deepest_branch(build_protocol_tree(w, g, loop_cap=cap, solver=solver)) == MAX_TREE_LEVELS
+    with pytest.raises(PreconditionError, match="decision levels"):
+        build_protocol_tree(w, g, loop_cap=cap + 1, solver=solver)
 
 
 def test_tree_rejects_bad_parameters(solver):
