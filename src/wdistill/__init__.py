@@ -27,17 +27,11 @@ from .core import (
     standard_w,
 )
 from .evroutine import (
-    EvNode,
-    FailTwoParty,
-    Measure,
-    RemoveIsolated,
-    Terminal,
     ev_distribution,
     ev_measurement,
     ev_tree,
     ev_tree_to_dot,
     full_set_lambda,
-    select_ev_action,
 )
 from .lpo import (
     OptimizationReport,

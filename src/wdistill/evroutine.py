@@ -29,30 +29,6 @@ from .core import (
 X0_TOL = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# actions
-
-
-@dataclass(frozen=True)
-class RemoveIsolated:
-    party: str
-
-
-@dataclass(frozen=True)
-class FailTwoParty:
-    pass
-
-
-@dataclass(frozen=True)
-class Terminal:
-    pass
-
-
-@dataclass(frozen=True)
-class Measure:
-    party: str
-
-
 def _degrees(labels, edges) -> dict[str, int]:
     deg = {l: 0 for l in labels}
     for a, b in edges:
@@ -99,22 +75,6 @@ def _select(comps, labels, edges):
         if _neighbors(l, edges) & max_parties:
             return "measure", l
     return "measure", fallback
-
-
-def select_ev_action(state: WState, graph: ConfigGraph):
-    """Classify the next equal-or-vanish step for (state, graph)."""
-    if state.x0 > X0_TOL:
-        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
-    tag, party = _select(state.components, state.labels, graph.edges)
-    if tag == "fail2":
-        return FailTwoParty()
-    if tag == "isolate":
-        return RemoveIsolated(party)
-    if tag == "terminal":
-        return Terminal()
-    return Measure(party)
 
 
 def ev_measurement(state: WState, k: str) -> LocalMeasurement:

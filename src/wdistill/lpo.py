@@ -4,9 +4,12 @@ Three phases: remove the x0 weight, symmetrize with the equal-or-vanish
 subroutine, then peel parties off in order of graph connectivity.  The
 recursion over party subsets reduces the whole protocol to a family of
 one-dimensional maximizations over the peel-off parameter alpha, each of
-which is solved exactly: the cycle-success function is recovered as a
-polynomial, its shared (1 - alpha) root is deflated, and the maximum is
+which is solved exactly: one walk of the peel-off node reads the cycle
+success function off as an exact sum of monomials c a^e (1 - a)^v, its
+shared (1 - alpha) factor is divided out term by term, and the maximum is
 taken over alpha = 0, alpha = 1 and the real critical points between.
+The power coefficients reported as ``f_polynomial`` are expanded from
+the monomials.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from .core import (
@@ -37,7 +39,6 @@ from .core import (
 from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumerate_ev, ev_measurement
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
-COEF_TRIM = 1e-11
 MAX_TREE_LEVELS = 3_000        # decision nodes on one branch of a protocol tree
 
 SQRT3 = math.sqrt(3.0)
@@ -108,6 +109,43 @@ def _peel_step(labels, edges, alpha: float):
     return m, children
 
 
+def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
+    """Every path from the peel-off node to a standard W state on T, as
+    ``(T, e, v)``: the path has probability |T|/n a^e (1 - a)^v.
+
+    Outcome 2 reaches S minus k at (0, 1).  After outcome 1 every
+    equal-or-vanish ratio is exactly alpha, so each party's unnormalized
+    weight is a^e (1 - a)^v with its own e and a shared v: equalizing
+    party j raises every other e by one, vanishing removes j and raises
+    v, and isolating removes the party (after the last maximal one the
+    rest are maximal at e + 1).  :func:`_select` sees the exponents coded
+    as 2^-(e - e_min), so no alpha is needed.
+    """
+    k = min(labels, key=_degrees(labels, edges).__getitem__)
+    out = [(tuple(l for l in labels if l != k), 0, 1)]
+
+    def walk(exps, labels, edges, v):
+        if len(labels) < 2:
+            return
+        low = min(exps)
+        tag, party = _select(tuple(0.5 ** (e - low) for e in exps), labels, edges)
+        if tag == "terminal":
+            out.append((labels, low, v))
+        if tag in ("terminal", "fail2"):
+            return
+        j = labels.index(party)
+        rest = labels[:j] + labels[j + 1:]
+        drop = (exps[:j] + exps[j + 1:], rest, _restrict_edges(edges, rest))
+        if tag == "isolate":
+            walk(*drop, v)
+            return
+        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), labels, edges, v)
+        walk(*drop, v + 1)  # vanish
+
+    walk(tuple(0 if l == k else 1 for l in labels), labels, edges, 0)
+    return out
+
+
 def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
     """Iterate x0-removal until every branch lands on an x0 = 0 state or a
     product state.  Residual terminals keep the pruned graph."""
@@ -146,23 +184,27 @@ def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistributio
 class OptimizationReport:
     """Solved maximization of one peel-off recursion node.
 
-    ``f_polynomial`` holds ascending power coefficients of the cycle
-    success function f; the maximized objective is f(a) / (1 - a^m) when
-    the node can loop (m = |S| - 1) and plain f(a) otherwise.
+    ``terms`` is the cycle success function f as an exact sum of monomials
+    ``(c, e, v)``, f(a) = sum c a^e (1 - a)^v with c >= 0; the maximized
+    objective is f(a) / (1 - a^m) when the node can loop (m = |S| - 1) and
+    plain f(a) otherwise.  ``f_polynomial`` holds the ascending power
+    coefficients of the same f, expanded from ``terms``.
     """
 
     value: float
     argmax_alpha: float
     attained_at_limit: bool
-    f_polynomial: tuple[float, ...]
+    terms: tuple[tuple[float, int, int], ...]
     subgraph_key: str
     has_loop: bool
     loop_order: int
 
-    def objective(self, alpha: float) -> float:
-        return _objective_value(
-            np.asarray(self.f_polynomial), self.has_loop, self.loop_order, alpha
-        )
+    @property
+    def f_polynomial(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in _power_coefficients(self.terms))
+
+    def objective(self, alpha):
+        return _objective_value(self.terms, self.has_loop, self.loop_order, alpha)
 
     def to_json(self) -> dict:
         return {
@@ -175,34 +217,26 @@ class OptimizationReport:
         }
 
 
-def _chebyshev_nodes(count: int) -> np.ndarray:
-    i = np.arange(count)
-    return 0.5 * (1.0 + np.cos((2 * i + 1) * np.pi / (2 * count)))
+def _power_coefficients(terms) -> np.ndarray:
+    """Ascending power coefficients of sum c a^e (1 - a)^v, each one a
+    correctly rounded sum of its binomial contributions; trailing zeros
+    are dropped."""
+    parts: dict[int, list[float]] = {}
+    for c, e, v in terms:
+        for i in range(v + 1):
+            parts.setdefault(e + i, []).append((-1) ** i * math.comb(v, i) * c)
+    return nppoly.polytrim([math.fsum(parts.get(d, ())) for d in range(max(parts) + 1)])
 
 
-def fit_polynomial(xs, ys) -> np.ndarray:
-    """Interpolate samples of a polynomial, returning trimmed ascending
-    power coefficients.  Exact for degree < len(xs) up to rounding."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    ch = npcheb.Chebyshev.fit(xs, ys, deg=len(xs) - 1, domain=[0.0, 1.0])
-    scale = max(1.0, float(np.max(np.abs(ch.coef))))
-    trimmed = npcheb.chebtrim(ch.coef, tol=COEF_TRIM * scale)
-    ch = npcheb.Chebyshev(trimmed, domain=[0.0, 1.0])
-    poly = ch.convert(kind=np.polynomial.Polynomial, domain=[0.0, 1.0], window=[0.0, 1.0])
-    return nppoly.polytrim(poly.coef, tol=COEF_TRIM * scale)
-
-
-def _objective_value(f_coef: np.ndarray, has_loop: bool, m: int, alpha) -> float:
-    """Evaluate f(a) or the deflated f(a)/(1 - a^m), regular on all of
-    [0, 1] because f(1) = 0 whenever the node loops.  ``alpha`` may be an
-    array."""
+def _objective_value(terms, has_loop: bool, m: int, alpha):
+    """f(a), or f(a) / (1 - a^m) on a looping node, in monomial form: every
+    term of a looping node has v >= 1, so the shared (1 - a) is divided
+    out exactly.  ``alpha`` may be an array."""
+    a = np.asarray(alpha, dtype=float)
     if not has_loop:
-        return nppoly.polyval(alpha, f_coef)
-    quotient, remainder = nppoly.polydiv(f_coef, np.array([1.0, -1.0]))
-    del remainder  # asserted small by the caller
-    denom = nppoly.polyval(alpha, np.ones(m))
-    return nppoly.polyval(alpha, quotient) / denom
+        return sum(c * a**e * (1.0 - a) ** v for c, e, v in terms)
+    total = sum(c * a**e * (1.0 - a) ** (v - 1) for c, e, v in terms)
+    return total / nppoly.polyval(a, np.ones(m))
 
 
 def _subgraph_key(labels, edges) -> str:
@@ -254,51 +288,51 @@ class PhaseThreeSolver:
     def _solve(self, labels, edges) -> OptimizationReport:
         name = _subgraph_key(labels, edges)
         n = len(labels)
-        if n < 2:
-            report = OptimizationReport(0.0, 0.0, False, (0.0,), name, False, 1)
+        if n < 2 or not edges:
+            report = OptimizationReport(0.0, 0.0, False, ((0.0, 0, 0),), name, False, max(1, n - 1))
         elif n == 2:
-            value = 1.0 if edges else 0.0
-            report = OptimizationReport(value, 0.0, False, (value,), name, False, 1)
-        elif not edges:
-            report = OptimizationReport(0.0, 0.0, False, (0.0,), name, False, n - 1)
+            report = OptimizationReport(1.0, 0.0, False, ((1.0, 0, 0),), name, False, 1)
         else:
             report = self._optimize(labels, edges, name)
         return report
+
+    def _cycle_terms(self, labels, edges) -> list[tuple[float, int, int]]:
+        """The cycle function f as monomials ``(c, e, v)``, one per (e, v):
+        each path of :func:`_peel_walk` to a subset T other than S adds
+        |T|/n p3(T) at its (e, v)."""
+        n = len(labels)
+        parts: dict[tuple[int, int], list[float]] = {}
+        for term, e, v in _peel_walk(labels, edges):
+            if len(term) < n:
+                parts.setdefault((e, v), []).append(len(term) * self.p3(term, edges).value)
+        return [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
 
     def _optimize(self, labels, edges, name) -> OptimizationReport:
         n = len(labels)
         m = n - 1
         has_loop = min(_degrees(labels, edges).values()) > 0  # an isolated party never loops
-
-        # |S| + 2 nodes: f has degree below |S|, so the two spare nodes
-        # check the fit
-        xs = _chebyshev_nodes(n + 2)
-        f_coef = fit_polynomial(xs, [self.f_alpha(labels, edges, float(x)) for x in xs])
-        if len(f_coef) > n:
-            raise InternalConsistencyError(
-                f"cycle function on {name} has degree {len(f_coef) - 1}, above {n - 1}"
-            )
-        if has_loop:
-            f_at_1 = float(nppoly.polyval(1.0, f_coef))
-            if abs(f_at_1) > 1e-10:
-                raise PreconditionError(
-                    f"cycle function does not vanish at alpha=1 on {name}: {f_at_1}"
+        terms = self._cycle_terms(labels, edges)
+        for c, e, v in terms:
+            if e + v > m or (has_loop and v < 1):
+                raise InternalConsistencyError(
+                    f"cycle function on {name} has the term a^{e} (1 - a)^{v}"
                 )
+        if has_loop:
             # d/da (q / s) has the numerator q's - qs', q = f / (1 - a),
             # s = 1 + a + ... + a^(m-1)
-            q = nppoly.polydiv(f_coef, np.array([1.0, -1.0]))[0]
+            q = _power_coefficients([(c, e, v - 1) for c, e, v in terms])
             s = np.ones(m)
             slope = nppoly.polysub(
                 nppoly.polymul(nppoly.polyder(q), s), nppoly.polymul(q, nppoly.polyder(s))
             )
         else:
-            slope = nppoly.polyder(f_coef)
+            slope = nppoly.polyder(_power_coefficients(terms))
         # companion-matrix eigenvalues: real roots come back with zero
         # imaginary part, the others in conjugate pairs
         roots = nppoly.polyroots(slope)
         roots = roots[roots.imag == 0].real
         points = np.array([0.0, *roots[(roots > 0.0) & (roots < 1.0)], 1.0])
-        vals = _objective_value(f_coef, has_loop, m, points)
+        vals = _objective_value(terms, has_loop, m, points)
         best = int(np.argmax(vals))
         x_star, v_star = float(points[best]), float(vals[best])
         v_zero, v_end = float(vals[0]), float(vals[-1])
@@ -311,17 +345,13 @@ class PhaseThreeSolver:
             attained_at_limit = True
         value = min(1.0, max(0.0, float(v_star)))
         return OptimizationReport(
-            value, float(x_star), attained_at_limit,
-            tuple(float(c) for c in f_coef), name, has_loop, m,
+            value, x_star, attained_at_limit, tuple(terms), name, has_loop, m
         )
 
     def value_at(self, labels, edges, alpha: float) -> float:
         """The looped-protocol value when the peel-off parameter is pinned
         to ``alpha`` instead of the optimum."""
-        report = self.p3(tuple(labels), frozenset(edges))
-        if len(report.f_polynomial) == 1 and not report.has_loop:
-            return report.value
-        return report.objective(alpha)
+        return self.p3(tuple(labels), frozenset(edges)).objective(alpha)
 
     def p3_diagnostic(self, labels, edges) -> dict[str, float]:
         """Value obtained for every minimal-degree choice of the peel-off

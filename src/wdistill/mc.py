@@ -164,7 +164,9 @@ def random_measurement(
 @dataclass(frozen=True)
 class SimResult:
     """Trial counts per terminal with normal-approximation z-scores against
-    the tree's analytic leaf probabilities."""
+    the tree's analytic leaf probabilities.  A terminal whose probability
+    is 0 or 1 but whose empirical rate differs has ``z = None`` (JSON
+    null, an empty CSV field)."""
 
     trials: int
     seed: int
@@ -175,7 +177,7 @@ class SimResult:
     success_rate: float
     success_expected: float
 
-    def z_scores(self) -> dict[str, float]:
+    def z_scores(self) -> dict[str, float | None]:
         return {t["label"]: t["z"] for t in self.terminals}
 
     def to_json(self) -> str:
@@ -194,9 +196,10 @@ class SimResult:
     def to_csv(self) -> str:
         lines = ["label,count,probability,empirical,std_err,z"]
         for t in self.terminals:
+            z = "" if t["z"] is None else f"{t['z']:.12g}"
             lines.append(
                 f"{t['label']},{t['count']},{t['probability']:.12g},"
-                f"{t['empirical']:.12g},{t['std_err']:.12g},{t['z']:.12g}"
+                f"{t['empirical']:.12g},{t['std_err']:.12g},{z}"
             )
         return "\n".join(lines)
 
@@ -249,12 +252,13 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
         p = analytic.get(label, 0.0)
         c = counts.get(label, 0)
         emp = c / trials
-        if 0.0 < p < 1.0:
-            se = math.sqrt(p * (1.0 - p) / trials)
+        se = math.sqrt(p * (1.0 - p) / trials) if 0.0 < p < 1.0 else 0.0
+        if se > 0.0:
             z = (emp - p) / se
         else:
-            se = 0.0
-            z = 0.0 if abs(emp - p) < 1e-15 else math.inf
+            # a leaf of probability 0 or 1 has no spread, so a deviation
+            # from it has no z-score
+            z = 0.0 if abs(emp - p) < 1e-15 else None
         terminals.append(
             {"label": label, "count": int(c), "probability": p, "empirical": emp,
              "std_err": se, "z": z}

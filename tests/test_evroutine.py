@@ -6,12 +6,8 @@ import pytest
 from wdistill import (
     FAILURE,
     ConfigGraph,
-    FailTwoParty,
-    Measure,
     PreconditionError,
-    RemoveIsolated,
     StandardW,
-    Terminal,
     WState,
     ev_distribution,
     ev_measurement,
@@ -19,12 +15,11 @@ from wdistill import (
     ev_tree_to_dot,
     full_set_lambda,
     graph_catalog,
-    select_ev_action,
     standard_w,
     statevector_oracle,
 )
-from wdistill.evroutine import ev_order_sensitivity
-from wdistill.lpo import fit_polynomial
+from wdistill.evroutine import _select, ev_order_sensitivity
+from wdistill.lpo import _peel_step, _peel_walk
 from wdistill.mc import random_w_state
 
 
@@ -35,29 +30,37 @@ def y_alpha_state(alpha, heavy="D"):
     return WState(comps, labels)
 
 
+def select(state, graph):
+    return _select(state.components, state.labels, graph.edges)
+
+
 def test_select_terminal_on_uniform_states():
     for name in ("V", "VI", "III-c"):
         g = graph_catalog(name)
-        assert isinstance(select_ev_action(standard_w(g.labels), g), Terminal)
+        assert select(standard_w(g.labels), g) == ("terminal", None)
 
 
 def test_select_measure_on_heavy_pendant():
     # heaviest party is the pendant D; only A is both lagging and adjacent
     g = graph_catalog("VI")
-    assert select_ev_action(y_alpha_state(0.4), g) == Measure("A")
+    assert select(y_alpha_state(0.4), g) == ("measure", "A")
 
 
 def test_select_isolated_and_two_party_failure():
     g = ConfigGraph("ABC", [("B", "C")])
-    assert select_ev_action(standard_w("ABC"), g) == RemoveIsolated("A")
+    assert select(standard_w("ABC"), g) == ("isolate", "A")
     g2 = ConfigGraph("AB", [])
-    assert isinstance(select_ev_action(standard_w("AB"), g2), FailTwoParty)
+    assert select(standard_w("AB"), g2) == ("fail2", None)
 
 
 def test_select_requires_x0_zero():
+    # the selection rules read raw components; the x0 = 0 precondition is
+    # held by the public entry points of the subroutine
     g = graph_catalog("wedge")
     with pytest.raises(PreconditionError):
-        select_ev_action(WState([0.3, 0.3, 0.2]), g)
+        ev_distribution(WState([0.3, 0.3, 0.2]), g)
+    with pytest.raises(PreconditionError):
+        ev_tree(WState([0.3, 0.3, 0.2]), g)
 
 
 def test_ev_measurement_equal_branch_scales_other_components():
@@ -150,27 +153,25 @@ def test_ev_distribution_total_probability():
 
 
 def test_branch_polynomial_structure():
-    # against the peel-off family, every terminal weight times the
-    # outcome-1 probability is a polynomial in alpha: interpolating on
-    # 4N nodes must reproduce fresh samples exactly
-    g = graph_catalog("VI")
-    labels = tuple(g.labels)
-
-    def weights(alpha):
-        d = ev_distribution(y_alpha_state(alpha), g)
-        p_alpha = (1 + 3 * alpha) / 4
-        return {t: p * p_alpha for t, p in d.items()}
-
-    nodes = 0.5 * (1 + np.cos((2 * np.arange(16) + 1) * np.pi / 32))
-    samples = [weights(float(a)) for a in nodes]
-    terminals = {t for s in samples for t in s}
-    for term in terminals:
-        coef = fit_polynomial(nodes, [s.get(term, 0.0) for s in samples])
-        for alpha in (0.11, 0.47, 0.83):
-            got = weights(alpha).get(term, 0.0)
-            assert np.polynomial.polynomial.polyval(alpha, coef) == pytest.approx(
-                got, abs=1e-10
-            )
+    # at every alpha, the peel-off outcome 2 plus each equal-or-vanish
+    # terminal weight times the outcome-1 probability is the sum of the
+    # walked monomials |T|/n a^e (1 - a)^v over the paths that reach T
+    cycle5 = ConfigGraph("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E")])
+    for g in (graph_catalog("VI"), cycle5):
+        labels, edges, n = tuple(g.labels), frozenset(g.edges), g.n
+        paths = _peel_walk(labels, edges)
+        for alpha in (0.0, 0.11, 0.37, 0.5, 0.83, 0.97):
+            walked = {}
+            for term, e, v in paths:
+                walked[term] = walked.get(term, 0.0) + len(term) / n * alpha**e * (1 - alpha) ** v
+            (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
+            d = ev_distribution(WState(y, labels), g)
+            sampled = {t.parties: p * p_alpha for t, p in d.items() if t is not FAILURE}
+            for p, _, sub in rest:
+                sampled[sub] = sampled.get(sub, 0.0) + p
+            for term in walked.keys() | sampled.keys():
+                want = sampled.get(term, 0.0)
+                assert walked.get(term, 0.0) == pytest.approx(want, abs=1e-12), (g, alpha, term)
 
 
 def test_ev_tree_depth_and_dot_export():

@@ -221,6 +221,51 @@ def test_p3_argmax_is_a_critical_point():
     assert interior > 0
 
 
+def family_graph(family, n):
+    labels = tuple("ABCDEFGHIJKL"[:n])
+    if family == "cycle":
+        return ConfigGraph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+    if family == "path":
+        return ConfigGraph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    return graph_catalog(family, n)
+
+
+def test_walked_cycle_function_equals_f_alpha():
+    # the monomials read off one walk against the numeric enumeration at
+    # random alphas, on every optimized node below each graph
+    rng = np.random.default_rng(12)
+    graphs = [graph_catalog(name) for name in FIXED_PRESETS]
+    graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(3, 9)]
+    graphs += [family_graph("pairs", n) for n in (4, 6, 8)]
+    checked = 0
+    for g in graphs:
+        solver = PhaseThreeSolver()
+        solver.p_lpo(standard_w(g.labels), g)
+        for (labels, edges), rep in solver._memo.items():
+            if len(labels) < 3 or not edges:
+                continue
+            for a in rng.uniform(0.0, 1.0, 3):
+                walked = sum(c * a**e * (1 - a) ** v for c, e, v in rep.terms)
+                assert walked == pytest.approx(solver.f_alpha(labels, edges, a), abs=1e-12)
+            checked += 1
+    assert checked > 500
+
+
+def test_complete_ten_top_node_coefficients_are_exact(solver):
+    g = graph_catalog("complete", 10)
+    rep = p3(g.labels, g, solver)
+    want = [9 / 10, 9 / 10, -18 / 5, 42 / 5, -63 / 5, 63 / 5, -42 / 5, 18 / 5, -9 / 10, -9 / 10]
+    assert len(rep.f_polynomial) == len(want)
+    for got, exact in zip(rep.f_polynomial, want):
+        assert got == pytest.approx(exact, abs=1e-12)
+
+
+def test_complete_graphs_always_succeed(solver):
+    for n in range(2, 11):
+        g = graph_catalog("complete", n)
+        assert p_lpo(standard_w(g.labels), g, solver) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_p3_invariant_under_relabeling_all_four_node_graphs():
     # exhaustive over the 63 nonempty four-node edge sets, sampled perms
     rng = np.random.default_rng(31)
@@ -320,6 +365,14 @@ def test_p_lpo_bounded_and_dominates_baseline(solver):
         assert -1e-12 <= v <= 1.0 + 1e-12
     for g in graphs:
         assert p_lpo(standard_w(g.labels), g, solver) >= p_fl(g) - 1e-10
+
+
+@pytest.mark.parametrize("n_pairs", range(2, 7))
+def test_pairs_value_follows_the_product_rule(solver, n_pairs):
+    # V_N = prod_{k=2..N} (2k-2)/(2k-1) on N disjoint pairs (docs/decisions.md)
+    g = graph_catalog("pairs", 2 * n_pairs)
+    want = math.prod((2 * k - 2) / (2 * k - 1) for k in range(2, n_pairs + 1))
+    assert p_lpo(standard_w(g.labels), g, solver) == pytest.approx(want, abs=1e-14)
 
 
 def test_p_fl_examples():

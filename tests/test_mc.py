@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from wdistill import (
+    FAILURE,
     ConfigGraph,
+    Epr,
     InvalidInputError,
     LocalMeasurement,
     PreconditionError,
@@ -21,7 +23,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import PhaseThreeSolver
+from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,25 @@ def test_sim_result_serialization(solver):
     assert abs(sum(t["empirical"] for t in payload["terminals"]) - 1.0) < 1e-12
     csv = res.to_csv()
     assert csv.splitlines()[0] == "label,count,probability,empirical,std_err,z"
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_sim_result_json_is_strict_when_a_certain_leaf_deviates():
+    # a certain EPR leaf next to a stray failure branch: the sampler
+    # renormalizes the branch, so the EPR rate falls below its p = 1
+    g = ConfigGraph("AB", [("A", "B")])
+    w = standard_w("AB")
+    m = LocalMeasurement.diagonal("A", [(1.0, 1.0), (0.0, 0.0)])
+    root = DecisionNode(w, g, m, "ev", ((1.0, Epr(("A", "B"))), (1e-3, FAILURE)))
+    res = simulate(ProtocolTree(root, w, g, 1e-3, 1), 100_000, seed=5)
+    payload = json.loads(res.to_json(), parse_constant=reject_constant)
+    epr = next(t for t in payload["terminals"] if t["probability"] == 1.0)
+    assert epr["empirical"] < 1.0
+    assert epr["z"] is None
+    assert res.to_csv().splitlines()[1].endswith(",")
 
 
 # ---------------------------------------------------------------------------
