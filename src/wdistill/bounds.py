@@ -63,18 +63,31 @@ def _by_component(state: WState, candidates) -> str:
 
 
 # ---------------------------------------------------------------------------
-# unconnected-pairs configurations
+# four-party configurations
+
+# Every four-node graph with an edge, up to relabelling, has its own sorted
+# degree sequence, so the sequence names its catalog preset.
+_FOUR_PARTY_PRESETS = {
+    (0, 0, 1, 1): "I",
+    (0, 1, 1, 2): "I'",
+    (1, 1, 1, 3): "I''",
+    (0, 2, 2, 2): "II",
+    (1, 1, 1, 1): "III-a",
+    (1, 1, 2, 2): "III-b",
+    (2, 2, 2, 2): "III-c",
+    (2, 2, 3, 3): "IV",
+    (3, 3, 3, 3): "V",
+    (1, 2, 2, 3): "VI",
+}
+_UNCONNECTED_PAIRS = ("III-a", "III-b", "III-c")  # every node has an unconnected partner
 
 
-def _is_unconnected_pairs_graph(graph: ConfigGraph) -> bool:
+def _four_party_preset(graph: ConfigGraph) -> str | None:
+    """Name of the catalog preset a four-node graph is a relabelling of,
+    or None (other sizes and the empty graph)."""
     if graph.n != 4:
-        return False
-    degs = [graph.degree(l) for l in graph.labels]
-    if min(degs) < 1:
-        return False
-    return all(graph.degree(l) <= 2 for l in graph.labels) and all(
-        len(set(graph.labels) - {l} - graph.neighbors(l)) >= 1 for l in graph.labels
-    )
+        return None
+    return _FOUR_PARTY_PRESETS.get(tuple(sorted(graph.degree(l) for l in graph.labels)))
 
 
 def tau(state: WState, graph: ConfigGraph) -> BoundReport:
@@ -89,7 +102,7 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
     """
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    if not _is_unconnected_pairs_graph(graph):
+    if _four_party_preset(graph) not in _UNCONNECTED_PAIRS:
         raise GraphMatchError("graph is not an unconnected-pairs configuration")
     n1 = _by_component(state, set(state.labels))
     unconnected = set(graph.labels) - {n1} - graph.neighbors(n1)
@@ -109,16 +122,6 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
 # the five-edge configuration
 
 
-def _is_five_edge_graph(graph: ConfigGraph) -> bool:
-    if graph.n != 4 or len(graph.edges) != 5:
-        return False
-    degs = sorted(graph.degree(l) for l in graph.labels)
-    if degs != [2, 2, 3, 3]:
-        return False
-    two = [l for l in graph.labels if graph.degree(l) == 2]
-    return not graph.has_edge(*two)
-
-
 def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     """Monotone for the five-edge configuration (complete minus one edge).
 
@@ -128,7 +131,7 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     """
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    if not _is_five_edge_graph(graph):
+    if _four_party_preset(graph) != "IV":
         raise GraphMatchError("graph is not the five-edge configuration")
     n1 = _by_component(state, set(state.labels))
     d1 = graph.degree(n1)
@@ -163,17 +166,7 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
 # star-family, triangle-plus-spectator and complete configurations
 
 
-def _classify_four_node(graph: ConfigGraph) -> str | None:
-    if graph.n != 4:
-        return None
-    degs = tuple(sorted(graph.degree(l) for l in graph.labels))
-    return {
-        (0, 0, 1, 1): "I",
-        (0, 1, 1, 2): "I'",
-        (1, 1, 1, 3): "I''",
-        (0, 2, 2, 2): "II",
-        (3, 3, 3, 3): "V",
-    }.get(degs)
+_STAR_TRIANGLE_COMPLETE = ("I", "I'", "I''", "II", "V")
 
 
 def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
@@ -187,8 +180,8 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
     """
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    kind = _classify_four_node(graph)
-    if kind is None:
+    kind = _four_party_preset(graph)
+    if kind not in _STAR_TRIANGLE_COMPLETE:
         raise GraphMatchError("graph is outside the star/triangle/complete families")
 
     if kind in ("I", "I'", "I''"):
@@ -198,7 +191,9 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
             others = [v if center == u else u]
         else:
             center = max(graph.labels, key=graph.degree)
-            others = sorted(graph.neighbors(center), key=state.component, reverse=True)
+            # in label order: the sort is stable, so tied components keep it
+            neighbors = [l for l in graph.labels if graph.has_edge(center, l)]
+            others = sorted(neighbors, key=state.component, reverse=True)
         xa = state.component(center)
         applicable = xa >= state.max_component() * (1.0 - 1e-12)
         roles = {"A": center}
@@ -223,7 +218,7 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
         )
         xa, xb, xc = (state.component(l) for l in members)
         xd = state.component(spectator)
-        value = 1.0 - state.x0 - xd - (xa - xb) * (xa - xc) / xa
+        value = 1.0 - state.x0 - xd - ((xa - xb) * (xa - xc) / xa if xa > 0.0 else 0.0)
         roles = {"A": members[0], "B": members[1], "C": members[2], "D": spectator}
         return BoundReport("II", value, roles, True)
 
@@ -335,24 +330,24 @@ def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     """Best known closed-form bound for (state, graph), or None.
 
     Two- and three-party inputs are padded with zero-weight spectators so
-    the four-party formulas apply.  The paw graph has no proven bound; for
-    the standard W state the cited separable-operations value 5/6 is
-    reported as a reference.
+    the four-party formulas apply.  Every formula divides by a dominant
+    weight, so a state with no weight on any party gets None.  The paw
+    graph has no proven bound; for the standard W state the cited
+    separable-operations value 5/6 is reported as a reference.
     """
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    if state.n < 2 or state.n > 4:
+    if state.n < 2 or state.n > 4 or state.max_component() == 0.0:
         return None
     work_state, work_graph = (state, graph) if state.n == 4 else _pad_to_four(state, graph)
-    if _is_unconnected_pairs_graph(work_graph):
+    kind = _four_party_preset(work_graph)
+    if kind in _UNCONNECTED_PAIRS:
         return tau(work_state, work_graph)
-    if _is_five_edge_graph(work_graph):
+    if kind == "IV":
         return gamma(work_state, work_graph)
-    kind = _classify_four_node(work_graph)
-    if kind is not None:
+    if kind in _STAR_TRIANGLE_COMPLETE:
         return bound_config(work_state, work_graph)
-    degs = tuple(sorted(work_graph.degree(l) for l in work_graph.labels))
-    if degs == (1, 2, 2, 3):
+    if kind == "VI":
         uniform = all(abs(c - 0.25) < 1e-9 for c in work_state.components)
         if uniform and abs(work_state.x0) < 1e-9:
             return BoundReport(

@@ -53,8 +53,11 @@ class RunConfig:
 
 def _load_spec_text(raw: str) -> object:
     if raw.startswith("@"):
-        with open(raw[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(raw[1:], "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DistillationError(f"cannot read {raw[1:]!r}: {exc}") from None
     return json.loads(raw)
 
 
@@ -75,7 +78,7 @@ def _parse_graph(raw: str | None, preset: str | None) -> ConfigGraph:
 
 def _parse_state(raw: str, graph: ConfigGraph) -> WState:
     stripped = raw.strip()
-    if stripped.upper().startswith("W") and stripped[1:].isdigit():
+    if stripped.upper().startswith("W") and stripped[1:].isdecimal():
         n = int(stripped[1:])
         if n != graph.n:
             raise DistillationError(f"state preset {stripped} does not fit a {graph.n}-node graph")
@@ -278,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             return cmd_figure(args)
         return cmd_verify(args)
-    except (json.JSONDecodeError, FileNotFoundError, DistillationError) as exc:
+    except (json.JSONDecodeError, DistillationError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

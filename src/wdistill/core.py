@@ -77,11 +77,9 @@ class WState:
     def __init__(self, components: Sequence[float], labels: Sequence[str] | None = None):
         try:
             comps = tuple(float(c) for c in components)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"non-numeric component in {components!r}") from None
-        if labels is None:
-            labels = default_labels(len(comps))
-        labels = tuple(str(l) for l in labels)
+            labels = default_labels(len(comps)) if labels is None else tuple(str(l) for l in labels)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(f"bad components {components!r} or labels {labels!r}") from None
         if len(comps) < 2:
             raise InvalidInputError("a W-class state needs at least two parties")
         if len(labels) != len(comps):
@@ -125,10 +123,6 @@ class WState:
         """Label of the maximal component; ties go to the lowest index."""
         return self.labels[self.components.index(max(self.components))]
 
-    def is_product(self) -> bool:
-        """True when at most one party carries weight (no entanglement)."""
-        return sum(1 for c in self.components if c > 0.0) <= 1
-
     def to_json(self) -> dict:
         return {"components": list(self.components), "labels": list(self.labels)}
 
@@ -136,6 +130,8 @@ class WState:
     def from_json(cls, data: Mapping) -> "WState":
         if isinstance(data, (list, tuple)):
             return cls(data)
+        if not isinstance(data, Mapping) or "components" not in data:
+            raise InvalidInputError("a state is a list of components or an object with \"components\"")
         return cls(data["components"], data.get("labels"))
 
 
@@ -148,15 +144,19 @@ class ConfigGraph:
     edges: frozenset[tuple[str, str]]
 
     def __init__(self, labels: Sequence[str], edges: Iterable[Sequence[str]] = ()):
-        labels = tuple(str(l) for l in labels)
+        try:
+            labels = tuple(str(l) for l in labels)
+            pairs = [tuple(str(v) for v in e) for e in edges]
+        except TypeError:
+            raise InvalidInputError("graph labels and edges must be sequences") from None
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"duplicate node labels: {labels}")
         known = set(labels)
         normalized = set()
-        for e in edges:
-            a, b = (str(e[0]), str(e[1]))
-            if a == b:
-                raise InvalidInputError(f"self-loop on {a!r}")
+        for e in pairs:
+            if len(e) != 2 or e[0] == e[1]:
+                raise InvalidInputError(f"edge {list(e)} does not join two distinct nodes")
+            a, b = e
             if a not in known or b not in known:
                 raise InvalidPartyError(f"edge ({a},{b}) leaves the node set")
             normalized.add((a, b) if a <= b else (b, a))
@@ -184,10 +184,6 @@ class ConfigGraph:
     def degree(self, label: str) -> int:
         return len(self.neighbors(label))
 
-    def isolated_nodes(self) -> tuple[str, ...]:
-        touched = {v for e in self.edges for v in e}
-        return tuple(l for l in self.labels if l not in touched)
-
     def is_complete(self) -> bool:
         n = self.n
         return len(self.edges) == n * (n - 1) // 2
@@ -206,6 +202,8 @@ class ConfigGraph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ConfigGraph":
+        if not isinstance(data, Mapping) or not ("preset" in data or "labels" in data):
+            raise InvalidInputError("a graph is an object with \"labels\" or \"preset\"")
         if "preset" in data:
             return graph_catalog(data["preset"], data.get("n"))
         return cls(data["labels"], data.get("edges", ()))
@@ -463,6 +461,8 @@ def graph_catalog(name: str, n: int | None = None) -> ConfigGraph:
     VI.  Parametric presets: pairs(n) with n even (disjoint pairs on nodes
     "1".."n") and complete(n).
     """
+    if n is not None and not isinstance(n, int):
+        raise InvalidInputError(f"preset size {n!r} is not an integer")
     key = str(name)
     key = _PRESET_ALIASES.get(key, _PRESET_ALIASES.get(key.lower(), key))
     if key in _FIXED_PRESETS:
@@ -486,11 +486,18 @@ def graph_catalog(name: str, n: int | None = None) -> ConfigGraph:
     raise UnknownPresetError(f"unknown graph preset {name!r}")
 
 
+def _json_data(text_or_data):
+    if not isinstance(text_or_data, str):
+        return text_or_data
+    try:
+        return json.loads(text_or_data)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"malformed JSON: {exc}") from None
+
+
 def state_from_json(text_or_data) -> WState:
-    data = json.loads(text_or_data) if isinstance(text_or_data, str) else text_or_data
-    return WState.from_json(data)
+    return WState.from_json(_json_data(text_or_data))
 
 
 def graph_from_json(text_or_data) -> ConfigGraph:
-    data = json.loads(text_or_data) if isinstance(text_or_data, str) else text_or_data
-    return ConfigGraph.from_json(data)
+    return ConfigGraph.from_json(_json_data(text_or_data))

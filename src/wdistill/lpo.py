@@ -15,8 +15,8 @@ the monomials.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
@@ -39,7 +39,7 @@ from .core import (
 from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumerate_ev, ev_measurement
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
-MAX_TREE_LEVELS = 3_000        # decision nodes on one branch of a protocol tree
+MAX_LOOP_CAP = 1_000           # loops a protocol tree runs on one W subset
 
 SQRT3 = math.sqrt(3.0)
 
@@ -462,8 +462,10 @@ class TruncationLeaf:
         return f"TRUNC(W{self.state.n}({','.join(self.state.labels)}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionNode:
+    """One measurement of a protocol tree, compared and hashed by identity."""
+
     state: WState
     graph: ConfigGraph
     measurement: LocalMeasurement
@@ -488,8 +490,8 @@ class ProtocolTree:
     Inner nodes are :class:`DecisionNode`; leaves are the core terminals
     :class:`~wdistill.core.Epr` (success) and ``FAILURE``, plus a
     :class:`TruncationLeaf` wherever a loop was cut.  Equal subtrees are
-    one shared object, so the nodes form a DAG; :meth:`analytic_value`
-    and :meth:`node_count` visit each shared node once, and
+    one shared object, so the nodes form a DAG.  Every method below is a
+    loop over :attr:`nodes`, so none recurses however deep the tree is;
     :meth:`node_count` still counts the unrolled tree.
     """
 
@@ -498,6 +500,22 @@ class ProtocolTree:
     graph: ConfigGraph
     epsilon: float
     loop_cap: int
+
+    @cached_property
+    def nodes(self) -> tuple[DecisionNode, ...]:
+        """The distinct decision nodes below the root, each one after all
+        of its children (the root last)."""
+        # in a DAG a node is finished before its other stack entries pop
+        done: dict[DecisionNode, None] = {}
+        stack = [(self.root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                done[node] = None
+            elif isinstance(node, DecisionNode) and node not in done:
+                stack.append((node, True))
+                stack.extend((child, False) for _, child in reversed(node.children))
+        return tuple(done)
 
     def analytic_value(self, credit_truncation: bool = True) -> float:
         """Success probability of the tree.  With truncation credit each
@@ -512,80 +530,73 @@ class ProtocolTree:
         gap is 1.7e-4 on complete:5 with loop cap 3, 7.9e-5 on IV with loop
         cap 20, and about 1e-14 on triangle, VI and III-c."""
 
-        memo: dict[int, float] = {}
+        value: dict[DecisionNode, float] = {}
 
-        def walk(node) -> float:
+        def of(node) -> float:
+            if isinstance(node, DecisionNode):
+                return value[node]
             if isinstance(node, Epr):
                 return 1.0
-            if isinstance(node, Failure):
-                return 0.0
-            if isinstance(node, TruncationLeaf):
-                return node.continuation_value if credit_truncation else 0.0
-            if id(node) not in memo:
-                memo[id(node)] = sum(p * walk(child) for p, child in node.children)
-            return memo[id(node)]
+            if isinstance(node, TruncationLeaf) and credit_truncation:
+                return node.continuation_value
+            return 0.0
 
-        return walk(self.root)
-
-    def truncation_mass(self) -> float:
-        def walk(node, pathp) -> float:
-            if isinstance(node, TruncationLeaf):
-                return pathp
-            if not isinstance(node, DecisionNode):
-                return 0.0
-            return sum(walk(child, pathp * p) for p, child in node.children)
-
-        return walk(self.root, 1.0)
-
-    def leaf_probabilities(self) -> dict[str, float]:
-        """Path probability aggregated per leaf label."""
-        acc: dict[str, float] = {}
-
-        def walk(node, pathp):
-            if not isinstance(node, DecisionNode):
-                acc[node.label()] = acc.get(node.label(), 0.0) + pathp
-                return
-            for p, child in node.children:
-                walk(child, pathp * p)
-
-        walk(self.root, 1.0)
-        return acc
+        for node in self.nodes:
+            value[node] = sum(p * of(child) for p, child in node.children)
+        return of(self.root)
 
     def node_count(self) -> int:
         """Nodes of the unrolled tree: a shared subtree counts once for
         every place it occurs."""
-        memo: dict[int, int] = {}
+        count: dict[DecisionNode, int] = {}  # a leaf is never a key and counts 1
+        for node in self.nodes:
+            count[node] = 1 + sum(count.get(child, 1) for _, child in node.children)
+        return count.get(self.root, 1)
 
-        def walk(node) -> int:
-            if not isinstance(node, DecisionNode):
-                return 1
-            if id(node) not in memo:
-                memo[id(node)] = 1 + sum(walk(child) for _, child in node.children)
-            return memo[id(node)]
+    def _leaf_mass(self) -> dict:
+        """Probability of ending on each distinct leaf, summed over every
+        path: one pass over the node table, parents first."""
+        reach = {self.root: 1.0}
+        for node in reversed(self.nodes):
+            mass = reach.pop(node)
+            for p, child in node.children:
+                reach[child] = reach.get(child, 0.0) + mass * p
+        return reach
 
-        return walk(self.root)
+    def truncation_mass(self) -> float:
+        return sum(p for leaf, p in self._leaf_mass().items() if isinstance(leaf, TruncationLeaf))
+
+    def leaf_probabilities(self) -> dict[str, float]:
+        """Path probability aggregated per leaf label."""
+        acc: dict[str, float] = {}
+        for leaf, p in self._leaf_mass().items():
+            acc[leaf.label()] = acc.get(leaf.label(), 0.0) + p
+        return acc
+
+    def _ids(self) -> dict:
+        """Export id of every distinct node, children before parents, with
+        leaves merged by value."""
+        leaves = [c for node in self.nodes for _, c in node.children if not isinstance(c, DecisionNode)]
+        table = [*dict.fromkeys(leaves), *self.nodes] if self.nodes else [self.root]
+        return {node: i for i, node in enumerate(table)}
 
     def to_dot(self) -> str:
         lines = ["digraph protocol {", "  node [shape=box, fontsize=10];"]
-        counter = [0]
-
-        def walk(node) -> int:
-            me = counter[0]
-            counter[0] += 1
+        ids = self._ids()
+        for node, i in ids.items():
             shape = "" if isinstance(node, DecisionNode) else " shape=oval"
-            lines.append(f'  n{me} [label="{node.label()}"{shape}];')
-            if isinstance(node, DecisionNode):
-                for p, child in node.children:
-                    cid = walk(child)
-                    lines.append(f'  n{me} -> n{cid} [label="{p:.6g}"];')
-            return me
-
-        walk(self.root)
+            lines.append(f'  n{i} [label="{node.label()}"{shape}];')
+            for p, child in node.children if isinstance(node, DecisionNode) else ():
+                lines.append(f'  n{i} -> n{ids[child]} [label="{p:.6g}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        def walk(node):
+        """The tree as a node table: each distinct node once, with an
+        ``"id"``; children and ``"root"`` refer to ids."""
+        ids = self._ids()
+
+        def entry(node):
             if isinstance(node, TruncationLeaf):
                 return {"leaf": node.label(), "continuation_value": node.continuation_value}
             if not isinstance(node, DecisionNode):
@@ -594,7 +605,7 @@ class ProtocolTree:
                 "label": node.label(),
                 "phase": node.phase,
                 "party": node.measurement.party,
-                "children": [{"probability": p, "node": walk(c)} for p, c in node.children],
+                "children": [{"probability": p, "node": ids[c]} for p, c in node.children],
             }
             if node.alpha is not None:
                 out["alpha"] = node.alpha
@@ -606,7 +617,8 @@ class ProtocolTree:
             "analytic_value": self.analytic_value(),
             "success_lower_bound": self.analytic_value(credit_truncation=False),
             "truncation_mass": self.truncation_mass(),
-            "root": walk(self.root),
+            "root": ids[self.root],
+            "nodes": [{"id": i, **entry(node)} for node, i in ids.items()],
         }
 
 
@@ -619,69 +631,49 @@ def build_protocol_tree(
 ) -> ProtocolTree:
     """Unroll the protocol into a finite tree.
 
-    Loops on a standard W subset run loop_cap times; the residual mass
-    lands on a truncation leaf annotated with the value the unbounded loop
-    would still collect.  Limit-attained optimizations use alpha = 1 -
-    epsilon.  Phase-1, isolate and equal-or-vanish children come from the
-    same branch rules as :func:`phase1_distribution` and
+    Loops on a standard W subset run loop_cap times, at most MAX_LOOP_CAP;
+    the residual mass lands on a truncation leaf annotated with the value
+    the unbounded loop would still collect.  Limit-attained optimizations
+    use alpha = 1 - epsilon.  Phase-1, isolate and equal-or-vanish children
+    come from the same branch rules as :func:`phase1_distribution` and
     :func:`~wdistill.evroutine.enumerate_ev`.
 
-    Each distinct subtree is built once and shared wherever it recurs (a
-    subtree depends only on its state and on the loop counts of its own
-    label subsets), so the tree holds far fewer objects than
-    :meth:`ProtocolTree.node_count` reports.  A branch deeper than
-    MAX_TREE_LEVELS decision nodes raises :class:`PreconditionError`,
-    because walking it recursively would overflow the C stack.
+    Each distinct subtree is built once and shared wherever it recurs: it
+    depends only on its state and on its cycle, the number of peel-offs
+    already made on its own labels (labels only shrink along a branch).
+    The first return to a standard W state builds its later cycles deepest
+    first, so the build's stack does not grow with loop_cap.
     """
     if not (0.0 < epsilon < 0.5):
         raise PreconditionError("epsilon must lie in (0, 0.5)")
-    if loop_cap < 1:
-        raise PreconditionError("loop_cap must be at least 1")
+    if not (1 <= loop_cap <= MAX_LOOP_CAP):
+        raise PreconditionError(f"loop_cap must lie between 1 and {MAX_LOOP_CAP}")
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
     solver = solver or PhaseThreeSolver()
-    limit = sys.getrecursionlimit()
-    if limit < 100_000:
-        sys.setrecursionlimit(100_000)
-
     full_edges = frozenset(graph.edges)
-    shared: dict = {}  # sharing key -> (subtree, decision levels on its deepest branch)
-    too_deep = (
-        f"a branch of the tree goes deeper than {MAX_TREE_LEVELS} decision levels; lower loop_cap"
-    )
+    shared: dict = {}  # (comps, labels, cycle) -> subtree
 
-    def build(comps, labels, loops: dict, depth: int):
-        """The subtree for this state below ``depth`` decision levels and
-        its own number of levels; an equal subtree built before is reused."""
+    def build(comps, labels, cycle: int):
+        """The subtree for this state after ``cycle`` peel-offs on these
+        labels; an equal subtree built before is reused."""
         # drop parties that carry no weight
         live = tuple(i for i, c in enumerate(comps) if c > 0.0)
         if len(live) != len(comps):
             labels = tuple(labels[i] for i in live)
             comps = tuple(comps[i] for i in live)
+            cycle = 0
         if len(labels) < 2:
-            return FAILURE, 0
-        # labels only shrink along a branch, so a loop count over other
-        # parties is never read below here
-        parties = frozenset(labels)
-        loops = {k: v for k, v in loops.items() if k <= parties}
-        key = (comps, labels, frozenset(loops.items()))
-        hit = shared.get(key)
-        if hit is None:
-            hit = shared[key] = decide(comps, labels, loops, depth)
-        if depth + hit[1] > MAX_TREE_LEVELS:
-            raise PreconditionError(too_deep)
-        return hit
+            return FAILURE
+        key = (comps, labels, cycle)
+        if key not in shared:
+            shared[key] = decide(comps, labels, cycle)
+        return shared[key]
 
-    def branch(steps, loops: dict, depth: int):
-        """Children ``(p, subtree)`` of a decision node below ``depth``
-        levels, and the levels from that node down."""
-        if depth >= MAX_TREE_LEVELS:
-            raise PreconditionError(too_deep)
-        built = [(p, *build(sub, sublab, loops, depth + 1)) for p, sub, sublab in steps]
-        below = max((levels for _, _, levels in built), default=0)
-        return [(p, node) for p, node, _ in built], 1 + below
+    def branch(steps, labels, cycle: int) -> list:
+        return [(p, build(sub, sublab, cycle if sublab == labels else 0)) for p, sub, sublab in steps]
 
-    def decide(comps, labels, loops: dict, depth: int):
+    def decide(comps, labels, cycle: int):
         """The subtree for a state with no equal subtree built yet."""
         x0 = max(0.0, 1.0 - sum(comps))
         edges = _restrict_edges(full_edges, labels)
@@ -689,35 +681,37 @@ def build_protocol_tree(
         g = ConfigGraph(labels, edges)
         if x0 > X0_TOL:
             m, steps = _phase1_step(comps, labels)
-            children, levels = branch(steps, loops, depth)
-            return DecisionNode(st, g, m, "phase1", tuple(children)), levels
+            return DecisionNode(st, g, m, "phase1", tuple(branch(steps, labels, cycle)))
 
         tag, party = _select(comps, labels, edges)
         if tag == "fail2":
-            return FAILURE, 0
+            return FAILURE
         if tag == "terminal":
             if len(labels) == 2:
-                return Epr(labels), 0
-            seen = loops.get(frozenset(labels), 0)
+                return Epr(labels)
             report = solver.p3(labels, edges)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
-            if seen >= loop_cap:
-                return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha)), 0
+            if cycle >= loop_cap:
+                return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha))
+            if cycle == 1:
+                # the first return to this W state: build its later cycles
+                # deepest first, so that each finds the next one built
+                for later in range(loop_cap, 1, -1):
+                    build(comps, labels, later)
             m, steps = _peel_step(labels, edges, alpha)
-            children, levels = branch(steps, {**loops, frozenset(labels): seen + 1}, depth)
-            node = DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=seen + 1)
-            return node, levels
+            children = branch(steps, labels, cycle + 1)
+            return DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=cycle + 1)
 
         steps, fail = _step(comps, labels, tag, party)
-        children, levels = branch(steps, loops, depth)
+        children = branch(steps, labels, cycle)
         if fail:
             children.append((fail, FAILURE))
         if tag == "isolate":
             m = LocalMeasurement.diagonal(party, [(1.0, 0.0), (0.0, 1.0)])
-            return DecisionNode(st, g, m, "isolate", tuple(children)), levels
-        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children)), levels
+            return DecisionNode(st, g, m, "isolate", tuple(children))
+        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children))
 
-    root, _ = build(state.components, state.labels, {}, 0)
+    root = build(state.components, state.labels, 0)
     return ProtocolTree(root, state, graph, epsilon, loop_cap)
 
 

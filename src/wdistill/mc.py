@@ -18,7 +18,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from .core import (
     Epr,
-    Failure,
     InternalConsistencyError,
     InvalidInputError,
     InvalidMeasurementError,
@@ -30,7 +29,7 @@ from .core import (
     graph_catalog,
     kt_averages,
 )
-from .lpo import ProtocolTree, TruncationLeaf
+from .lpo import DecisionNode, ProtocolTree, TruncationLeaf
 
 MAX_ORACLE_PARTIES = 12
 ORACLE_MATCH_TOL = 1e-10
@@ -177,9 +176,6 @@ class SimResult:
     success_rate: float
     success_expected: float
 
-    def z_scores(self) -> dict[str, float | None]:
-        return {t["label"]: t["z"] for t in self.terminals}
-
     def to_json(self) -> str:
         payload = {
             "trials": self.trials,
@@ -204,35 +200,36 @@ class SimResult:
         return "\n".join(lines)
 
 
-def _descend(node, count: int, rng: np.random.Generator, counts: dict, successes: list):
-    if count <= 0:
-        return
-    if isinstance(node, Epr):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        successes[0] += count
-        return
-    if isinstance(node, Failure):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        return
-    if isinstance(node, TruncationLeaf):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        # resolve the cut loop with a coin of its continuation value
-        successes[0] += int(rng.binomial(count, min(1.0, max(0.0, node.continuation_value))))
-        return
-    probs = np.array([p for p, _ in node.children])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    split = rng.multinomial(count, probs)
-    for c, (_, child) in zip(split, node.children):
-        _descend(child, int(c), rng, counts, successes)
+def _descend(root, count: int, rng: np.random.Generator, counts: dict) -> int:
+    """Split ``count`` trials down the tree, depth first and first child
+    first, on an explicit stack; returns the successes."""
+    successes = 0
+    stack = [(root, count)]
+    while stack:
+        node, count = stack.pop()
+        if not isinstance(node, DecisionNode):
+            counts[node.label()] = counts.get(node.label(), 0) + count
+            if isinstance(node, Epr):
+                successes += count
+            elif isinstance(node, TruncationLeaf):
+                # resolve the cut loop with a coin of its continuation value
+                successes += int(rng.binomial(count, min(1.0, max(0.0, node.continuation_value))))
+            continue
+        probs = np.array([p for p, _ in node.children])
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum()
+        split = rng.multinomial(count, probs)
+        stack.extend((child, int(c)) for c, (_, child) in zip(split[::-1], node.children[::-1]) if c)
+    return successes
 
 
 def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = None) -> SimResult:
     """Run ``trials`` protocol executions through the tree.
 
-    Counts are split multinomially branch by branch, in fixed-size chunks
-    with one RNG stream each, so results are byte-identical for a given
-    seed.  ``workers`` is accepted for compatibility and ignored: the walk
+    Counts are split multinomially branch by branch, depth first on an
+    explicit stack, in fixed-size chunks with one RNG stream each, so
+    results are byte-identical for a given seed and no tree is too deep to
+    walk.  ``workers`` is accepted for compatibility and ignored: the walk
     holds the interpreter lock, so worker threads only slowed it down.
     """
     if trials < 1:
@@ -241,10 +238,9 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
     streams = np.random.SeedSequence(seed).spawn(chunk_count)
     sizes = [SIM_CHUNK] * (chunk_count - 1) + [trials - SIM_CHUNK * (chunk_count - 1)]
     counts: dict = {}
-    successes = [0]
+    success = 0
     for size, stream in zip(sizes, streams):
-        _descend(tree.root, size, np.random.Generator(np.random.PCG64(stream)), counts, successes)
-    success = successes[0]
+        success += _descend(tree.root, size, np.random.Generator(np.random.PCG64(stream)), counts)
 
     analytic = tree.leaf_probabilities()
     terminals = []

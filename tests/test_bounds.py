@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from wdistill import (
+    ConfigGraph,
     GraphMatchError,
     PreconditionError,
     WState,
@@ -21,7 +23,7 @@ from wdistill import (
     two_party_schmidt_weights,
     w_target_bound,
 )
-from wdistill.bounds import SEP_REFERENCES
+from wdistill.bounds import SEP_REFERENCES, _four_party_preset
 from wdistill.lpo import PhaseThreeSolver
 
 
@@ -273,3 +275,35 @@ def test_resolve_bound_paw_reference_constant():
 def test_resolve_bound_none_for_large_systems():
     g = graph_catalog("pairs", 6)
     assert resolve_bound(standard_w(g.labels), g) is None
+
+
+def test_resolve_bound_on_states_without_weight(solver):
+    # every formula divides by a dominant weight; an all-zero state has no
+    # bound, and a triangle without weight is bounded by 0
+    for name in ("wedge", "triangle", "III-c", "IV", "V"):
+        g = graph_catalog(name)
+        assert resolve_bound(WState([0.0] * g.n, g.labels), g) is None
+    g = graph_catalog("II")
+    s = WState([0.0, 0.0, 0.0, 0.5], g.labels)
+    assert resolve_bound(s, g).value == 0.0 == p_lpo(s, g, solver)
+
+
+FOUR_NODE_PRESETS = ["I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
+
+
+def test_four_party_classifier_agrees_with_brute_force_isomorphism():
+    # all 64 labelled graphs on A..D, each matched against every
+    # relabelling of every four-node catalog preset
+    labels = "ABCD"
+    pairs = list(itertools.combinations(labels, 2))
+    relabelled = {}
+    for name in FOUR_NODE_PRESETS:
+        for perm in itertools.permutations(labels):
+            rename = dict(zip(labels, perm))
+            edges = graph_catalog(name).edges
+            relabelled.setdefault(frozenset(tuple(sorted(rename[v] for v in e)) for e in edges), name)
+    assert len(relabelled) == 63  # every labelled graph but the empty one
+    for mask in range(64):
+        g = ConfigGraph(labels, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        assert _four_party_preset(g) == relabelled.get(g.edges)
+    assert _four_party_preset(graph_catalog("triangle")) is None

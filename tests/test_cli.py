@@ -60,13 +60,37 @@ def test_prob_json_format_round_trips(capsys, tmp_path):
         ("--state", '[0.5,"x",0.2]', "--preset", "triangle"),
         ("--state", "W6", "--preset", "pairs:x"),
         ("--state", "W6", "--graph", "pairs:x"),
+        ("--state", '{"x": 1}', "--preset", "triangle"),
+        ("--state", "5", "--preset", "triangle"),
+        ("--state", '{"components": [0.5, 0.3, 0.2], "labels": 7}', "--preset", "triangle"),
+        ("--state", "W3", "--graph", '{"labels": 5}'),
+        ("--state", "W3", "--graph", '{"labels": ["A", "B", "C"], "edges": [["A"]]}'),
+        ("--state", "W3", "--graph", '{"labels": ["A", "B", "C"], "edges": [["A", "B", "C"]]}'),
+        ("--state", "W6", "--graph", '{"preset": "pairs", "n": "x"}'),
+        ("--state", "W\u00b2", "--preset", "wedge"),
     ],
-    ids=["truncated-json", "nan-component", "string-component", "preset-size", "graph-size"],
+    ids=[
+        "truncated-json", "nan-component", "string-component", "preset-size", "graph-size",
+        "state-without-components", "state-number", "state-labels-number", "graph-labels-number",
+        "one-end-edge", "three-end-edge", "json-preset-size", "superscript-state-preset",
+    ],
 )
 def test_prob_malformed_json_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, "prob", *argv)
     assert code == 2
     assert "bad input" in err
+
+
+def test_prob_unreadable_spec_files_exit_2(capsys, tmp_path):
+    binary = tmp_path / "state.json"
+    binary.write_bytes(b"\xff\xfe[0.5]")
+    for argv in (("--state", "W3", "--graph", f"@{tmp_path}"),
+                 ("--state", f"@{binary}", "--preset", "triangle"),
+                 ("--state", f"@{tmp_path / 'missing.json'}", "--preset", "triangle")):
+        code, out, err = run_cli(capsys, "prob", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad input: cannot read ")
 
 
 def test_prob_requires_one_graph_source(capsys):
@@ -96,7 +120,8 @@ def test_tree_json_leaf_probabilities_sum_to_one(capsys, tmp_path):
     )
     assert code == 0
     payload = json.loads(out_path.read_text())
-    assert payload["root"] == {"leaf": "EPR(A,B)"}
+    assert payload["nodes"] == [{"id": 0, "leaf": "EPR(A,B)"}]
+    assert payload["root"] == 0
     assert payload["analytic_value"] == 1.0
 
     code, out, _ = run_cli(
@@ -108,6 +133,12 @@ def test_tree_json_leaf_probabilities_sum_to_one(capsys, tmp_path):
     assert payload["analytic_value"] <= 1.0 + 1e-9
     assert 0.0 < payload["truncation_mass"] < 1.0
     assert total <= 1.0 + 1e-9
+    # each node once: ids are positions, children come before parents
+    nodes = payload["nodes"]
+    assert [entry["id"] for entry in nodes] == list(range(len(nodes)))
+    assert nodes[payload["root"]]["phase"] == "phase3"
+    for entry in nodes:
+        assert all(child["node"] < entry["id"] for child in entry.get("children", ()))
 
 
 def test_tree_unwritable_path_exits_3(capsys, tmp_path):
@@ -171,16 +202,38 @@ def test_tree_and_simulate_reject_bad_numbers(capsys, command, flag, value):
     assert err.startswith("error: bad input: ")
 
 
+@pytest.mark.parametrize("preset", ["I'", "I''"])
+def test_prob_json_does_not_depend_on_the_hash_seed(preset):
+    # the star bounds name the leaves by component, and at a tie by label
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = {
+        subprocess.run(
+            [sys.executable, "-m", "wdistill.cli", "prob", "--state", "W4", "--preset", preset,
+             "--format", "json"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(4)
+    }
+    assert len(outs) == 1
+    roles = json.loads(outs.pop())["bound"]["roles"]
+    assert list(roles.values()) == ["A", "B", "C", "D"][:len(roles)]
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
         (("tree", "--loop-cap", "5000"), 2),
         (("tree", "--loop-cap", "100000"), 2),
         (("simulate", "--loop-cap", "10000"), 2),
+        (("tree", "--loop-cap", "1001"), 2),
         (("tree", "--loop-cap", "200", "--format", "dot"), 0),
         (("simulate", "--loop-cap", "200"), 0),
+        (("tree", "--loop-cap", "1000"), 0),
     ],
-    ids=["tree-5000", "tree-100000", "simulate-10000", "tree-200", "simulate-200"],
+    ids=["tree-5000", "tree-100000", "simulate-10000", "tree-1001", "tree-200", "simulate-200",
+         "tree-1000"],
 )
 def test_deep_loop_caps_exit_2_without_crashing(argv, code):
     # in a child process, so that a stack overflow fails the test instead
@@ -197,7 +250,7 @@ def test_deep_loop_caps_exit_2_without_crashing(argv, code):
     assert "Traceback" not in run.stderr
     if code == 2:
         assert run.stderr.startswith("error: bad input: ")
-        assert "decision levels" in run.stderr
+        assert "loop_cap must lie between 1 and 1000" in run.stderr
 
 
 def test_fuzz_command(capsys):

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import sys
 import types
 
 import numpy as np
@@ -26,10 +28,11 @@ from wdistill import (
     phase1_distribution,
     phase1_measurement,
     phase1_success_probability,
+    simulate,
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import MAX_TREE_LEVELS, DecisionNode, PhaseThreeSolver, TruncationLeaf
+from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf
 from wdistill.verify import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -536,6 +539,26 @@ def unshared_value(node, credit_truncation):
     return sum(p * unshared_value(child, credit_truncation) for p, child in node.children)
 
 
+def unrolled_leaf_probabilities(node, pathp, acc):
+    """Path probability per leaf label, summed path by path over the
+    unrolled tree."""
+    if not isinstance(node, DecisionNode):
+        acc[node.label()] = acc.get(node.label(), 0.0) + pathp
+        return acc
+    for p, child in node.children:
+        unrolled_leaf_probabilities(child, pathp * p, acc)
+    return acc
+
+
+def unrolled_truncation_mass(node, pathp):
+    """Path probability of the truncation leaves, summed path by path."""
+    if isinstance(node, TruncationLeaf):
+        return pathp
+    if not isinstance(node, DecisionNode):
+        return 0.0
+    return sum(unrolled_truncation_mass(child, pathp * p) for p, child in node.children)
+
+
 def test_tree_builds_each_distinct_subtree_once(solver):
     g = graph_catalog("complete", 5)
     tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=3, solver=solver)
@@ -543,6 +566,20 @@ def test_tree_builds_each_distinct_subtree_once(solver):
     assert tree.node_count() == 5_569
     for credit in (True, False):
         assert tree.analytic_value(credit) == unshared_value(tree.root, credit)
+
+
+def test_leaf_mass_pass_matches_the_unrolled_paths(solver):
+    # one pass over the node table sums the paths in another order than
+    # the path-by-path walk, so the two agree to rounding
+    g = graph_catalog("complete", 5)
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=3, solver=solver)
+    want = unrolled_leaf_probabilities(tree.root, 1.0, {})
+    got = tree.leaf_probabilities()
+    assert set(got) == set(want)
+    assert max(abs(got[label] - want[label]) for label in got) <= 1e-15
+    truncated = unrolled_truncation_mass(tree.root, 1.0)
+    assert 0.0 < truncated < 1.0
+    assert abs(tree.truncation_mass() - truncated) <= 1e-15
 
 
 def test_shared_tree_matches_the_oracle_at_a_large_loop_cap(solver):
@@ -577,10 +614,25 @@ def test_tree_depth_is_capped(solver):
     # each triangle loop takes three decision levels
     g = graph_catalog("triangle")
     w = standard_w(g.labels)
-    cap = MAX_TREE_LEVELS // 3
-    assert deepest_branch(build_protocol_tree(w, g, loop_cap=cap, solver=solver)) == MAX_TREE_LEVELS
-    with pytest.raises(PreconditionError, match="decision levels"):
-        build_protocol_tree(w, g, loop_cap=cap + 1, solver=solver)
+    tree = build_protocol_tree(w, g, loop_cap=MAX_LOOP_CAP, solver=solver)
+    assert deepest_branch(tree) == 3 * MAX_LOOP_CAP == 3_000
+    with pytest.raises(PreconditionError, match="loop_cap"):
+        build_protocol_tree(w, g, loop_cap=MAX_LOOP_CAP + 1, solver=solver)
+
+
+def test_deep_trees_leave_the_recursion_limit_alone(solver):
+    # 3,000 decision levels, walked under the interpreter's own limit
+    limit = sys.getrecursionlimit()
+    g = graph_catalog("triangle")
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=MAX_LOOP_CAP, solver=solver)
+    assert tree.analytic_value() > 0.99
+    assert sum(tree.leaf_probabilities().values()) == pytest.approx(1.0, abs=1e-12)
+    payload = json.loads(json.dumps(tree.to_json()))
+    assert sum("phase" in entry for entry in payload["nodes"]) == len(tree.nodes) == 3_001
+    assert payload["nodes"][payload["root"]]["label"].endswith("c1")
+    assert tree.to_dot().count(" -> ") == sum(len(node.children) for node in tree.nodes)
+    assert simulate(tree, 10_000, seed=3).success_rate > 0.99
+    assert sys.getrecursionlimit() == limit
 
 
 def test_tree_rejects_bad_parameters(solver):

@@ -8,6 +8,7 @@ from wdistill import (
     FAILURE,
     ConfigGraph,
     Epr,
+    Failure,
     InvalidInputError,
     LocalMeasurement,
     PreconditionError,
@@ -23,7 +24,8 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
+from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf
+from wdistill.mc import SIM_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,46 @@ def test_simulate_worker_count_does_not_change_results(solver, monkeypatch):
     assert simulate(tree, 30_000, seed=9, workers=4).to_json() == base
     monkeypatch.setenv("W_DISTILL_THREADS", "2")
     assert simulate(tree, 30_000, seed=9, workers=8).to_json() == base
+
+
+def recursive_descend(node, count, rng, counts, successes):
+    """The multinomial split as a plain recursion, one call per node with
+    a nonzero count."""
+    if count <= 0:
+        return
+    if isinstance(node, Epr):
+        counts[node.label()] = counts.get(node.label(), 0) + count
+        successes[0] += count
+        return
+    if isinstance(node, Failure):
+        counts[node.label()] = counts.get(node.label(), 0) + count
+        return
+    if isinstance(node, TruncationLeaf):
+        counts[node.label()] = counts.get(node.label(), 0) + count
+        successes[0] += int(rng.binomial(count, min(1.0, max(0.0, node.continuation_value))))
+        return
+    probs = np.array([p for p, _ in node.children])
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    split = rng.multinomial(count, probs)
+    for c, (_, child) in zip(split, node.children):
+        recursive_descend(child, int(c), rng, counts, successes)
+
+
+@pytest.mark.parametrize("name", ["wedge", "IV", "pairs:6"])
+def test_simulate_counts_equal_a_recursive_split(solver, name):
+    # two RNG chunks, so that the second stream is exercised too
+    preset, _, size = name.partition(":")
+    g = graph_catalog(preset, int(size) if size else None)
+    tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.05, loop_cap=8, solver=solver)
+    trials = SIM_CHUNK + 5_000
+    counts, successes = {}, [0]
+    for size, stream in zip((SIM_CHUNK, 5_000), np.random.SeedSequence(17).spawn(2)):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        recursive_descend(tree.root, size, rng, counts, successes)
+    res = simulate(tree, trials, seed=17)
+    assert {t["label"]: t["count"] for t in res.terminals if t["count"]} == counts
+    assert res.success_count == successes[0]
 
 
 def test_simulate_matches_analytic_tree_value(solver):
