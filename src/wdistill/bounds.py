@@ -82,6 +82,12 @@ _FOUR_PARTY_PRESETS = {
 _UNCONNECTED_PAIRS = ("III-a", "III-b", "III-c")  # every node has an unconnected partner
 
 
+def _require_weight(state: WState) -> None:
+    """Every formula divides by a dominant weight, which must not be 0."""
+    if state.max_component() <= 0.0:
+        raise PreconditionError("the state carries no weight on any party")
+
+
 def _four_party_preset(graph: ConfigGraph) -> str | None:
     """Name of the catalog preset a four-node graph is a relabelling of,
     or None (other sizes and the empty graph)."""
@@ -104,6 +110,7 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
         raise InvalidInputError("state parties and graph nodes differ")
     if _four_party_preset(graph) not in _UNCONNECTED_PAIRS:
         raise GraphMatchError("graph is not an unconnected-pairs configuration")
+    _require_weight(state)
     n1 = _by_component(state, set(state.labels))
     unconnected = set(graph.labels) - {n1} - graph.neighbors(n1)
     n1p = _by_component(state, unconnected)
@@ -133,6 +140,7 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
         raise InvalidInputError("state parties and graph nodes differ")
     if _four_party_preset(graph) != "IV":
         raise GraphMatchError("graph is not the five-edge configuration")
+    _require_weight(state)
     n1 = _by_component(state, set(state.labels))
     d1 = graph.degree(n1)
     complementary = {l for l in graph.labels if l != n1 and graph.degree(l) != d1}
@@ -183,6 +191,7 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
     kind = _four_party_preset(graph)
     if kind not in _STAR_TRIANGLE_COMPLETE:
         raise GraphMatchError("graph is outside the star/triangle/complete families")
+    _require_weight(state)
 
     if kind in ("I", "I'", "I''"):
         if kind == "I":

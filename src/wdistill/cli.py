@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .bounds import resolve_bound, w_target_bound
@@ -33,22 +32,6 @@ EXIT_UNWRITABLE = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-@dataclass
-class RunConfig:
-    """One invocation: exactly one state source and one graph source plus
-    the numeric knobs of the subcommand."""
-
-    subcommand: str
-    state: WState | None
-    graph: ConfigGraph | None
-    epsilon: float
-    loop_cap: int
-    trials: int
-    seed: int
-    out: str | None
-    fmt: str
 
 
 def _load_spec_text(raw: str) -> object:
@@ -102,11 +85,11 @@ def _write_out(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_prob(cfg: RunConfig) -> int:
+def cmd_prob(state: WState, graph: ConfigGraph, args) -> int:
     solver = PhaseThreeSolver()
-    value = solver.p_lpo(cfg.state, cfg.graph)
-    baseline = p_fl(cfg.graph)
-    bound = resolve_bound(cfg.state, cfg.graph)
+    value = solver.p_lpo(state, graph)
+    baseline = p_fl(graph)
+    bound = resolve_bound(state, graph)
     lines = [f"P_LPO = {_fmt(value)}", f"P_FL  = {_fmt(baseline)}"]
     if bound is None:
         lines.append("bound = none applicable")
@@ -120,30 +103,30 @@ def cmd_prob(cfg: RunConfig) -> int:
         lines.append(
             f"  {rep.subgraph_key}: value={_fmt(rep.value)} alpha={_fmt(rep.argmax_alpha)}{flag}"
         )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "p_lpo": value,
             "p_fl": baseline,
             "bound": bound.to_json() if bound else None,
             "optimization_chain": [r.to_json() for r in solver.reports()],
         }
-        return _write_out(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    return _write_out("\n".join(lines), cfg.out)
+        return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return _write_out("\n".join(lines), args.out)
 
 
-def cmd_tree(cfg: RunConfig) -> int:
-    tree = build_protocol_tree(cfg.state, cfg.graph, cfg.epsilon, cfg.loop_cap)
-    if cfg.fmt == "dot":
-        return _write_out(tree.to_dot(), cfg.out)
-    return _write_out(json.dumps(tree.to_json(), indent=2, sort_keys=True), cfg.out)
+def cmd_tree(state: WState, graph: ConfigGraph, args) -> int:
+    tree = build_protocol_tree(state, graph, args.epsilon, args.loop_cap)
+    if args.fmt == "dot":
+        return _write_out(tree.to_dot(), args.out)
+    return _write_out(json.dumps(tree.to_json(), indent=2, sort_keys=True), args.out)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    tree = build_protocol_tree(cfg.state, cfg.graph, cfg.epsilon, cfg.loop_cap)
-    result = simulate(tree, cfg.trials, cfg.seed)
-    if cfg.fmt == "csv":
-        return _write_out(result.to_csv(), cfg.out)
-    return _write_out(result.to_json(), cfg.out)
+def cmd_simulate(state: WState, graph: ConfigGraph, args) -> int:
+    tree = build_protocol_tree(state, graph, args.epsilon, args.loop_cap)
+    result = simulate(tree, args.trials, args.seed)
+    if args.fmt == "csv":
+        return _write_out(result.to_csv(), args.out)
+    return _write_out(result.to_json(), args.out)
 
 
 def cmd_fuzz(args) -> int:
@@ -172,6 +155,10 @@ def cmd_figure(args) -> int:
             lines.append(f"{n},{_fmt(2.0 / (2 * n - 1))},{_fmt(math.sqrt(1.0 / n))}")
     else:
         n = args.n
+        if n < 2:
+            raise DistillationError("--n must be at least 2")
+        if args.points < 1:
+            raise DistillationError("--points must be at least 1")
         lines = ["t,bound,linear"]
         for i in range(args.points + 1):
             t = i / args.points / n
@@ -264,18 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("prob", "tree", "simulate"):
             graph = _parse_graph(args.graph, args.preset)
             state = _parse_state(args.state, graph)
-            cfg = RunConfig(
-                subcommand=args.command,
-                state=state,
-                graph=graph,
-                epsilon=getattr(args, "epsilon", 1e-3),
-                loop_cap=getattr(args, "loop_cap", 60),
-                trials=getattr(args, "trials", 0),
-                seed=getattr(args, "seed", 0),
-                out=args.out,
-                fmt=getattr(args, "fmt", "text"),
-            )
-            return {"prob": cmd_prob, "tree": cmd_tree, "simulate": cmd_simulate}[args.command](cfg)
+            command = {"prob": cmd_prob, "tree": cmd_tree, "simulate": cmd_simulate}[args.command]
+            return command(state, graph, args)
         if args.command == "fuzz":
             return cmd_fuzz(args)
         if args.command == "figure":

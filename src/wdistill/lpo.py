@@ -91,12 +91,18 @@ def _phase1_step(comps, labels):
     return m, children
 
 
+def _peel_party(labels, edges) -> str:
+    """The party that peels off: the least connected, lowest index on a
+    tie."""
+    return min(labels, key=_degrees(labels, edges).__getitem__)
+
+
 def _peel_step(labels, edges, alpha: float):
-    """The peel-off measurement by the least-connected party (lowest index
-    on a tie) and its children as ``(p, comps, labels)``: outcome 1 keeps
-    weight 1 on that party and alpha elsewhere, normalized; outcome 2
-    removes the party and leaves the others uniform."""
-    k = min(labels, key=_degrees(labels, edges).__getitem__)
+    """The peel-off measurement by :func:`_peel_party` and its children as
+    ``(p, comps, labels)``: outcome 1 keeps weight 1 on that party and
+    alpha elsewhere, normalized; outcome 2 removes the party and leaves the
+    others uniform."""
+    k = _peel_party(labels, edges)
     n = len(labels)
     p1 = (1.0 + alpha * (n - 1)) / n
     scale = 1.0 / (n * p1)
@@ -121,7 +127,7 @@ def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
     rest are maximal at e + 1).  :func:`_select` sees the exponents coded
     as 2^-(e - e_min), so no alpha is needed.
     """
-    k = min(labels, key=_degrees(labels, edges).__getitem__)
+    k = _peel_party(labels, edges)
     out = [(tuple(l for l in labels if l != k), 0, 1)]
 
     def walk(exps, labels, edges, v):
@@ -348,11 +354,6 @@ class PhaseThreeSolver:
             value, x_star, attained_at_limit, tuple(terms), name, has_loop, m
         )
 
-    def value_at(self, labels, edges, alpha: float) -> float:
-        """The looped-protocol value when the peel-off parameter is pinned
-        to ``alpha`` instead of the optimum."""
-        return self.p3(tuple(labels), frozenset(edges)).objective(alpha)
-
     def p3_diagnostic(self, labels, edges) -> dict[str, float]:
         """Value obtained for every minimal-degree choice of the peel-off
         party, bypassing the lowest-index tie-break."""
@@ -455,7 +456,6 @@ class TruncationLeaf:
     success probability the unbounded loop would still collect from here."""
 
     state: WState
-    graph: ConfigGraph
     continuation_value: float
 
     def label(self) -> str:
@@ -467,7 +467,6 @@ class DecisionNode:
     """One measurement of a protocol tree, compared and hashed by identity."""
 
     state: WState
-    graph: ConfigGraph
     measurement: LocalMeasurement
     phase: str  # "phase1" | "isolate" | "ev" | "phase3"
     children: tuple[tuple[float, object], ...]
@@ -492,7 +491,10 @@ class ProtocolTree:
     :class:`TruncationLeaf` wherever a loop was cut.  Equal subtrees are
     one shared object, so the nodes form a DAG.  Every method below is a
     loop over :attr:`nodes`, so none recurses however deep the tree is;
-    :meth:`node_count` still counts the unrolled tree.
+    :meth:`node_count` still counts the unrolled tree.  Values are summed
+    children first; whatever moves from the root down, the leaf
+    probabilities, the truncation mass and :func:`wdistill.mc.simulate`'s
+    trial counts, is one :meth:`_flow` over the table, parents first.
     """
 
     root: object
@@ -523,12 +525,13 @@ class ProtocolTree:
         loops count as failures, a lower bound that grows with loop_cap.
 
         The credited value is not exactly that of the unbounded protocol
-        at the tree's alphas: the continuation value comes from
-        :meth:`PhaseThreeSolver.value_at`, whose sub-values are the
-        optimizer's limits, while the tree runs limit-attained subtrees at
-        alpha = 1 - epsilon.  At the standard W state with epsilon 1e-3 the
-        gap is 1.7e-4 on complete:5 with loop cap 3, 7.9e-5 on IV with loop
-        cap 20, and about 1e-14 on triangle, VI and III-c."""
+        at the tree's alphas: the continuation value is the optimized
+        node's :meth:`OptimizationReport.objective` at the tree's alpha,
+        whose sub-values are the optimizer's limits, while the tree runs
+        limit-attained subtrees at alpha = 1 - epsilon.  At the standard W
+        state with epsilon 1e-3 the gap is 1.7e-4 on complete:5 with loop
+        cap 3, 7.9e-5 on IV with loop cap 20, and about 1e-14 on triangle,
+        VI and III-c."""
 
         value: dict[DecisionNode, float] = {}
 
@@ -553,15 +556,23 @@ class ProtocolTree:
             count[node] = 1 + sum(count.get(child, 1) for _, child in node.children)
         return count.get(self.root, 1)
 
+    def _flow(self, amount, split) -> dict:
+        """What reaches each distinct leaf when ``amount`` enters at the
+        root: one pass over the node table, parents first, in which every
+        decision node shares what reaches it among its children by
+        ``split(amount, probabilities)``; what reaches a node along several
+        paths is summed before it is shared."""
+        reach = {self.root: amount}
+        for node in reversed(self.nodes):
+            shares = split(reach.pop(node), [p for p, _ in node.children])
+            for share, (_, child) in zip(shares, node.children):
+                reach[child] = reach.get(child, 0) + share
+        return reach
+
     def _leaf_mass(self) -> dict:
         """Probability of ending on each distinct leaf, summed over every
-        path: one pass over the node table, parents first."""
-        reach = {self.root: 1.0}
-        for node in reversed(self.nodes):
-            mass = reach.pop(node)
-            for p, child in node.children:
-                reach[child] = reach.get(child, 0.0) + mass * p
-        return reach
+        path."""
+        return self._flow(1.0, lambda mass, probs: [mass * p for p in probs])
 
     def truncation_mass(self) -> float:
         return sum(p for leaf, p in self._leaf_mass().items() if isinstance(leaf, TruncationLeaf))
@@ -678,10 +689,9 @@ def build_protocol_tree(
         x0 = max(0.0, 1.0 - sum(comps))
         edges = _restrict_edges(full_edges, labels)
         st = WState(comps, labels)
-        g = ConfigGraph(labels, edges)
         if x0 > X0_TOL:
             m, steps = _phase1_step(comps, labels)
-            return DecisionNode(st, g, m, "phase1", tuple(branch(steps, labels, cycle)))
+            return DecisionNode(st, m, "phase1", tuple(branch(steps, labels, cycle)))
 
         tag, party = _select(comps, labels, edges)
         if tag == "fail2":
@@ -692,7 +702,7 @@ def build_protocol_tree(
             report = solver.p3(labels, edges)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
             if cycle >= loop_cap:
-                return TruncationLeaf(st, g, solver.value_at(labels, edges, alpha))
+                return TruncationLeaf(st, report.objective(alpha))
             if cycle == 1:
                 # the first return to this W state: build its later cycles
                 # deepest first, so that each finds the next one built
@@ -700,7 +710,7 @@ def build_protocol_tree(
                     build(comps, labels, later)
             m, steps = _peel_step(labels, edges, alpha)
             children = branch(steps, labels, cycle + 1)
-            return DecisionNode(st, g, m, "phase3", tuple(children), alpha=alpha, cycle=cycle + 1)
+            return DecisionNode(st, m, "phase3", tuple(children), alpha=alpha, cycle=cycle + 1)
 
         steps, fail = _step(comps, labels, tag, party)
         children = branch(steps, labels, cycle)
@@ -708,8 +718,8 @@ def build_protocol_tree(
             children.append((fail, FAILURE))
         if tag == "isolate":
             m = LocalMeasurement.diagonal(party, [(1.0, 0.0), (0.0, 1.0)])
-            return DecisionNode(st, g, m, "isolate", tuple(children))
-        return DecisionNode(st, g, ev_measurement(st, party), "ev", tuple(children))
+            return DecisionNode(st, m, "isolate", tuple(children))
+        return DecisionNode(st, ev_measurement(st, party), "ev", tuple(children))
 
     root = build(state.components, state.labels, 0)
     return ProtocolTree(root, state, graph, epsilon, loop_cap)

@@ -2,9 +2,9 @@
 
 The oracle re-applies measurements on the full 2^N state vector, which is
 the independent check on the component-update rule everything else trusts.
-Simulation walks protocol trees by splitting trial counts multinomially at
-every branch, which samples the same distribution as per-trial walks but
-runs in one pass per node.
+Simulation flows trial counts through a protocol tree's node table,
+splitting them multinomially at every branch, which samples the same
+distribution as per-trial walks but draws once per distinct node.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     graph_catalog,
     kt_averages,
 )
-from .lpo import DecisionNode, ProtocolTree, TruncationLeaf
+from .lpo import ProtocolTree, TruncationLeaf
 
 MAX_ORACLE_PARTIES = 12
 ORACLE_MATCH_TOL = 1e-10
@@ -200,37 +200,20 @@ class SimResult:
         return "\n".join(lines)
 
 
-def _descend(root, count: int, rng: np.random.Generator, counts: dict) -> int:
-    """Split ``count`` trials down the tree, depth first and first child
-    first, on an explicit stack; returns the successes."""
-    successes = 0
-    stack = [(root, count)]
-    while stack:
-        node, count = stack.pop()
-        if not isinstance(node, DecisionNode):
-            counts[node.label()] = counts.get(node.label(), 0) + count
-            if isinstance(node, Epr):
-                successes += count
-            elif isinstance(node, TruncationLeaf):
-                # resolve the cut loop with a coin of its continuation value
-                successes += int(rng.binomial(count, min(1.0, max(0.0, node.continuation_value))))
-            continue
-        probs = np.array([p for p, _ in node.children])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        split = rng.multinomial(count, probs)
-        stack.extend((child, int(c)) for c, (_, child) in zip(split[::-1], node.children[::-1]) if c)
-    return successes
-
-
 def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = None) -> SimResult:
     """Run ``trials`` protocol executions through the tree.
 
-    Counts are split multinomially branch by branch, depth first on an
-    explicit stack, in fixed-size chunks with one RNG stream each, so
-    results are byte-identical for a given seed and no tree is too deep to
-    walk.  ``workers`` is accepted for compatibility and ignored: the walk
-    holds the interpreter lock, so worker threads only slowed it down.
+    The trials run in fixed-size chunks with one RNG stream each.  Each
+    chunk is one :meth:`ProtocolTree._flow` over the node table, parents
+    first: a decision node splits the trials that reach it, summed over
+    all of its parents, with one multinomial draw, and a node that no
+    trial reaches draws nothing.  A sum of independent multinomials with
+    equal probabilities is one multinomial, so this samples the same
+    distribution as splitting path by path.  Each truncation leaf resolves
+    its cut loop with one binomial coin of its continuation value.  Results
+    are byte-identical for a given seed and no tree is too deep to walk.
+    ``workers`` is accepted for compatibility and ignored: the flow holds
+    the interpreter lock, so worker threads only slowed it down.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
@@ -240,7 +223,21 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
     counts: dict = {}
     success = 0
     for size, stream in zip(sizes, streams):
-        success += _descend(tree.root, size, np.random.Generator(np.random.PCG64(stream)), counts)
+        rng = np.random.Generator(np.random.PCG64(stream))
+
+        def split(count, probs):
+            if not count:
+                return [0] * len(probs)
+            probs = np.clip(probs, 0.0, None)
+            return rng.multinomial(count, probs / probs.sum())
+
+        for leaf, count in tree._flow(size, split).items():
+            counts[leaf.label()] = counts.get(leaf.label(), 0) + int(count)
+            if isinstance(leaf, Epr):
+                success += int(count)
+            elif isinstance(leaf, TruncationLeaf) and count:
+                p = min(1.0, max(0.0, leaf.continuation_value))
+                success += int(rng.binomial(count, p))
 
     analytic = tree.leaf_probabilities()
     terminals = []
@@ -302,7 +299,6 @@ def monotone_fuzz(
     n_measurements: int,
     weak_radius: float = 0.05,
     seed: int = 0,
-    x0_zero: bool = False,
 ) -> float:
     """Largest average increase of the requested monotone over random
     states and random weak complete measurements.
@@ -334,7 +330,7 @@ def monotone_fuzz(
     worst = -math.inf
     n = 4
     for _ in range(n_states):
-        state = random_w_state(rng, n, x0_zero=x0_zero)
+        state = random_w_state(rng, n)
         for _ in range(n_measurements):
             party = state.labels[int(rng.integers(n))]
             m = random_measurement(rng, party, weak_radius=weak_radius)

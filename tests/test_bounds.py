@@ -288,6 +288,19 @@ def test_resolve_bound_on_states_without_weight(solver):
     assert resolve_bound(s, g).value == 0.0 == p_lpo(s, g, solver)
 
 
+@pytest.mark.parametrize(
+    "bound,presets",
+    [(tau, ["III-a", "III-b", "III-c"]), (gamma, ["IV"]), (bound_config, ["I", "I'", "I''", "II", "V"])],
+    ids=["tau", "gamma", "bound_config"],
+)
+def test_bounds_reject_states_without_weight(bound, presets):
+    # each formula divides by a dominant weight
+    for name in presets:
+        g = graph_catalog(name)
+        with pytest.raises(PreconditionError, match="no weight"):
+            bound(WState([0.0] * g.n, g.labels), g)
+
+
 FOUR_NODE_PRESETS = ["I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
 
 

@@ -297,6 +297,14 @@ def test_figure_w_target_bound(capsys):
         assert float(bound) < float(linear)
 
 
+@pytest.mark.parametrize("argv", [("--points", "0"), ("--n", "0")], ids=["no-points", "no-parties"])
+def test_figure_w_target_bound_rejects_empty_ranges_with_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "figure", "--name", "w-target-bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
+
+
 def test_verify_filter_runs_clean_criteria(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--quick", "--filter", "w-target-bound,reference-constants"

@@ -8,7 +8,6 @@ from wdistill import (
     FAILURE,
     ConfigGraph,
     Epr,
-    Failure,
     InvalidInputError,
     LocalMeasurement,
     PreconditionError,
@@ -24,7 +23,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf
+from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 from wdistill.mc import SIM_CHUNK
 
 
@@ -126,44 +125,80 @@ def test_simulate_worker_count_does_not_change_results(solver, monkeypatch):
     assert simulate(tree, 30_000, seed=9, workers=8).to_json() == base
 
 
-def recursive_descend(node, count, rng, counts, successes):
-    """The multinomial split as a plain recursion, one call per node with
-    a nonzero count."""
-    if count <= 0:
-        return
-    if isinstance(node, Epr):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        successes[0] += count
-        return
-    if isinstance(node, Failure):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        return
-    if isinstance(node, TruncationLeaf):
-        counts[node.label()] = counts.get(node.label(), 0) + count
-        successes[0] += int(rng.binomial(count, min(1.0, max(0.0, node.continuation_value))))
-        return
-    probs = np.array([p for p, _ in node.children])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    split = rng.multinomial(count, probs)
-    for c, (_, child) in zip(split, node.children):
-        recursive_descend(child, int(c), rng, counts, successes)
-
-
-@pytest.mark.parametrize("name", ["wedge", "IV", "pairs:6"])
-def test_simulate_counts_equal_a_recursive_split(solver, name):
+@pytest.mark.parametrize("name,cap", [("IV", 20), ("pairs:6", 8), ("complete:5", 3)])
+def test_simulate_agrees_with_the_tree_on_shared_dags(solver, name, cap):
     # two RNG chunks, so that the second stream is exercised too
     preset, _, size = name.partition(":")
     g = graph_catalog(preset, int(size) if size else None)
-    tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.05, loop_cap=8, solver=solver)
+    tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.05, loop_cap=cap, solver=solver)
     trials = SIM_CHUNK + 5_000
-    counts, successes = {}, [0]
-    for size, stream in zip((SIM_CHUNK, 5_000), np.random.SeedSequence(17).spawn(2)):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        recursive_descend(tree.root, size, rng, counts, successes)
     res = simulate(tree, trials, seed=17)
-    assert {t["label"]: t["count"] for t in res.terminals if t["count"]} == counts
-    assert res.success_count == successes[0]
+    assert sum(t["count"] for t in res.terminals) == trials
+    for t in res.terminals:
+        assert t["z"] is not None and abs(t["z"]) <= 4.0, t
+    v = tree.analytic_value()
+    assert abs(res.success_rate - v) <= 4.0 * math.sqrt(v * (1.0 - v) / trials)
+
+
+def diamond_tree():
+    """Root -> left, right; both -> one shared node, which ends on its own
+    EPR leaf; left and right also end on leaves of their own."""
+    w = standard_w("ABCD")
+    g = graph_catalog("V")
+    m = LocalMeasurement.identity_split("A")
+    shared = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "C"))),))
+    left = DecisionNode(w, m, "ev", ((0.5, shared), (0.5, Epr(("A", "B")))))
+    right = DecisionNode(w, m, "ev", ((0.25, shared), (0.75, Epr(("C", "D")))))
+    root = DecisionNode(w, m, "ev", ((0.5, left), (0.5, right)))
+    return ProtocolTree(root, w, g, 1e-3, 1)
+
+
+def test_a_node_with_two_parents_receives_the_summed_count():
+    tree = diamond_tree()
+    seen = []
+
+    def split(amount, probs):
+        seen.append(amount)
+        return [amount * p for p in probs]
+
+    reach = tree._flow(16.0, split)
+    # the shared node is split once, after both parents: 16/4 + 16/8
+    assert len(seen) == len(tree.nodes) == 4
+    assert seen[-1] == 6.0
+    assert reach == {Epr(("A", "C")): 6.0, Epr(("A", "B")): 4.0, Epr(("C", "D")): 6.0}
+    res = simulate(tree, 40_000, seed=8)
+    assert res.success_count == sum(t["count"] for t in res.terminals) == 40_000
+    assert all(abs(t["z"]) <= 4.0 for t in res.terminals)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its multinomial draws."""
+
+    made: list = []
+    real = np.random.Generator
+
+    def __init__(self, bit_generator):
+        self._rng = self.real(bit_generator)
+        self.multinomials = 0
+        CountingGenerator.made.append(self)
+
+    def multinomial(self, *args, **kwargs):
+        self.multinomials += 1
+        return self._rng.multinomial(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_each_chunk_draws_at_most_once_per_decision_node(solver, monkeypatch):
+    g = graph_catalog("complete", 5)
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=10, solver=solver)
+    monkeypatch.setattr(CountingGenerator, "made", [])
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    simulate(tree, SIM_CHUNK + 5_000, seed=3)
+    assert len(CountingGenerator.made) == 2
+    for rng in CountingGenerator.made:
+        assert 0 < rng.multinomials <= len(tree.nodes)
 
 
 def test_simulate_matches_analytic_tree_value(solver):
@@ -219,7 +254,7 @@ def test_sim_result_json_is_strict_when_a_certain_leaf_deviates():
     g = ConfigGraph("AB", [("A", "B")])
     w = standard_w("AB")
     m = LocalMeasurement.diagonal("A", [(1.0, 1.0), (0.0, 0.0)])
-    root = DecisionNode(w, g, m, "ev", ((1.0, Epr(("A", "B"))), (1e-3, FAILURE)))
+    root = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "B"))), (1e-3, FAILURE)))
     res = simulate(ProtocolTree(root, w, g, 1e-3, 1), 100_000, seed=5)
     payload = json.loads(res.to_json(), parse_constant=reject_constant)
     epr = next(t for t in payload["terminals"] if t["probability"] == 1.0)
