@@ -4,14 +4,14 @@ Starting from an x0 = 0 state, lagging parties either join the maximal
 weight or drop out.  The finite branch tree lands on standard W states on
 subsets of the parties; enumerating it gives every terminal probability
 in closed form.  The walkthrough below reproduces the textbook case of a
-heavy pendant party on the paw graph, then prints the DOT tree.
+heavy pendant party on the paw graph, then prints the DOT tree: the
+protocol tree's node table, stopped at the first standard W state.
 """
 
 from wdistill import (
     WState,
     ev_distribution,
     ev_tree,
-    ev_tree_to_dot,
     full_set_lambda,
     graph_catalog,
 )
@@ -40,6 +40,6 @@ for term, p in ev_distribution(state, graph).items():
 
 print("\nfull-set weight from the product formula:", full_set_lambda(state))
 
-dot = ev_tree_to_dot(ev_tree(state, graph))
+dot = ev_tree(state, graph).to_dot()
 print(f"\nDOT export ({len(dot.splitlines())} lines); first five:")
 print("\n".join(dot.splitlines()[:5]))

@@ -29,8 +29,6 @@ from .core import (
 from .evroutine import (
     ev_distribution,
     ev_measurement,
-    ev_tree,
-    ev_tree_to_dot,
     full_set_lambda,
 )
 from .lpo import (
@@ -39,6 +37,7 @@ from .lpo import (
     ProtocolTree,
     WeakImprovementReport,
     build_protocol_tree,
+    ev_tree,
     f_alpha,
     g6_weak_improvement,
     p3,

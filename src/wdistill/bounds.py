@@ -20,7 +20,6 @@ from .core import (
     WState,
 )
 
-SQRT3 = math.sqrt(3.0)
 
 # Values quoted from the companion separable-operations analysis; they are
 # cited reference numbers, not reproduced by this engine.

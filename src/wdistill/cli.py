@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import verify as verify_mod
@@ -75,6 +76,7 @@ def _parse_state(raw: str, graph: ConfigGraph) -> WState:
 def _write_out(text: str, path: str | None) -> int:
     if path is None:
         print(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main's guard
         return EXIT_OK
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -257,10 +259,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_fuzz(args)
         if args.command == "figure":
             return cmd_figure(args)
-        return cmd_verify(args)
+        code = cmd_verify(args)
+        sys.stdout.flush()
+        return code
     except (json.JSONDecodeError, DistillationError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered nowhere, so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_UNWRITABLE
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ measuring so that each turn either lifts a lagging component up to the
 current maximum or removes that party from the system.  The subroutine
 terminates in standard W states on subsets of the parties (or outright
 failure), and because the branch tree is finite it can be enumerated
-exactly.
+exactly.  The rules here are also the equal-or-vanish steps of
+:func:`wdistill.lpo.build_protocol_tree`; the explicit branch tree is
+that builder's node table, stopped at standard W states
+(:func:`wdistill.lpo.ev_tree`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     FAILURE,
@@ -139,8 +140,9 @@ def enumerate_ev(comps, labels, edges) -> dict:
     Returns a map from terminal to probability; terminals are either an
     ordered tuple of party labels (a standard W state on those parties) or
     the FAILURE sentinel.  Raw-tuple variant of :func:`ev_distribution`;
-    its branch rule :func:`_step` is shared with :func:`ev_tree` and the
-    protocol-tree builder.
+    its rules :func:`_select` and :func:`_step` are shared with the
+    protocol-tree builder, whose walk stopped at standard W states is
+    :func:`wdistill.lpo.ev_tree`.
     """
     acc: dict = {}
     depth_cap = 2 * len(labels)
@@ -223,80 +225,6 @@ def full_set_lambda(state: WState) -> float:
         if i != imax:
             prod *= c
     return len(comps) * prod / xmax ** (len(comps) - 2)
-
-
-# ---------------------------------------------------------------------------
-# tree export (for inspection; the distribution above is the workhorse)
-
-
-@dataclass(frozen=True)
-class EvNode:
-    """One node of the explicit equal-or-vanish tree."""
-
-    state: WState | None
-    graph: ConfigGraph | None
-    path_probability: float
-    kind: str  # "measure" | "isolate" | "terminal" | "failure"
-    party: str | None
-    children: tuple[tuple[float, "EvNode"], ...]
-
-
-def ev_tree(state: WState, graph: ConfigGraph) -> EvNode:
-    """Build the full branch tree, for DOT export and by-hand inspection.
-
-    Walks the same branch rule as :func:`enumerate_ev`, keeping every node.
-    """
-    if state.x0 > X0_TOL:
-        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
-
-    def build(comps, labels, edges, pathp) -> EvNode:
-        if len(labels) < 2:
-            return EvNode(None, None, pathp, "failure", None, ())
-        st = WState(comps, labels)
-        g = ConfigGraph(labels, edges)
-        tag, party = _select(comps, labels, edges)
-        if tag == "fail2":
-            return EvNode(st, g, pathp, "failure", None, ())
-        if tag == "terminal":
-            return EvNode(st, g, pathp, "terminal", None, ())
-        steps, fail = _step(comps, labels, tag, party)
-        children = [
-            (p, build(sub, sublab, _restrict_edges(edges, sublab), pathp * p))
-            for p, sub, sublab in steps
-        ]
-        if fail:
-            children.append((fail, EvNode(None, None, pathp * fail, "failure", None, ())))
-        return EvNode(st, g, pathp, tag, party, tuple(children))
-
-    return build(state.components, state.labels, frozenset(graph.edges), 1.0)
-
-
-def ev_tree_to_dot(root: EvNode) -> str:
-    """Graphviz rendering of an equal-or-vanish tree."""
-    lines = ["digraph ev {", "  node [shape=box, fontsize=10];"]
-    counter = [0]
-
-    def fmt(node: EvNode) -> str:
-        if node.kind == "failure":
-            return "FAIL"
-        comps = ",".join(f"{c:.4g}" for c in node.state.components)
-        head = f"({comps}) on {','.join(node.state.labels)}"
-        if node.kind == "terminal":
-            return f"W{node.state.n}\\n{head}"
-        return f"{node.kind} {node.party}\\n{head}"
-
-    def walk(node: EvNode) -> int:
-        me = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{me} [label="{fmt(node)}"];')
-        for p, child in node.children:
-            cid = walk(child)
-            lines.append(f'  n{me} -> n{cid} [label="{p:.6g}"];')
-        return me
-
-    walk(root)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:

@@ -33,6 +33,7 @@ from .core import (
     OutcomeDistribution,
     PreconditionError,
     Residual,
+    StandardW,
     WState,
     component_update,
 )
@@ -488,7 +489,9 @@ class ProtocolTree:
 
     Inner nodes are :class:`DecisionNode`; leaves are the core terminals
     :class:`~wdistill.core.Epr` (success) and ``FAILURE``, plus a
-    :class:`TruncationLeaf` wherever a loop was cut.  Equal subtrees are
+    :class:`TruncationLeaf` wherever a loop was cut.  A tree from
+    :func:`ev_tree` stops at standard W states instead, so its leaves are
+    :class:`~wdistill.core.StandardW` and ``FAILURE``.  Equal subtrees are
     one shared object, so the nodes form a DAG.  Every method below is a
     loop over :attr:`nodes`, so none recurses however deep the tree is;
     :meth:`node_count` still counts the unrolled tree.  Values are summed
@@ -498,9 +501,7 @@ class ProtocolTree:
     """
 
     root: object
-    state: WState
-    graph: ConfigGraph
-    epsilon: float
+    epsilon: float | None
     loop_cap: int
 
     @cached_property
@@ -659,9 +660,28 @@ def build_protocol_tree(
         raise PreconditionError("epsilon must lie in (0, 0.5)")
     if not (1 <= loop_cap <= MAX_LOOP_CAP):
         raise PreconditionError(f"loop_cap must lie between 1 and {MAX_LOOP_CAP}")
+    return _unroll(state, graph, epsilon, loop_cap, solver or PhaseThreeSolver())
+
+
+def ev_tree(state: WState, graph: ConfigGraph) -> ProtocolTree:
+    """The equal-or-vanish subroutine as a tree, for DOT export and by-hand
+    inspection: the protocol walk stopped at the first standard W state.
+
+    Its leaves are :class:`~wdistill.core.StandardW` and ``FAILURE``, and
+    its :meth:`~ProtocolTree.leaf_probabilities` are the probabilities of
+    :func:`~wdistill.evroutine.ev_distribution`.
+    """
+    if state.x0 > X0_TOL:
+        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
+    return _unroll(state, graph, None, 0, None)
+
+
+def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
+    """The walk of :func:`build_protocol_tree`, unchecked but for the label
+    sets.  At ``loop_cap`` 0 it stops at every standard W state, so that no
+    peel-off, solver or epsilon is needed."""
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    solver = solver or PhaseThreeSolver()
     full_edges = frozenset(graph.edges)
     shared: dict = {}  # (comps, labels, cycle) -> subtree
 
@@ -697,6 +717,8 @@ def build_protocol_tree(
         if tag == "fail2":
             return FAILURE
         if tag == "terminal":
+            if loop_cap == 0:
+                return StandardW(labels)
             if len(labels) == 2:
                 return Epr(labels)
             report = solver.p3(labels, edges)
@@ -722,7 +744,7 @@ def build_protocol_tree(
         return DecisionNode(st, ev_measurement(st, party), "ev", tuple(children))
 
     root = build(state.components, state.labels, 0)
-    return ProtocolTree(root, state, graph, epsilon, loop_cap)
+    return ProtocolTree(root, epsilon, loop_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -325,10 +325,6 @@ _PRODUCERS = (
 )
 
 
-def criterion_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _PRODUCERS)
-
-
 def run(filters: list[str] | None = None, quick: bool = False, seed: int = 0) -> list[CriterionResult]:
     """Run the acceptance criteria, optionally filtered by name prefix."""
     results: list[CriterionResult] = []

@@ -150,6 +150,26 @@ def test_tree_unwritable_path_exits_3(capsys, tmp_path):
     assert "cannot write" in err
 
 
+def test_a_closed_output_pipe_exits_3_without_a_traceback():
+    # like `wdistill tree ... | head -1`: the reader takes one line and
+    # closes the pipe while the tree JSON (about 190 KB) is still coming
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wdistill.cli", "tree", "--state", "W4", "--preset", "IV",
+         "--loop-cap", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_simulate_json_and_csv(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--state", "W3", "--preset", "wedge",

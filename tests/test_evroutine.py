@@ -6,13 +6,13 @@ import pytest
 from wdistill import (
     FAILURE,
     ConfigGraph,
+    InvalidInputError,
     PreconditionError,
     StandardW,
     WState,
     ev_distribution,
     ev_measurement,
     ev_tree,
-    ev_tree_to_dot,
     full_set_lambda,
     graph_catalog,
     standard_w,
@@ -177,15 +177,48 @@ def test_branch_polynomial_structure():
 def test_ev_tree_depth_and_dot_export():
     s = WState([0.4, 0.3, 0.2, 0.1])
     g = graph_catalog("VI")
-    root = ev_tree(s, g)
-
-    def depth(node):
-        return 1 + max((depth(c) for _, c in node.children), default=0)
-
-    assert depth(root) <= 2 * 4
-    dot = ev_tree_to_dot(root)
+    tree = ev_tree(s, g)
+    depth: dict = {}  # a leaf is never a key and has depth 1
+    for node in tree.nodes:
+        depth[node] = 1 + max(depth.get(c, 1) for _, c in node.children)
+    assert depth[tree.root] <= 2 * 4
+    dot = tree.to_dot()
     assert dot.startswith("digraph")
-    assert "W2" in dot or "W3" in dot or "W4" in dot
+    assert "W2(" in dot or "W3(" in dot or "W4(" in dot
+
+
+EV_TREE_GRAPHS = (
+    "wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI",
+    "complete:5", "pairs:6", "two-party",
+)
+
+
+@pytest.mark.parametrize("name", EV_TREE_GRAPHS)
+def test_ev_tree_leaves_are_the_ev_distribution(name):
+    # the protocol builder's walk, stopped at standard W states, against
+    # the independent enumeration; the builder drops a party of zero
+    # weight where the enumeration measures it away
+    if name == "two-party":
+        g = ConfigGraph("AB", [("A", "B")])
+    else:
+        preset, _, size = name.partition(":")
+        g = graph_catalog(preset, int(size) if size else None)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    states = [WState(random_w_state(rng, g.n, x0_zero=True).components, g.labels) for _ in range(100)]
+    states.append(WState([1.0 / (g.n - 1)] * (g.n - 1) + [0.0], g.labels))
+    for s in states:
+        tree = ev_tree(s, g)
+        assert {node.phase for node in tree.nodes} <= {"ev", "isolate"}
+        got = tree.leaf_probabilities()
+        want = {t.label(): p for t, p in ev_distribution(s, g).items()}
+        assert got.keys() == want.keys()
+        for label, p in want.items():
+            assert got[label] == pytest.approx(p, abs=1e-14), (s, label)
+
+
+def test_ev_tree_rejects_mismatched_labels():
+    with pytest.raises(InvalidInputError):
+        ev_tree(standard_w("ABD"), graph_catalog("triangle"))
 
 
 def test_order_sensitivity_is_recorded():

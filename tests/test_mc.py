@@ -144,13 +144,12 @@ def diamond_tree():
     """Root -> left, right; both -> one shared node, which ends on its own
     EPR leaf; left and right also end on leaves of their own."""
     w = standard_w("ABCD")
-    g = graph_catalog("V")
     m = LocalMeasurement.identity_split("A")
     shared = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "C"))),))
     left = DecisionNode(w, m, "ev", ((0.5, shared), (0.5, Epr(("A", "B")))))
     right = DecisionNode(w, m, "ev", ((0.25, shared), (0.75, Epr(("C", "D")))))
     root = DecisionNode(w, m, "ev", ((0.5, left), (0.5, right)))
-    return ProtocolTree(root, w, g, 1e-3, 1)
+    return ProtocolTree(root, 1e-3, 1)
 
 
 def test_a_node_with_two_parents_receives_the_summed_count():
@@ -251,11 +250,10 @@ def reject_constant(name):
 def test_sim_result_json_is_strict_when_a_certain_leaf_deviates():
     # a certain EPR leaf next to a stray failure branch: the sampler
     # renormalizes the branch, so the EPR rate falls below its p = 1
-    g = ConfigGraph("AB", [("A", "B")])
     w = standard_w("AB")
     m = LocalMeasurement.diagonal("A", [(1.0, 1.0), (0.0, 0.0)])
     root = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "B"))), (1e-3, FAILURE)))
-    res = simulate(ProtocolTree(root, w, g, 1e-3, 1), 100_000, seed=5)
+    res = simulate(ProtocolTree(root, 1e-3, 1), 100_000, seed=5)
     payload = json.loads(res.to_json(), parse_constant=reject_constant)
     epr = next(t for t in payload["terminals"] if t["probability"] == 1.0)
     assert epr["empirical"] < 1.0
