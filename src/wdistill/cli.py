@@ -152,13 +152,15 @@ def cmd_fuzz(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.name == "sep-vs-locc":
+        if args.n_max < 2:
+            raise DistillationError("--n-max must be at least 2")
         lines = ["N,p_fl,p_sep"]
         for n in range(2, args.n_max + 1):
             lines.append(f"{n},{_fmt(2.0 / (2 * n - 1))},{_fmt(math.sqrt(1.0 / n))}")
     else:
         n = args.n
-        if n < 2:
-            raise DistillationError("--n must be at least 2")
+        if not 2 <= n <= sys.float_info.max:
+            raise DistillationError("--n must lie between 2 and the largest float")
         if args.points < 1:
             raise DistillationError("--points must be at least 1")
         lines = ["t,bound,linear"]
@@ -169,6 +171,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise DistillationError("--seed must not be negative")
     filters = [f for f in (args.filter or "").split(",") if f] or None
     results = verify_mod.run(filters=filters, quick=args.quick, seed=args.seed)
     if not results:

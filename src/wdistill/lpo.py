@@ -576,7 +576,7 @@ class ProtocolTree:
         return self._flow(1.0, lambda mass, probs: [mass * p for p in probs])
 
     def truncation_mass(self) -> float:
-        return sum(p for leaf, p in self._leaf_mass().items() if isinstance(leaf, TruncationLeaf))
+        return sum((p for leaf, p in self._leaf_mass().items() if isinstance(leaf, TruncationLeaf)), 0.0)
 
     def leaf_probabilities(self) -> dict[str, float]:
         """Path probability aggregated per leaf label."""
@@ -605,7 +605,9 @@ class ProtocolTree:
 
     def to_json(self) -> dict:
         """The tree as a node table: each distinct node once, with an
-        ``"id"``; children and ``"root"`` refer to ids."""
+        ``"id"``; children and ``"root"`` refer to ids.  Only a protocol
+        tree (``loop_cap`` >= 1) reports its success values: the leaves of
+        an EV tree are standard W states, which are not failures."""
         ids = self._ids()
 
         def entry(node):
@@ -623,12 +625,15 @@ class ProtocolTree:
                 out["alpha"] = node.alpha
             return out
 
-        return {
-            "epsilon": self.epsilon,
-            "loop_cap": self.loop_cap,
+        values = {} if self.loop_cap < 1 else {
             "analytic_value": self.analytic_value(),
             "success_lower_bound": self.analytic_value(credit_truncation=False),
             "truncation_mass": self.truncation_mass(),
+        }
+        return {
+            "epsilon": self.epsilon,
+            "loop_cap": self.loop_cap,
+            **values,
             "root": ids[self.root],
             "nodes": [{"id": i, **entry(node)} for node, i in ids.items()],
         }

@@ -35,7 +35,6 @@ MAX_ORACLE_PARTIES = 12
 ORACLE_MATCH_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 RNG_ALGORITHM = "numpy-pcg64"
-SIM_CHUNK = 1 << 18  # trials per RNG stream
 
 
 @dataclass(frozen=True)
@@ -162,15 +161,14 @@ def random_measurement(
 
 @dataclass(frozen=True)
 class SimResult:
-    """Trial counts per terminal with normal-approximation z-scores against
-    the tree's analytic leaf probabilities.  A terminal whose probability
-    is 0 or 1 but whose empirical rate differs has ``z = None`` (JSON
-    null, an empty CSV field)."""
+    """Trial counts per terminal, all drawn from one RNG stream, with
+    normal-approximation z-scores against the tree's analytic leaf
+    probabilities.  A terminal of probability 0 or 1 whose empirical rate
+    differs has ``z = None`` (JSON null, an empty CSV field)."""
 
     trials: int
     seed: int
     rng: str
-    chunk_size: int
     terminals: tuple[dict, ...]
     success_count: int
     success_rate: float
@@ -181,7 +179,6 @@ class SimResult:
             "trials": self.trials,
             "seed": self.seed,
             "rng": self.rng,
-            "chunk_size": self.chunk_size,
             "success_count": self.success_count,
             "success_rate": self.success_rate,
             "success_expected": self.success_expected,
@@ -203,41 +200,40 @@ class SimResult:
 def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = None) -> SimResult:
     """Run ``trials`` protocol executions through the tree.
 
-    The trials run in fixed-size chunks with one RNG stream each.  Each
-    chunk is one :meth:`ProtocolTree._flow` over the node table, parents
-    first: a decision node splits the trials that reach it, summed over
-    all of its parents, with one multinomial draw, and a node that no
-    trial reaches draws nothing.  A sum of independent multinomials with
-    equal probabilities is one multinomial, so this samples the same
-    distribution as splitting path by path.  Each truncation leaf resolves
-    its cut loop with one binomial coin of its continuation value.  Results
-    are byte-identical for a given seed and no tree is too deep to walk.
-    ``workers`` is accepted for compatibility and ignored: the flow holds
-    the interpreter lock, so worker threads only slowed it down.
+    All trials take one :meth:`ProtocolTree._flow` over the node table,
+    parents first, on one RNG stream: a decision node splits the trials
+    that reach it, summed over all of its parents, with one multinomial
+    draw, and a node that no trial reaches draws nothing.  A sum of
+    independent multinomials with equal probabilities is one multinomial,
+    so this samples the same distribution as splitting path by path, at a
+    cost that does not grow with ``trials`` (1 to 2**63 - 1, numpy's int64
+    counts).  Each truncation leaf resolves its cut loop with one binomial
+    coin of its continuation value.  Results are byte-identical for a
+    given seed, which must not be negative.  ``workers`` is accepted for
+    compatibility and ignored.
     """
-    if trials < 1:
-        raise PreconditionError("need at least one trial")
-    chunk_count = (trials + SIM_CHUNK - 1) // SIM_CHUNK
-    streams = np.random.SeedSequence(seed).spawn(chunk_count)
-    sizes = [SIM_CHUNK] * (chunk_count - 1) + [trials - SIM_CHUNK * (chunk_count - 1)]
+    if not 1 <= trials <= 2**63 - 1:
+        raise PreconditionError("trials must lie between 1 and 2**63 - 1")
+    if seed < 0:
+        raise PreconditionError("seed must not be negative")
+    # spawn(1)[0]: the stream earlier releases drew their first 2**18 trials from
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+
+    def split(count, probs):
+        if not count:
+            return [0] * len(probs)
+        probs = np.clip(probs, 0.0, None)
+        return rng.multinomial(count, probs / probs.sum())
+
     counts: dict = {}
     success = 0
-    for size, stream in zip(sizes, streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
-
-        def split(count, probs):
-            if not count:
-                return [0] * len(probs)
-            probs = np.clip(probs, 0.0, None)
-            return rng.multinomial(count, probs / probs.sum())
-
-        for leaf, count in tree._flow(size, split).items():
-            counts[leaf.label()] = counts.get(leaf.label(), 0) + int(count)
-            if isinstance(leaf, Epr):
-                success += int(count)
-            elif isinstance(leaf, TruncationLeaf) and count:
-                p = min(1.0, max(0.0, leaf.continuation_value))
-                success += int(rng.binomial(count, p))
+    for leaf, count in tree._flow(trials, split).items():
+        counts[leaf.label()] = counts.get(leaf.label(), 0) + int(count)
+        if isinstance(leaf, Epr):
+            success += int(count)
+        elif isinstance(leaf, TruncationLeaf) and count:
+            p = min(1.0, max(0.0, leaf.continuation_value))
+            success += int(rng.binomial(count, p))
 
     analytic = tree.leaf_probabilities()
     terminals = []
@@ -260,7 +256,6 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
         trials=trials,
         seed=seed,
         rng=RNG_ALGORITHM,
-        chunk_size=SIM_CHUNK,
         terminals=tuple(terminals),
         success_count=success,
         success_rate=success / trials,
@@ -308,8 +303,10 @@ def monotone_fuzz(
     violation.  The tau and gamma checks reassign party roles on every
     outcome and run on their native four-party configurations.
     """
-    if weak_radius > 0.1:
-        raise PreconditionError("weak_radius must not exceed 0.1")
+    if not 0.0 <= weak_radius <= 0.1:
+        raise PreconditionError("weak_radius must lie between 0 and 0.1")
+    if seed < 0:
+        raise PreconditionError("seed must not be negative")
     if n_states < 1 or n_measurements < 1:
         raise PreconditionError("the fuzz needs at least one state and one measurement")
     graph = None

@@ -123,6 +123,7 @@ def test_tree_json_leaf_probabilities_sum_to_one(capsys, tmp_path):
     assert payload["nodes"] == [{"id": 0, "leaf": "EPR(A,B)"}]
     assert payload["root"] == 0
     assert payload["analytic_value"] == 1.0
+    assert '"truncation_mass": 0.0' in out_path.read_text()
 
     code, out, _ = run_cli(
         capsys, "tree", "--state", "W3", "--preset", "triangle",
@@ -211,6 +212,9 @@ BAD_NUMBERS = [
     ("simulate", "--epsilon", "0.5"),
     ("simulate", "--epsilon", "inf"),
     ("simulate", "--trials", "0"),
+    ("simulate", "--trials", "9223372036854775808"),
+    ("simulate", "--trials", "100000000000000000000"),
+    ("simulate", "--seed", "-1"),
 ]
 
 
@@ -293,6 +297,18 @@ def test_fuzz_without_checks_exits_2(capsys, argv):
     assert err.startswith("error: bad input: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--weak-radius", "-0.5"), ("--weak-radius", "nan"), ("--weak-radius", "0.2"), ("--seed", "-1")],
+    ids=["negative-radius", "nan-radius", "strong-radius", "negative-seed"],
+)
+def test_fuzz_rejects_bad_radius_and_seed_with_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "fuzz", "--function", "tau", "--states", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
+
+
 def test_figure_sep_vs_locc(capsys):
     code, out, _ = run_cli(capsys, "figure", "--name", "sep-vs-locc", "--n-max", "5")
     assert code == 0
@@ -317,9 +333,20 @@ def test_figure_w_target_bound(capsys):
         assert float(bound) < float(linear)
 
 
-@pytest.mark.parametrize("argv", [("--points", "0"), ("--n", "0")], ids=["no-points", "no-parties"])
+@pytest.mark.parametrize(
+    "argv", [("--points", "0"), ("--n", "0"), ("--n", str(10**400))],
+    ids=["no-points", "no-parties", "parties-beyond-floats"],
+)
 def test_figure_w_target_bound_rejects_empty_ranges_with_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "figure", "--name", "w-target-bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
+
+
+@pytest.mark.parametrize("n_max", ["1", "-5"])
+def test_figure_sep_vs_locc_rejects_an_empty_range_with_exit_2(capsys, n_max):
+    code, out, err = run_cli(capsys, "figure", "--name", "sep-vs-locc", "--n-max", n_max)
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad input: ")
@@ -358,6 +385,15 @@ def test_verify_mutation_is_caught(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--filter", "monotone-fuzz/tau")
     assert code == 1
     assert "FAIL  monotone-fuzz/tau" in out
+
+
+def test_verify_rejects_a_negative_seed_with_exit_2(capsys):
+    # the criteria derive their seeds by adding to it, and numpy takes
+    # no negative seed
+    code, out, err = run_cli(capsys, "verify", "--quick", "--filter", "closed", "--seed", "-25")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input: ")
 
 
 def test_verify_unknown_filter(capsys):

@@ -216,6 +216,15 @@ def test_ev_tree_leaves_are_the_ev_distribution(name):
             assert got[label] == pytest.approx(p, abs=1e-14), (s, label)
 
 
+def test_ev_tree_json_reports_no_success_values():
+    # its StandardW leaves are where the EV routine stops, not failures
+    g = graph_catalog("VI")
+    payload = ev_tree(standard_w(g.labels), g).to_json()
+    assert payload["loop_cap"] == 0
+    assert not {"analytic_value", "success_lower_bound", "truncation_mass"} & payload.keys()
+    assert any(entry.get("leaf", "").startswith("W") for entry in payload["nodes"])
+
+
 def test_ev_tree_rejects_mismatched_labels():
     with pytest.raises(InvalidInputError):
         ev_tree(standard_w("ABD"), graph_catalog("triangle"))

@@ -1,5 +1,6 @@
 """Property tests: malformed state and graph specs are rejected with a
-DistillationError, and the command line exits 0 or 2 on them."""
+DistillationError, and the command line exits 0 or 2 on them and on any
+number given to a numeric option."""
 
 import contextlib
 import io
@@ -85,3 +86,80 @@ def test_cli_exits_0_or_2_on_any_graph(value):
     assert code in (0, 2)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error: bad input: ")
+
+
+# any integer, past int64 and past the float range too, or any float,
+# NaN and the infinities included
+integers = st.integers() | st.sampled_from([-1, 0, 2**63 - 1, 2**63, 10**20, 10**400])
+numbers = integers | st.floats()
+
+
+def near(low, high, wild=numbers, default=True):
+    """Mostly a value in [low, high], otherwise one just outside it, a
+    ``wild`` one or (with ``default``) none, which leaves the option at
+    its default."""
+    if isinstance(low, int):
+        inside, outside = st.integers(low, high), st.sampled_from([low - 1, high + 1])
+    else:
+        inside, outside = st.floats(low, high), st.sampled_from([low - 1e-9, high + 1e-9])
+    choices = [inside, inside, inside, outside, wild] + [st.none()] * default
+    return st.sampled_from(choices).flatmap(lambda values: values)
+
+
+# fuzz sizes and figure ranges set the amount of work, so their wild
+# values are bounded above: a valid large size is a long run
+small_sizes = st.integers(max_value=3) | st.floats()
+long_ranges = st.integers(max_value=1000) | st.floats()
+
+
+def run_with_numbers(*argv, **options):
+    """Exit code and stderr of the command line with ``--name=value`` for
+    each option that is not None (argparse's own usage errors exit 2)."""
+    argv = list(argv) + [f"--{k.replace('_', '-')}={v!r}" for k, v in options.items() if v is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exits_0_or_2(code, err):
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), err
+
+
+@given(near(1, 2**63 - 1), near(0, 2**70), near(1, 1000), near(0.0, 0.5))
+@settings(max_examples=80, deadline=None)
+def test_simulate_exits_0_or_2_on_any_numbers(trials, seed, loop_cap, epsilon):
+    assert_exits_0_or_2(*run_with_numbers(
+        "simulate", "--state", "W3", "--preset", "triangle",
+        trials=trials, seed=seed, loop_cap=loop_cap, epsilon=epsilon,
+    ))
+
+
+@given(near(1, 1000), near(0.0, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_tree_exits_0_or_2_on_any_numbers(loop_cap, epsilon):
+    assert_exits_0_or_2(*run_with_numbers(
+        "tree", "--state", "W3", "--preset", "triangle", loop_cap=loop_cap, epsilon=epsilon,
+    ))
+
+
+@given(st.sampled_from(["kt_i", "kt_0", "tau", "gamma"]), near(1, 3, small_sizes, default=False),
+       near(1, 3, small_sizes), near(0.0, 0.1), near(0, 2**70))
+@settings(max_examples=80, deadline=None)
+def test_fuzz_exits_0_or_2_on_any_numbers(function, states, measurements, weak_radius, seed):
+    assert_exits_0_or_2(*run_with_numbers(
+        "fuzz", "--function", function,
+        states=states, measurements=measurements, weak_radius=weak_radius, seed=seed,
+    ))
+
+
+@given(st.sampled_from(["sep-vs-locc", "w-target-bound"]), near(2, 100, long_ranges), near(2, 50),
+       near(1, 100, long_ranges))
+@settings(max_examples=80, deadline=None)
+def test_figure_exits_0_or_2_on_any_numbers(name, n_max, n, points):
+    assert_exits_0_or_2(*run_with_numbers("figure", "--name", name, n_max=n_max, n=n, points=points))

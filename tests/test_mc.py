@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from wdistill import (
     statevector_oracle,
 )
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
-from wdistill.mc import SIM_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +127,11 @@ def test_simulate_worker_count_does_not_change_results(solver, monkeypatch):
 
 @pytest.mark.parametrize("name,cap", [("IV", 20), ("pairs:6", 8), ("complete:5", 3)])
 def test_simulate_agrees_with_the_tree_on_shared_dags(solver, name, cap):
-    # two RNG chunks, so that the second stream is exercised too
+    # above 2**18 trials, beyond the counts pinned for earlier releases
     preset, _, size = name.partition(":")
     g = graph_catalog(preset, int(size) if size else None)
     tree = build_protocol_tree(standard_w(g.labels), g, epsilon=0.05, loop_cap=cap, solver=solver)
-    trials = SIM_CHUNK + 5_000
+    trials = 267_144
     res = simulate(tree, trials, seed=17)
     assert sum(t["count"] for t in res.terminals) == trials
     for t in res.terminals:
@@ -189,15 +189,53 @@ class CountingGenerator:
         return getattr(self._rng, name)
 
 
-def test_each_chunk_draws_at_most_once_per_decision_node(solver, monkeypatch):
+def test_one_generator_draws_at_most_once_per_decision_node_per_simulation(solver, monkeypatch):
     g = graph_catalog("complete", 5)
     tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=10, solver=solver)
     monkeypatch.setattr(CountingGenerator, "made", [])
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    simulate(tree, SIM_CHUNK + 5_000, seed=3)
-    assert len(CountingGenerator.made) == 2
-    for rng in CountingGenerator.made:
-        assert 0 < rng.multinomials <= len(tree.nodes)
+    simulate(tree, 300_000, seed=3)
+    [rng] = CountingGenerator.made
+    assert 0 < rng.multinomials <= len(tree.nodes)
+
+
+def test_simulate_cost_does_not_grow_with_the_trial_count(solver):
+    g = graph_catalog("complete", 5)
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=60, solver=solver)
+    start = time.perf_counter()
+    res = simulate(tree, 2**63 - 1, seed=3)
+    assert time.perf_counter() - start < 5.0
+    assert sum(t["count"] for t in res.terminals) == 2**63 - 1
+    assert abs(res.success_rate - tree.analytic_value()) < 1e-6
+
+
+PINNED_TRIANGLE_COUNTS = {
+    "EPR(A,B)": 3728, "EPR(A,C)": 3904, "EPR(B,C)": 3819, "FAIL": 2, "TRUNC(W3(A,B,C))": 88547,
+}
+PINNED_TRIANGLE_SUCCESS = 99980
+
+
+def test_simulate_counts_for_a_seed_are_pinned(solver):
+    # recorded when the trials still ran in streams of 2**18: a run within
+    # one such stream draws exactly what it drew then
+    g = graph_catalog("triangle")
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=60, solver=solver)
+    res = simulate(tree, 100_000, seed=7)
+    assert {t["label"]: t["count"] for t in res.terminals} == PINNED_TRIANGLE_COUNTS
+    assert res.success_count == PINNED_TRIANGLE_SUCCESS
+
+
+@pytest.mark.parametrize(
+    "trials,seed",
+    [(0, 1), (-5, 1), (2**63, 1), (10**20, 1), (math.nan, 1), (math.inf, 1), (10, -1)],
+    ids=["no-trials", "negative-trials", "2**63-trials", "1e20-trials", "nan-trials",
+         "inf-trials", "negative-seed"],
+)
+def test_simulate_rejects_trials_outside_int64_and_negative_seeds(trials, seed):
+    g = ConfigGraph("AB", [("A", "B")])
+    tree = build_protocol_tree(standard_w("AB"), g)
+    with pytest.raises(PreconditionError):
+        simulate(tree, trials, seed=seed)
 
 
 def test_simulate_matches_analytic_tree_value(solver):
@@ -236,6 +274,7 @@ def test_sim_result_serialization(solver):
     res = simulate(tree, 10_000, seed=3)
     payload = json.loads(res.to_json())
     assert payload["rng"] == "numpy-pcg64"
+    assert "chunk_size" not in payload
     assert payload["trials"] == 10_000
     assert sum(t["count"] for t in payload["terminals"]) == 10_000
     assert abs(sum(t["empirical"] for t in payload["terminals"]) - 1.0) < 1e-12
@@ -289,8 +328,12 @@ def test_monotone_fuzz_detects_a_broken_monotone(monkeypatch):
 
 
 def test_monotone_fuzz_validates_inputs():
+    for radius in (0.5, -0.5, -1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            monotone_fuzz("tau", 10, 1, weak_radius=radius)
     with pytest.raises(PreconditionError):
-        monotone_fuzz("tau", 10, 1, weak_radius=0.5)
+        monotone_fuzz("kt_i", 10, 1, seed=-1)
+    assert monotone_fuzz("tau", 2, 1, weak_radius=0.0) <= 1e-10
     with pytest.raises(InvalidInputError):
         monotone_fuzz("nope", 10, 1)
 
