@@ -255,13 +255,16 @@ def pair_distillation_bound(n: int, t: float) -> float:
     from the uniform state (t, ..., t): 1 - sqrt(1 - 4 (N-1) t^2).
 
     Merging parties 2..N gives a two-party pure state whose smaller
-    Schmidt weight caps the EPR probability at twice its value.
+    Schmidt weight caps the EPR probability at twice its value.  It is
+    evaluated as 4 (N-1) t^2 / (1 + sqrt(1 - 4 (N-1) t^2)), which keeps
+    full precision when 4 (N-1) t^2 is small, as at t = 1/N for large N.
     """
     if n < 2:
         raise PreconditionError("need at least two parties")
     if not (0.0 <= t <= 1.0 / n + 1e-15):
         raise PreconditionError(f"t must lie in [0, 1/{n}]")
-    return 1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * (n - 1) * t * t))
+    s = 4.0 * (n - 1) * t * t
+    return s / (1.0 + math.sqrt(max(0.0, 1.0 - s)))
 
 
 def w_target_bound(n: int, t: float) -> float:

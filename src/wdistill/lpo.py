@@ -663,6 +663,8 @@ def build_protocol_tree(
     """
     if not (0.0 < epsilon < 0.5):
         raise PreconditionError("epsilon must lie in (0, 0.5)")
+    if 1.0 - epsilon == 1.0:
+        raise PreconditionError(f"epsilon {epsilon} is too small: 1 - epsilon rounds to 1")
     if not (1 <= loop_cap <= MAX_LOOP_CAP):
         raise PreconditionError(f"loop_cap must lie between 1 and {MAX_LOOP_CAP}")
     return _unroll(state, graph, epsilon, loop_cap, solver or PhaseThreeSolver())

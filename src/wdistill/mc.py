@@ -9,6 +9,7 @@ distribution as per-trial walks but draws once per distinct node.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import (
+    ConfigGraph,
+    DISTRIBUTION_SUM_TOL,
     Epr,
     InternalConsistencyError,
     InvalidInputError,
@@ -25,6 +28,7 @@ from .core import (
     NULL_OUTCOME_PROB,
     PreconditionError,
     WState,
+    ZERO_COMPONENT,
     apply_measurement,
     graph_catalog,
     kt_averages,
@@ -288,6 +292,193 @@ def _monotone_violation(fn):
     return check
 
 
+# the object-path check of one (state, outcomes, graph) triple; tau and
+# gamma are looked up at call time
+_SCALAR_CHECKS = {
+    "kt_i": _kt_i_violation,
+    "kt_0": _kt_0_violation,
+    "tau": _monotone_violation(lambda s, g: bounds_mod.tau(s, g)),
+    "gamma": _monotone_violation(lambda s, g: bounds_mod.gamma(s, g)),
+}
+# the native configuration each monotone is fuzzed on
+FUZZ_GRAPHS = {"kt_i": None, "kt_0": None, "tau": "III-c", "gamma": "IV"}
+FUZZ_PARTIES = 4
+SCALAR_CHECK_STATES = 2     # leading states whose pairs rerun on the object path
+PATH_AGREEMENT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class _RoleTables:
+    """The role rules of ``bounds.tau`` and ``bounds.gamma`` as lookup
+    tables over a four-party graph's label indices.
+
+    ``unconnected[i]`` and ``differing[i]`` mark the candidates for n1'
+    when party i is n1; ``rest[i, j]`` holds the two parties other than
+    i and j in label order, and ``e2[i, j]`` / ``e3[i, j]`` the first of
+    them with degree 2 / 3.
+    """
+
+    degree: np.ndarray
+    unconnected: np.ndarray
+    differing: np.ndarray
+    rest: np.ndarray
+    e2: np.ndarray
+    e3: np.ndarray
+
+    @classmethod
+    def of(cls, graph: ConfigGraph) -> "_RoleTables":
+        n = graph.n
+        degree = np.array([graph.degree(l) for l in graph.labels])
+        adjacent = np.array([[graph.has_edge(u, v) for v in graph.labels] for u in graph.labels])
+        rest = np.zeros((n, n, 2), dtype=np.intp)
+        for i, j in itertools.permutations(range(n), 2):
+            rest[i, j] = [l for l in range(n) if l not in (i, j)]
+        return cls(
+            degree=degree,
+            unconnected=~adjacent & ~np.eye(n, dtype=bool),
+            differing=degree[:, None] != degree[None, :],
+            rest=rest,
+            e2=_pick(rest, (degree[rest] == 2).argmax(axis=-1)),
+            e3=_pick(rest, (degree[rest] == 3).argmax(axis=-1)),
+        )
+
+
+def _pick(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[..., index] per row: the last axis of x at one index per row."""
+    return np.take_along_axis(x, index[..., None], axis=-1)[..., 0]
+
+
+def _largest(x: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Index of the largest candidate per row; argmax takes the lowest
+    index on ties, which is the label-order tie-break of the bounds."""
+    return np.where(candidates, x, -np.inf).argmax(axis=-1)
+
+
+def _tau_values(x: np.ndarray, roles: _RoleTables) -> np.ndarray:
+    """``bounds.tau`` over the last axis of x, term for term."""
+    n1 = x.argmax(axis=-1)
+    n1p = _largest(x, roles.unconnected[n1])
+    xn1, xn1p = _pick(x, n1), _pick(x, n1p)
+    xp, xpp = _pick(x, roles.rest[n1, n1p, 0]), _pick(x, roles.rest[n1, n1p, 1])
+    return 2.0 * xp + 2.0 * xpp - 2.0 * xp * xpp / xn1 + (2.0 / 3.0) * xp * xpp * xn1p / (xn1 * xn1)
+
+
+def _gamma_values(x: np.ndarray, roles: _RoleTables) -> np.ndarray:
+    """``bounds.gamma`` over the last axis of x, term for term."""
+    n1 = x.argmax(axis=-1)
+    n1p = _largest(x, roles.differing[n1])
+    xn1, xn1p = _pick(x, n1), _pick(x, n1p)
+    xe2, xe3 = _pick(x, roles.e2[n1, n1p]), _pick(x, roles.e3[n1, n1p])
+    return np.where(
+        roles.degree[n1] == 3,
+        2.0 * xe3
+        + (xe2 + xn1p) * (2.0 - xe3 / xn1)
+        - 2.0 * xn1p * xe2 / xn1
+        + (4.0 / 3.0) * xe2 * xe3 * xn1p / (xn1 * xn1),
+        2.0 * xn1p
+        + 2.0 * xe3
+        - xn1p * xe3 / xn1
+        + xe2 * xe3 * xn1p / (3.0 * xn1 * xn1),
+    )
+
+
+_BATCHED_MONOTONES = {"tau": _tau_values, "gamma": _gamma_values}
+
+
+def _sum_in_order(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along an axis term by term from the first, as the object path's
+    loops and ``sum`` do, so that the two paths agree bit for bit."""
+    x = np.moveaxis(x, axis, 0)
+    total = x[0]
+    for term in x[1:]:
+        total = total + term
+    return total
+
+
+def _stored(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Party weights as ``WState`` stores them (below ZERO_COMPONENT
+    clamped to 0) and its derived x0."""
+    x = np.where(x < ZERO_COMPONENT, 0.0, x)
+    return x, np.maximum(0.0, 1.0 - _sum_in_order(x))
+
+
+def _update_batch(x, x0, parties, kraus):
+    """``core.component_update`` for every outcome of every pair at once.
+
+    x (S, N) and x0 (S,) are the states, parties (S, M) the measuring
+    party of each pair and kraus (S, M, K, 3) the (a, b, c) of each
+    outcome.  Returns the probabilities (S, M, K) and the normalized
+    weights (S, M, K, N); an outcome below NULL_OUTCOME_PROB is left
+    unnormalized.
+    """
+    a, b, c = kraus[..., 0], kraus[..., 1], kraus[..., 2]
+    xk = np.take_along_axis(x, parties, axis=1)[..., None]
+    x0 = x0[:, None, None]
+    rest = 1.0 - x0 - xk
+    amp0 = np.sqrt(x0 * a) + b * np.sqrt(xk)
+    p = a * rest + c * xk + amp0 * amp0
+    measured = np.arange(x.shape[-1]) == parties[..., None, None]
+    new = np.where(measured, (c * xk)[..., None], a[..., None] * x[:, None, None, :])
+    return p, new / np.where(p < NULL_OUTCOME_PROB, 1.0, p)[..., None]
+
+
+def _batched_violations(function_id, graph, comps, parties, kraus) -> np.ndarray:
+    """The violation of every (state, measurement) pair, (S, M), equal to
+    the object path's ``apply_measurement`` plus check on each pair.
+
+    Outcomes below NULL_OUTCOME_PROB carry no state and add nothing to the
+    averages, and the probabilities of each pair must sum to one, as in
+    ``kt_averages``.
+    """
+    x, x0 = _stored(comps)
+    p, post = _update_batch(x, x0, parties, kraus)
+    total = _sum_in_order(p)
+    off = np.abs(total - 1.0) > DISTRIBUTION_SUM_TOL
+    if off.any():
+        raise InvalidInputError(f"outcome probabilities sum to {total[off][0]}")
+    live = p >= NULL_OUTCOME_PROB
+    # a state-less outcome is evaluated at its pre state, then weighted 0
+    post, post_x0 = _stored(np.where(live[..., None], post, x[:, None, None, :]))
+    weight = np.where(live, p, 0.0)
+    if function_id == "kt_i":
+        return (_sum_in_order(weight[..., None] * post, axis=2) - x[:, None, :]).max(axis=-1)
+    if function_id == "kt_0":
+        return x0[:, None] - _sum_in_order(weight * post_x0)
+    if (x.max(axis=-1) <= 0.0).any() or (post.max(axis=-1) <= 0.0).any():
+        raise PreconditionError("the state carries no weight on any party")
+    roles = _RoleTables.of(graph)
+    value = _BATCHED_MONOTONES[function_id]
+    return _sum_in_order(weight * value(post, roles)) - value(x, roles)[:, None]
+
+
+def _draw_fuzz_inputs(rng, n_states: int, n_measurements: int, weak_radius: float):
+    """Random states and weak measurements as arrays, in one pass.
+
+    The states are flat-Dirichlet draws with x0 > 0, as
+    :func:`random_w_state`; then come the measuring parties and the
+    (a1, c1, b1) draws of :func:`random_measurement` for every pair, each
+    pair whose c2 would go negative drawing its three again.  Returns the
+    party weights (S, 4), the parties (S, M) and the Kraus triples
+    (S, M, 2, 3).
+    """
+    weights = rng.dirichlet(np.ones(FUZZ_PARTIES + 1), size=n_states)
+    shape = (n_states, n_measurements)
+    parties = rng.integers(FUZZ_PARTIES, size=shape)
+    a1, c1, b1 = np.empty(shape), np.empty(shape), np.empty(shape)
+    redraw = np.ones(shape, dtype=bool)
+    while redraw.any():
+        count = int(redraw.sum())
+        a1[redraw] = 0.5 + weak_radius * rng.uniform(-1.0, 1.0, count)
+        c1[redraw] = 0.5 + weak_radius * rng.uniform(-1.0, 1.0, count)
+        b1[redraw] = 0.5 * weak_radius * rng.uniform(-1.0, 1.0, count)
+        a2 = 1.0 - a1
+        b2 = -np.sqrt(a1) * b1 / np.sqrt(a2)
+        c2 = 1.0 - c1 - b1 * b1 - b2 * b2
+        redraw = c2 < 0.0
+    kraus = np.stack([np.stack([a1, b1, c1], axis=-1), np.stack([a2, b2, c2], axis=-1)], axis=-2)
+    return weights[:, 1:], parties, kraus
+
+
 def monotone_fuzz(
     function_id: str,
     n_states: int,
@@ -302,6 +493,15 @@ def monotone_fuzz(
     monotone never rises on average, so anything above rounding noise is a
     violation.  The tau and gamma checks reassign party roles on every
     outcome and run on their native four-party configurations.
+
+    All states and measurements are drawn at once and evaluated as numpy
+    arrays: the component update, the kt averages and tau and gamma with
+    their roles read from per-graph lookup tables.  The first
+    SCALAR_CHECK_STATES states, with all their measurements, also run
+    through the object path (``apply_measurement`` and ``bounds.tau`` or
+    ``bounds.gamma``).  The result is the larger of the two maxima, and at
+    least the largest disagreement between the paths on a checked pair if
+    that exceeds PATH_AGREEMENT_TOL, so a fault on either side shows.
     """
     if not 0.0 <= weak_radius <= 0.1:
         raise PreconditionError("weak_radius must lie between 0 and 0.1")
@@ -309,28 +509,24 @@ def monotone_fuzz(
         raise PreconditionError("seed must not be negative")
     if n_states < 1 or n_measurements < 1:
         raise PreconditionError("the fuzz needs at least one state and one measurement")
-    graph = None
-    if function_id == "kt_i":
-        check = _kt_i_violation
-    elif function_id == "kt_0":
-        check = _kt_0_violation
-    elif function_id == "tau":
-        graph = graph_catalog("III-c")
-        check = _monotone_violation(lambda s, g: bounds_mod.tau(s, g))
-    elif function_id == "gamma":
-        graph = graph_catalog("IV")
-        check = _monotone_violation(lambda s, g: bounds_mod.gamma(s, g))
-    else:
+    if function_id not in FUZZ_GRAPHS:
         raise InvalidInputError(f"unknown monotone id {function_id!r}")
+    graph = graph_catalog(FUZZ_GRAPHS[function_id]) if FUZZ_GRAPHS[function_id] else None
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = -math.inf
-    n = 4
-    for _ in range(n_states):
-        state = random_w_state(rng, n)
-        for _ in range(n_measurements):
-            party = state.labels[int(rng.integers(n))]
-            m = random_measurement(rng, party, weak_radius=weak_radius)
-            outcomes = apply_measurement(state, m)
-            worst = max(worst, check(state, outcomes, graph))
-    return worst
+    comps, parties, kraus = _draw_fuzz_inputs(rng, n_states, n_measurements, weak_radius)
+    batched = _batched_violations(function_id, graph, comps, parties, kraus)
+
+    check = _SCALAR_CHECKS[function_id]
+    checked = batched[:SCALAR_CHECK_STATES]
+    scalar = np.empty_like(checked)
+    for s, row in enumerate(checked):
+        state = WState(comps[s])
+        for j in range(len(row)):
+            m = LocalMeasurement(state.labels[parties[s, j]], kraus[s, j])
+            scalar[s, j] = check(state, apply_measurement(state, m), graph)
+    gap = np.abs(scalar - checked).max()
+    maxima = [batched.max(), scalar.max()]
+    if not gap <= PATH_AGREEMENT_TOL:
+        maxima.append(gap)
+    return float(np.max(maxima))

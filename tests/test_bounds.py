@@ -178,6 +178,11 @@ def test_w_target_bound_edges():
             assert w_target_bound(n, float(t)) < n * t
 
 
+@pytest.mark.parametrize("n", [10**8, 10**17])
+def test_w_target_bound_is_one_at_t_one_over_n_for_large_n(n):
+    assert w_target_bound(n, 1.0 / n) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_w_target_bound_domain():
     with pytest.raises(PreconditionError):
         w_target_bound(4, 0.3)

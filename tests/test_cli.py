@@ -206,11 +206,13 @@ BAD_NUMBERS = [
     ("tree", "--epsilon", "nan"),
     ("tree", "--epsilon", "0.5"),
     ("tree", "--epsilon", "inf"),
+    ("tree", "--epsilon", "1e-300"),  # 1 - epsilon rounds to 1
     ("simulate", "--loop-cap", "0"),
     ("simulate", "--loop-cap", "-3"),
     ("simulate", "--epsilon", "nan"),
     ("simulate", "--epsilon", "0.5"),
     ("simulate", "--epsilon", "inf"),
+    ("simulate", "--epsilon", "1e-300"),
     ("simulate", "--trials", "0"),
     ("simulate", "--trials", "9223372036854775808"),
     ("simulate", "--trials", "100000000000000000000"),

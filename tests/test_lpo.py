@@ -640,6 +640,8 @@ def test_tree_rejects_bad_parameters(solver):
     s = standard_w(g.labels)
     with pytest.raises(PreconditionError):
         build_protocol_tree(s, g, epsilon=0.7)
+    with pytest.raises(PreconditionError, match="rounds to 1"):
+        build_protocol_tree(s, g, epsilon=1e-17)
     with pytest.raises(PreconditionError):
         build_protocol_tree(s, g, loop_cap=0)
 

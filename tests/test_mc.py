@@ -24,6 +24,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
+from wdistill import mc
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
 
@@ -336,6 +337,89 @@ def test_monotone_fuzz_validates_inputs():
     assert monotone_fuzz("tau", 2, 1, weak_radius=0.0) <= 1e-10
     with pytest.raises(InvalidInputError):
         monotone_fuzz("nope", 10, 1)
+
+
+FUZZ_IDS = ("kt_i", "kt_0", "tau", "gamma")
+
+
+def _both_paths(fid, states, measurements):
+    """Per-pair violations of the batched and the object path for the
+    same states and rows of measurements."""
+    name = mc.FUZZ_GRAPHS[fid]
+    graph = graph_catalog(name) if name else None
+    comps = np.array([s.components for s in states])
+    parties = np.array([[s.index(m.party) for m in row] for s, row in zip(states, measurements)])
+    kraus = np.array([[m.outcomes for m in row] for row in measurements])
+    batched = mc._batched_violations(fid, graph, comps, parties, kraus)
+    check = mc._SCALAR_CHECKS[fid]
+    scalar = np.array([[check(s, apply_measurement(s, m), graph) for m in row]
+                       for s, row in zip(states, measurements)])
+    return batched, scalar
+
+
+@pytest.mark.parametrize("fid", FUZZ_IDS)
+def test_batched_fuzz_equals_the_object_path_per_pair(fid):
+    rng = np.random.Generator(np.random.PCG64(11))
+    comps, parties, kraus = mc._draw_fuzz_inputs(rng, 300, 10, 0.05)
+    states = [WState(c) for c in comps]
+    measurements = [[LocalMeasurement(s.labels[k], kraus[i, j]) for j, k in enumerate(parties[i])]
+                    for i, s in enumerate(states)]
+    batched, scalar = _both_paths(fid, states, measurements)
+    assert batched.shape == (300, 10)
+    assert np.abs(batched - scalar).max() <= 1e-12
+
+
+@pytest.mark.parametrize("fid", FUZZ_IDS)
+def test_batched_fuzz_equals_the_object_path_on_ties_and_zeros(fid):
+    rng = np.random.default_rng(12)
+    states = [
+        standard_w("ABCD"),                    # every component tied
+        WState([0.3, 0.1, 0.3, 0.2]),          # two equal largest components
+        WState([0.1, 0.3, 0.3, 0.1]),
+        WState([0.5, 0.0, 0.3, 0.2]),          # a zero component
+        WState([0.4, 0.3, 0.2, 0.1]),          # x0 = 0
+        WState([0.2, 0.2, 0.2, 0.2]),          # tied, with x0 > 0
+    ]
+    measurements = []
+    for s in states:
+        row = [random_measurement(rng, l, weak_radius=0.05) for l in s.labels]
+        row += [random_measurement(rng, l) for l in s.labels]
+        # the second outcome has probability 0 and carries no state
+        row.append(LocalMeasurement.diagonal("C", [(1.0, 1.0), (0.0, 0.0)]))
+        measurements.append(row)
+    batched, scalar = _both_paths(fid, states, measurements)
+    assert np.abs(batched - scalar).max() <= 1e-12
+
+
+@pytest.mark.parametrize("fid", ["kt_0", "tau", "gamma"])
+def test_monotone_fuzz_detects_a_broken_batched_update(monkeypatch, fid):
+    # drop the b term but keep the measurement complete (c absorbs b^2),
+    # so the probabilities still sum to one and only the subsample shows
+    # the fault; kt_i cannot, as the unmeasured parties' averages stay put
+    real = mc._update_batch
+
+    def dropped_b(x, x0, parties, kraus):
+        a, b, c = kraus[..., 0], kraus[..., 1], kraus[..., 2]
+        return real(x, x0, parties, np.stack([a, 0.0 * b, c + b * b], axis=-1))
+
+    monkeypatch.setattr(mc, "_update_batch", dropped_b)
+    assert monotone_fuzz(fid, 50, 4, weak_radius=0.05, seed=3) > 1e-6
+
+
+def test_batched_update_keeps_the_probability_sum_check(monkeypatch):
+    real = mc._update_batch
+
+    def dropped_b(x, x0, parties, kraus):
+        return real(x, x0, parties, kraus * np.array([1.0, 0.0, 1.0]))
+
+    monkeypatch.setattr(mc, "_update_batch", dropped_b)
+    with pytest.raises(InvalidInputError, match="sum to"):
+        monotone_fuzz("kt_i", 50, 4, weak_radius=0.05, seed=3)
+
+
+def test_monotone_fuzz_with_fewer_states_than_the_subsample():
+    for fid in FUZZ_IDS:
+        assert monotone_fuzz(fid, 1, 3, weak_radius=0.05, seed=4) <= 1e-10
 
 
 def test_strong_measurement_fuzz_is_reported_not_asserted():
