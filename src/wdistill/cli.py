@@ -100,7 +100,8 @@ def cmd_prob(state: WState, graph: ConfigGraph, args) -> int:
         lines.append(f"bound[{bound.bound_name}] = {_fmt(bound.value)}{tag}")
         lines.append(f"gap to bound = {_fmt(bound.value - value)}")
     lines.append("optimization chain:")
-    for rep in solver.reports():
+    chain = solver.reports()
+    for rep in chain:
         flag = " (limit)" if rep.attained_at_limit else ""
         lines.append(
             f"  {rep.subgraph_key}: value={_fmt(rep.value)} alpha={_fmt(rep.argmax_alpha)}{flag}"
@@ -110,7 +111,7 @@ def cmd_prob(state: WState, graph: ConfigGraph, args) -> int:
             "p_lpo": value,
             "p_fl": baseline,
             "bound": bound.to_json() if bound else None,
-            "optimization_chain": [r.to_json() for r in solver.reports()],
+            "optimization_chain": [r.to_json() for r in chain],
         }
         return _write_out(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return _write_out("\n".join(lines), args.out)

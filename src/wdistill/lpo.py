@@ -3,8 +3,9 @@
 Three phases: remove the x0 weight, symmetrize with the equal-or-vanish
 subroutine, then peel parties off in order of graph connectivity.  The
 recursion over party subsets reduces the whole protocol to a family of
-one-dimensional maximizations over the peel-off parameter alpha, each of
-which is solved exactly: one walk of the peel-off node reads the cycle
+one-dimensional maximizations over the peel-off parameter alpha, one per
+subgraph shape (relabelled copies of one shape share it), each of which
+is solved exactly: one walk of the peel-off node reads the cycle
 success function off as an exact sum of monomials c a^e (1 - a)^v, its
 shared (1 - alpha) factor is divided out term by term, and the maximum is
 taken over alpha = 0, alpha = 1 and the real critical points between.
@@ -15,7 +16,7 @@ the monomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -251,16 +252,34 @@ def _subgraph_key(labels, edges) -> str:
     return f"{'|'.join(labels)}[{es}]"
 
 
+def _shape(labels, edges) -> tuple[int, frozenset[tuple[int, int]]]:
+    """The subgraph up to relabelling in label order: ``(n, index pairs)``,
+    each edge as its positions i < j in ``labels``."""
+    index = {l: i for i, l in enumerate(labels)}
+    pairs = ((index[a], index[b]) for a, b in edges)
+    return len(labels), frozenset((i, j) if i < j else (j, i) for i, j in pairs)
+
+
 class PhaseThreeSolver:
     """Memoized recursion over party subsets.
 
-    Values depend only on the induced subgraph, so the memo is keyed by
-    (ordered labels, edge set).  Build the table exclusively, then share it
-    read-only; all other operations here are pure.
+    Values depend only on the induced subgraph, and the recursion reads
+    labels only through their order: the peel-off tie goes to the lowest
+    index, and :func:`_select` and :func:`_restrict_edges` keep label
+    order.  So the memo is keyed by the subgraph's shape (:func:`_shape`),
+    and every relabelled copy of one shape is solved once.  Each memo entry
+    holds the report and its children, the subsets whose values it reads,
+    as index tuples.  The subsets :meth:`p3` was asked for, with their
+    reports named for their labels, form the labelled index; :meth:`audit`
+    expands it through the children into every labelled subset the
+    recursion has met, which :meth:`reports` lists.  Build the tables
+    exclusively, then share them read-only; all other operations here are
+    pure.
     """
 
     def __init__(self):
-        self._memo: dict = {}
+        self._memo: dict = {}       # shape -> (report, children)
+        self._labelled: dict = {}   # (labels, edges) -> report
 
     # -- recursion -----------------------------------------------------
 
@@ -284,41 +303,50 @@ class PhaseThreeSolver:
         ``labels`` against the induced subgraph."""
         labels = tuple(labels)
         edges = _restrict_edges(frozenset(edges), labels)
-        key = (labels, edges)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        report = self._solve(labels, edges)
-        self._memo[key] = report
+        report = self._labelled.get((labels, edges))
+        if report is not None:
+            return report
+        shape = _shape(labels, edges)
+        solved = self._memo.get(shape)
+        if solved is None:
+            solved = self._memo[shape] = self._solve(labels, edges)
+            report = solved[0]
+        else:
+            report = replace(solved[0], subgraph_key=_subgraph_key(labels, edges))
+        self._labelled[(labels, edges)] = report
         return report
 
-    def _solve(self, labels, edges) -> OptimizationReport:
+    def _solve(self, labels, edges) -> tuple[OptimizationReport, tuple[tuple[int, ...], ...]]:
+        """The report of a shape not in the memo, and its children."""
         name = _subgraph_key(labels, edges)
         n = len(labels)
         if n < 2 or not edges:
-            report = OptimizationReport(0.0, 0.0, False, ((0.0, 0, 0),), name, False, max(1, n - 1))
-        elif n == 2:
-            report = OptimizationReport(1.0, 0.0, False, ((1.0, 0, 0),), name, False, 1)
-        else:
-            report = self._optimize(labels, edges, name)
-        return report
+            return OptimizationReport(0.0, 0.0, False, ((0.0, 0, 0),), name, False, max(1, n - 1)), ()
+        if n == 2:
+            return OptimizationReport(1.0, 0.0, False, ((1.0, 0, 0),), name, False, 1), ()
+        terms, children = self._cycle_terms(labels, edges)
+        return self._optimize(labels, edges, name, terms), children
 
-    def _cycle_terms(self, labels, edges) -> list[tuple[float, int, int]]:
+    def _cycle_terms(self, labels, edges) -> tuple[list[tuple[float, int, int]], tuple[tuple[int, ...], ...]]:
         """The cycle function f as monomials ``(c, e, v)``, one per (e, v):
         each path of :func:`_peel_walk` to a subset T other than S adds
-        |T|/n p3(T) at its (e, v)."""
+        |T|/n p3(T) at its (e, v).  Also returns each such T once, as
+        positions in ``labels``, in walk order."""
         n = len(labels)
+        index = {l: i for i, l in enumerate(labels)}
         parts: dict[tuple[int, int], list[float]] = {}
+        children: dict[tuple[int, ...], None] = {}
         for term, e, v in _peel_walk(labels, edges):
             if len(term) < n:
                 parts.setdefault((e, v), []).append(len(term) * self.p3(term, edges).value)
-        return [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
+                children[tuple(index[l] for l in term)] = None
+        terms = [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
+        return terms, tuple(children)
 
-    def _optimize(self, labels, edges, name) -> OptimizationReport:
+    def _optimize(self, labels, edges, name, terms) -> OptimizationReport:
         n = len(labels)
         m = n - 1
         has_loop = min(_degrees(labels, edges).values()) > 0  # an isolated party never loops
-        terms = self._cycle_terms(labels, edges)
         for c, e, v in terms:
             if e + v > m or (has_loop and v < 1):
                 raise InternalConsistencyError(
@@ -388,10 +416,38 @@ class PhaseThreeSolver:
             total += lam * self.p3(term, edges).value
         return total
 
+    def audit(self) -> dict:
+        """Every labelled subset the recursion has met, as a new dict from
+        ``(labels, edges)`` to the report named for those labels: the
+        labelled index and, below each entry, the children of its shape,
+        relabelled.  Each subset is listed once, children first."""
+        met: dict = {}
+
+        def expand(labels, edges, seen):
+            report, children = self._memo[_shape(labels, edges)]
+            for child in children:
+                sub = tuple(labels[i] for i in child)
+                if sub not in seen:
+                    seen.add(sub)
+                    sub_edges = _restrict_edges(edges, sub)
+                    if (sub, sub_edges) not in met:
+                        expand(sub, sub_edges, seen)
+            named = self._labelled.get((labels, edges))
+            if named is None:
+                named = replace(report, subgraph_key=_subgraph_key(labels, edges))
+            met[(labels, edges)] = named
+
+        # largest first, so that most smaller entries are met below one
+        for labels, edges in sorted(self._labelled, key=lambda key: -len(key[0])):
+            if (labels, edges) not in met:
+                expand(labels, edges, set())
+        return met
+
     def reports(self) -> list[OptimizationReport]:
-        """Memo contents, largest subsets first (audit trail of a query)."""
+        """Every labelled subset met, largest first (audit trail of a
+        query)."""
         return sorted(
-            self._memo.values(), key=lambda r: (-len(r.subgraph_key), r.subgraph_key)
+            self.audit().values(), key=lambda r: (-len(r.subgraph_key), r.subgraph_key)
         )
 
 

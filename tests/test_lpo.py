@@ -244,7 +244,7 @@ def test_walked_cycle_function_equals_f_alpha():
     for g in graphs:
         solver = PhaseThreeSolver()
         solver.p_lpo(standard_w(g.labels), g)
-        for (labels, edges), rep in solver._memo.items():
+        for (labels, edges), rep in solver.audit().items():
             if len(labels) < 3 or not edges:
                 continue
             for a in rng.uniform(0.0, 1.0, 3):
@@ -252,6 +252,57 @@ def test_walked_cycle_function_equals_f_alpha():
                 assert walked == pytest.approx(solver.f_alpha(labels, edges, a), abs=1e-12)
             checked += 1
     assert checked > 500
+
+
+class LabelKeyedSolver(PhaseThreeSolver):
+    """Reference solver whose memo is keyed by labelled subset, so that no
+    relabelled copy of a shape reuses another's solve."""
+
+    def p3(self, labels, edges):
+        labels = tuple(labels)
+        edges = lpo_mod._restrict_edges(frozenset(edges), labels)
+        key = (labels, edges)
+        if key not in self._labelled:
+            self._labelled[key] = self._solve(labels, edges)[0]
+        return self._labelled[key]
+
+    def reports(self):
+        return sorted(self._labelled.values(), key=lambda r: (-len(r.subgraph_key), r.subgraph_key))
+
+
+def equivalence_graphs():
+    graphs = [graph_catalog(name) for name in FIXED_PRESETS]
+    graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(3, 9)]
+    graphs += [family_graph("pairs", n) for n in (4, 6, 8)]
+    # catalog labels "1".."10" sort differently as strings than by index
+    graphs.append(graph_catalog("pairs", 10))
+    # labels out of alphabetical order
+    for f in ("cycle", "path"):
+        g = family_graph(f, 6)
+        mapping = dict(zip(g.labels, reversed(g.labels)))
+        graphs.append(ConfigGraph(g.labels, [(mapping[a], mapping[b]) for a, b in g.edges]))
+    return graphs
+
+
+def equivalence_states(g, rng):
+    comps = rng.dirichlet(np.ones(g.n + 1))[: g.n]
+    return [standard_w(g.labels), WState(tuple(float(c) for c in comps), g.labels)]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "fresh"])
+def test_shape_memo_matches_label_keyed_reference(shared):
+    # the shape-keyed memo reuses one solve for every relabelled copy; the
+    # values and the audit trail must be those of a solver that never does
+    rng = np.random.default_rng(5)
+    fast, slow = PhaseThreeSolver(), LabelKeyedSolver()
+    for g in equivalence_graphs():
+        if not shared:
+            fast, slow = PhaseThreeSolver(), LabelKeyedSolver()
+        for state in equivalence_states(g, rng):
+            assert repr(fast.p_lpo(state, g)) == repr(slow.p_lpo(state, g)), g
+        want = [r.to_json() for r in slow.reports()]
+        assert repr([r.to_json() for r in fast.reports()]) == repr(want), g
+    assert len(fast._memo) < len(want)
 
 
 def test_complete_ten_top_node_coefficients_are_exact(solver):
@@ -264,7 +315,7 @@ def test_complete_ten_top_node_coefficients_are_exact(solver):
 
 
 def test_complete_graphs_always_succeed(solver):
-    for n in range(2, 11):
+    for n in range(2, 13):
         g = graph_catalog("complete", n)
         assert p_lpo(standard_w(g.labels), g, solver) == pytest.approx(1.0, abs=1e-13)
 
