@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import verify as verify_mod
-from .bounds import resolve_bound, w_target_bound
+from .bounds import pairs_comparison, resolve_bound, w_target_bound
 from .core import (
     ConfigGraph,
     DistillationError,
@@ -157,7 +156,7 @@ def cmd_figure(args) -> int:
             raise DistillationError("--n-max must be at least 2")
         lines = ["N,p_fl,p_sep"]
         for n in range(2, args.n_max + 1):
-            lines.append(f"{n},{_fmt(2.0 / (2 * n - 1))},{_fmt(math.sqrt(1.0 / n))}")
+            lines.append(f"{n},{','.join(map(_fmt, pairs_comparison(n)))}")
     else:
         n = args.n
         if not 2 <= n <= sys.float_info.max:

@@ -135,6 +135,34 @@ class WState:
         return cls(data["components"], data.get("labels"))
 
 
+# Graph queries on a subgraph as ``(labels, edges)``, the form in which the
+# recursions and walks pass subsets; ConfigGraph answers through them too.
+
+
+def _degrees(labels, edges) -> dict[str, int]:
+    deg = {l: 0 for l in labels}
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def _neighbors(label, edges) -> set[str]:
+    out = set()
+    for a, b in edges:
+        if a == label:
+            out.add(b)
+        elif b == label:
+            out.add(a)
+    return out
+
+
+def _restrict_edges(edges, labels) -> frozenset:
+    """The edges with both ends among ``labels``."""
+    keep = set(labels)
+    return frozenset(e for e in edges if e[0] in keep and e[1] in keep)
+
+
 @dataclass(frozen=True)
 class ConfigGraph:
     """Target-pair configuration graph: nodes are parties, edges mark the
@@ -173,20 +201,10 @@ class ConfigGraph:
     def neighbors(self, label: str) -> set[str]:
         if label not in self.labels:
             raise InvalidPartyError(f"unknown node {label!r}")
-        out = set()
-        for a, b in self.edges:
-            if a == label:
-                out.add(b)
-            elif b == label:
-                out.add(a)
-        return out
+        return _neighbors(label, self.edges)
 
     def degree(self, label: str) -> int:
         return len(self.neighbors(label))
-
-    def is_complete(self) -> bool:
-        n = self.n
-        return len(self.edges) == n * (n - 1) // 2
 
     def induced(self, keep: Iterable[str]) -> "ConfigGraph":
         keep_set = set(keep)
@@ -194,8 +212,7 @@ class ConfigGraph:
         if unknown:
             raise InvalidPartyError(f"unknown nodes {sorted(unknown)}")
         labels = tuple(l for l in self.labels if l in keep_set)
-        edges = [e for e in self.edges if e[0] in keep_set and e[1] in keep_set]
-        return ConfigGraph(labels, edges)
+        return ConfigGraph(labels, _restrict_edges(self.edges, labels))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "edges": sorted(list(e) for e in self.edges)}

@@ -25,27 +25,12 @@ from .core import (
     PreconditionError,
     StandardW,
     WState,
+    _degrees,
+    _neighbors,
+    _restrict_edges,
 )
 
 X0_TOL = 1e-12
-
-
-def _degrees(labels, edges) -> dict[str, int]:
-    deg = {l: 0 for l in labels}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
-
-
-def _neighbors(label, edges) -> set[str]:
-    out = set()
-    for a, b in edges:
-        if a == label:
-            out.add(b)
-        elif b == label:
-            out.add(a)
-    return out
 
 
 def _select(comps, labels, edges):
@@ -129,11 +114,6 @@ def _step(comps, labels, tag, party):
     return children, 0.0
 
 
-def _restrict_edges(edges, labels):
-    keep = set(labels)
-    return frozenset(e for e in edges if e[0] in keep and e[1] in keep)
-
-
 def enumerate_ev(comps, labels, edges) -> dict:
     """Exhaustively walk the equal-or-vanish tree.
 
@@ -189,16 +169,21 @@ def _check_support(terminals, comps, labels, edges):
                 )
 
 
+def _check_ev_input(state: WState, graph: ConfigGraph) -> None:
+    """The subroutine's domain: an x0 = 0 state on the graph's parties."""
+    if state.x0 > X0_TOL:
+        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
+    if set(state.labels) != set(graph.labels):
+        raise InvalidInputError("state parties and graph nodes differ")
+
+
 def ev_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
     """Exact terminal distribution of the equal-or-vanish subroutine.
 
     Keys are StandardW terminals (party tuples in state order) plus a
     single Failure entry collecting every dead end.
     """
-    if state.x0 > X0_TOL:
-        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _check_ev_input(state, graph)
     acc = enumerate_ev(state.components, state.labels, graph.edges)
     _check_support(acc.keys(), state.components, state.labels, graph.edges)
     entries = []
@@ -238,6 +223,7 @@ def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:
     enumeration responds to the one choice left open by the selection
     rules.
     """
+    _check_ev_input(state, graph)
 
     def by_party_set(comps, labels):
         out: dict = {}

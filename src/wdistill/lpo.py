@@ -36,9 +36,11 @@ from .core import (
     Residual,
     StandardW,
     WState,
+    _degrees,
+    _restrict_edges,
     component_update,
 )
-from .evroutine import X0_TOL, _degrees, _restrict_edges, _select, _step, enumerate_ev, ev_measurement
+from .evroutine import X0_TOL, _check_ev_input, _select, _step, enumerate_ev, ev_measurement
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
 MAX_LOOP_CAP = 1_000           # loops a protocol tree runs on one W subset
@@ -283,21 +285,6 @@ class PhaseThreeSolver:
 
     # -- recursion -----------------------------------------------------
 
-    def f_alpha(self, labels, edges, alpha: float) -> float:
-        """One-cycle success function f for the subset with these labels."""
-        labels = tuple(labels)
-        edges = _restrict_edges(frozenset(edges), labels)
-        n = len(labels)
-        if n <= 2:
-            raise PreconditionError("the cycle function needs more than two parties")
-        (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
-        total = sum(p * self.p3(sub, edges).value for p, _, sub in rest)
-        for term, lam in enumerate_ev(y, labels, edges).items():
-            if term is FAILURE or len(term) == n:
-                continue
-            total += p_alpha * lam * self.p3(term, edges).value
-        return total
-
     def p3(self, labels, edges) -> OptimizationReport:
         """Best asymptotic success probability for a standard W state on
         ``labels`` against the induced subgraph."""
@@ -452,8 +439,14 @@ class PhaseThreeSolver:
 
 
 def f_alpha(parties, graph: ConfigGraph, alpha: float, solver: PhaseThreeSolver | None = None) -> float:
-    solver = solver or PhaseThreeSolver()
-    return solver.f_alpha(tuple(parties), graph.edges, alpha)
+    """The cycle function f of the peel-off node on ``parties`` at
+    ``alpha``, summed from the monomials of its report's ``terms``."""
+    parties = tuple(parties)
+    if len(parties) <= 2:
+        raise PreconditionError("the cycle function needs more than two parties")
+    if not 0.0 <= alpha <= 1.0:
+        raise PreconditionError(f"alpha {alpha} lies outside [0, 1]")
+    return float(_objective_value(p3(parties, graph, solver).terms, False, 0, alpha))
 
 
 def p3(parties, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> OptimizationReport:
@@ -481,26 +474,27 @@ def p_fl(graph: ConfigGraph) -> float:
         raise PreconditionError("need at least two nodes")
     memo: dict = {}
 
-    def value(labels: tuple[str, ...]) -> float:
+    def value(labels: tuple[str, ...], edges) -> float:
+        """The value on ``labels``, whose edges are among ``edges``."""
         hit = memo.get(labels)
         if hit is not None:
             return hit
-        sub = graph.induced(labels)
+        edges = _restrict_edges(edges, labels)
         n = len(labels)
         if n == 2:
-            out = 1.0 if sub.edges else 0.0
-        elif sub.is_complete():
+            out = 1.0 if edges else 0.0
+        elif len(edges) == n * (n - 1) // 2:
             out = 1.0
         elif n == 3:
-            out = 2.0 / 3.0 if sub.edges else 0.0
-        elif not sub.edges:
+            out = 2.0 / 3.0 if edges else 0.0
+        elif not edges:
             out = 0.0
         else:
-            out = sum(value(tuple(l for l in labels if l != drop)) for drop in labels) / n
+            out = sum(value(labels[:i] + labels[i + 1:], edges) for i in range(n)) / n
         memo[labels] = out
         return out
 
-    return value(tuple(graph.labels))
+    return value(graph.labels, graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +728,7 @@ def ev_tree(state: WState, graph: ConfigGraph) -> ProtocolTree:
     its :meth:`~ProtocolTree.leaf_probabilities` are the probabilities of
     :func:`~wdistill.evroutine.ev_distribution`.
     """
-    if state.x0 > X0_TOL:
-        raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
+    _check_ev_input(state, graph)
     return _unroll(state, graph, None, 0, None)
 
 

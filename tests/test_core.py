@@ -212,3 +212,14 @@ def test_json_round_trips():
     g = graph_catalog("VI")
     assert ConfigGraph.from_json(json.loads(json.dumps(g.to_json()))) == g
     assert ConfigGraph.from_json({"preset": "pairs", "n": 4}) == graph_catalog("pairs", 4)
+
+
+def test_graph_queries_follow_the_edge_list():
+    g = graph_catalog("VI")  # AB, AC, AD, BC
+    assert [g.degree(l) for l in g.labels] == [3, 2, 2, 1]
+    assert g.neighbors("B") == {"A", "C"}
+    assert g.induced("BCD") == ConfigGraph("BCD", [("B", "C")])
+    with pytest.raises(InvalidPartyError):
+        g.neighbors("E")
+    with pytest.raises(InvalidPartyError):
+        g.induced("ABE")

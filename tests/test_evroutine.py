@@ -243,3 +243,13 @@ def test_order_sensitivity_is_recorded():
     print(f"\nmax terminal-probability shift under reversed tie-break: {worst:.3e}")
     assert math.isfinite(worst)
     assert worst <= 1e-9  # empirical: the enumeration is order-independent
+
+
+def test_order_sensitivity_rejects_what_the_distribution_rejects():
+    g = graph_catalog("IV")
+    with_x0 = WState([0.3, 0.2, 0.1, 0.1], g.labels)
+    for fn in (ev_distribution, ev_order_sensitivity):
+        with pytest.raises(PreconditionError):
+            fn(with_x0, g)
+        with pytest.raises(InvalidInputError):
+            fn(standard_w("ACDE"), g)

@@ -1,11 +1,13 @@
 """Property tests: malformed state and graph specs are rejected with a
 DistillationError, and the command line exits 0 or 2 on them and on any
-number given to a numeric option."""
+number given to a numeric option, or 3 where a valid result cannot be
+written."""
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,22 +72,39 @@ def run_main(*argv):
     return code, err.getvalue()
 
 
-@given(states)
-@settings(max_examples=100, deadline=None)
-def test_cli_exits_0_or_2_on_any_state(value):
-    code, err = run_main("prob", f"--state={json.dumps(value)}", "--preset", "triangle")
+@pytest.fixture(scope="module")
+def unwritable(tmp_path_factory):
+    """An output path inside a directory that does not exist."""
+    return str(tmp_path_factory.mktemp("out") / "missing" / "x.json")
+
+
+def assert_prob_exits_0_2_or_3(unwritable, *argv):
+    """``prob`` exits 0 or 2 on ``argv``; with its output sent to an
+    unwritable path it exits 2 on the same bad input and 3 otherwise."""
+    code, err = run_main("prob", *argv)
     assert code in (0, 2)
     assert "Traceback" not in err
     assert (code == 2) == err.startswith("error: bad input: ")
-
-
-@given(graphs)
-@settings(max_examples=100, deadline=None)
-def test_cli_exits_0_or_2_on_any_graph(value):
-    code, err = run_main("prob", "--state", "W3", f"--graph={json.dumps(value)}")
-    assert code in (0, 2)
+    code_out, err = run_main("prob", *argv, "--out", unwritable)
+    assert code_out == (2 if code == 2 else 3)
     assert "Traceback" not in err
-    assert (code == 2) == err.startswith("error: bad input: ")
+    assert err.startswith("error: bad input: " if code == 2 else "error: cannot write")
+
+
+# valid states on the triangle, so that the unwritable output is reached
+triangle_states = st.lists(st.floats(0.0, 1 / 3), min_size=3, max_size=3)
+
+
+@given(value=states | triangle_states)
+@settings(max_examples=100, deadline=None)
+def test_cli_exits_0_2_or_3_on_any_state(unwritable, value):
+    assert_prob_exits_0_2_or_3(unwritable, f"--state={json.dumps(value)}", "--preset", "triangle")
+
+
+@given(value=graphs)
+@settings(max_examples=100, deadline=None)
+def test_cli_exits_0_2_or_3_on_any_graph(unwritable, value):
+    assert_prob_exits_0_2_or_3(unwritable, "--state", "W3", f"--graph={json.dumps(value)}")
 
 
 # any integer, past int64 and past the float range too, or any float,

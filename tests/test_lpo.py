@@ -10,6 +10,7 @@ import pytest
 from wdistill import lpo as lpo_mod
 from wdistill import (
     ConfigGraph,
+    DistillationError,
     Epr,
     FAILURE,
     Failure,
@@ -32,7 +33,8 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf
+from wdistill.evroutine import enumerate_ev
+from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -110,34 +112,61 @@ def test_phase1_distribution_product_state_fails():
 # the cycle function and its optimizer
 
 
+def enumerated_f_alpha(solver, labels, edges, alpha):
+    """The cycle function f at one alpha, found without the walk that the
+    solver reads f from: the peel-off measurement's children, the outcome-1
+    child run through the numeric equal-or-vanish enumeration, each subset
+    reached other than ``labels`` weighted by its value."""
+    labels = tuple(labels)
+    edges = lpo_mod._restrict_edges(frozenset(edges), labels)
+    (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
+    total = sum(p * solver.p3(sub, edges).value for p, _, sub in rest)
+    for term, lam in enumerate_ev(y, labels, edges).items():
+        if term is not FAILURE and len(term) < len(labels):
+            total += p_alpha * lam * solver.p3(term, edges).value
+    return total
+
+
+def assert_f_alpha_is(solver, g, a, want):
+    """f at ``a`` on all of ``g``, read off the report and enumerated, is
+    ``want``."""
+    assert f_alpha(g.labels, g, a, solver) == pytest.approx(want, abs=1e-12)
+    assert enumerated_f_alpha(solver, g.labels, g.edges, a) == pytest.approx(want, abs=1e-12)
+
+
 def test_f_alpha_two_edge_three_party(solver):
     g = graph_catalog("wedge")
     for a in (0.0, 0.2, 0.5, 0.8):
-        want = (2 / 3) * (1 - a) + (2 / 3) * (1 - a) * a
-        assert f_alpha(g.labels, g, a, solver) == pytest.approx(want, abs=1e-12)
+        assert_f_alpha_is(solver, g, a, (2 / 3) * (1 - a) + (2 / 3) * (1 - a) * a)
 
 
 def test_f_alpha_paw_rational_identity(solver):
     g = graph_catalog("VI")
     for a in (0.1, 0.45, 0.9):
-        got = f_alpha(g.labels, g, a, solver) / (1 - a ** 3)
-        want = (0.75 + a + a * a / 2) / (1 + a + a * a)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert_f_alpha_is(solver, g, a, (1 - a**3) * (0.75 + a + a * a / 2) / (1 + a + a * a))
 
 
 def test_f_alpha_five_edge_rational_identity(solver):
     g = graph_catalog("IV")
     for a in (0.15, 0.5, 0.85):
-        got = f_alpha(g.labels, g, a, solver) / (1 - a ** 3)
-        want = (0.75 + a + 0.75 * a * a) / (1 + a + a * a)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert_f_alpha_is(solver, g, a, (1 - a**3) * (0.75 + a + 0.75 * a * a) / (1 + a + a * a))
 
 
 def test_f_alpha_constant_when_least_party_isolated(solver):
     # one pair plus an isolated node: both branches reach the same pair
     g = ConfigGraph("ABC", [("B", "C")])
     for a in (0.0, 0.3, 0.7):
-        assert f_alpha(g.labels, g, a, solver) == pytest.approx(2 / 3, abs=1e-12)
+        assert_f_alpha_is(solver, g, a, 2 / 3)
+
+
+def test_f_alpha_domain(solver):
+    g = graph_catalog("VI")
+    with pytest.raises(PreconditionError):
+        f_alpha(("A", "B"), g, 0.5, solver)
+    for a in (-0.1, 1.1, float("nan")):
+        with pytest.raises(DistillationError):
+            f_alpha(g.labels, g, a, solver)
+    assert f_alpha(g.labels, g, 1.0, solver) == 0.0
 
 
 def test_p3_three_party_values(solver):
@@ -178,7 +207,7 @@ def test_p3_polynomial_reproduces_fresh_samples(solver):
         rep = p3(g.labels, g, solver)
         coef = np.asarray(rep.f_polynomial)
         for a in np.linspace(0.02, 0.95, 100):
-            direct = f_alpha(g.labels, g, float(a), solver)
+            direct = enumerated_f_alpha(solver, g.labels, g.edges, float(a))
             assert np.polynomial.polynomial.polyval(a, coef) == pytest.approx(
                 direct, abs=1e-10
             )
@@ -188,7 +217,7 @@ def test_p3_report_objective_evaluates_anywhere(solver):
     g = graph_catalog("VI")
     rep = p3(g.labels, g, solver)
     for a in (0.0, 0.3, 0.7, 0.95):
-        want = f_alpha(g.labels, g, a, solver) / (1 - a ** 3)
+        want = enumerated_f_alpha(solver, g.labels, g.edges, a) / (1 - a ** 3)
         assert rep.objective(a) == pytest.approx(want, abs=1e-10)
     assert rep.objective(rep.argmax_alpha) == pytest.approx(rep.value, abs=1e-10)
 
@@ -234,7 +263,7 @@ def family_graph(family, n):
 
 
 def test_walked_cycle_function_equals_f_alpha():
-    # the monomials read off one walk against the numeric enumeration at
+    # f as the report's monomials against the numeric enumeration at
     # random alphas, on every optimized node below each graph
     rng = np.random.default_rng(12)
     graphs = [graph_catalog(name) for name in FIXED_PRESETS]
@@ -248,8 +277,8 @@ def test_walked_cycle_function_equals_f_alpha():
             if len(labels) < 3 or not edges:
                 continue
             for a in rng.uniform(0.0, 1.0, 3):
-                walked = sum(c * a**e * (1 - a) ** v for c, e, v in rep.terms)
-                assert walked == pytest.approx(solver.f_alpha(labels, edges, a), abs=1e-12)
+                walked = f_alpha(labels, g, a, solver)
+                assert walked == pytest.approx(enumerated_f_alpha(solver, labels, edges, a), abs=1e-12)
             checked += 1
     assert checked > 500
 
@@ -427,6 +456,36 @@ def test_pairs_value_follows_the_product_rule(solver, n_pairs):
     g = graph_catalog("pairs", 2 * n_pairs)
     want = math.prod((2 * k - 2) / (2 * k - 1) for k in range(2, n_pairs + 1))
     assert p_lpo(standard_w(g.labels), g, solver) == pytest.approx(want, abs=1e-14)
+
+
+def p_fl_reference(graph):
+    """The baseline recursion on a validated ConfigGraph per subset."""
+    memo = {}
+
+    def value(labels):
+        if labels not in memo:
+            sub, n = graph.induced(labels), len(labels)
+            if n == 2:
+                memo[labels] = 1.0 if sub.edges else 0.0
+            elif len(sub.edges) == n * (n - 1) // 2:
+                memo[labels] = 1.0
+            elif n == 3:
+                memo[labels] = 2.0 / 3.0 if sub.edges else 0.0
+            elif not sub.edges:
+                memo[labels] = 0.0
+            else:
+                memo[labels] = sum(value(tuple(l for l in labels if l != drop)) for drop in labels) / n
+        return memo[labels]
+
+    return value(graph.labels)
+
+
+def test_p_fl_matches_the_graph_object_reference():
+    graphs = [graph_catalog(name) for name in FIXED_PRESETS]
+    graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(3, 11)]
+    graphs += [graph_catalog("pairs", n) for n in range(4, 13, 2)]
+    for g in graphs:
+        assert repr(p_fl(g)) == repr(p_fl_reference(g)), g
 
 
 def test_p_fl_examples():
