@@ -135,32 +135,43 @@ class WState:
         return cls(data["components"], data.get("labels"))
 
 
-# Graph queries on a subgraph as ``(labels, edges)``, the form in which the
-# recursions and walks pass subsets; ConfigGraph answers through them too.
-
-
-def _degrees(labels, edges) -> dict[str, int]:
-    deg = {l: 0 for l in labels}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
-
-
-def _neighbors(label, edges) -> set[str]:
-    out = set()
-    for a, b in edges:
-        if a == label:
-            out.add(b)
-        elif b == label:
-            out.add(a)
-    return out
+# Subgraph helpers.  The subset recursions pass a subgraph as ``(labels,
+# edges)``; the walks pass one as a mask of live positions over the labels
+# they started from, with the neighbour masks of ``_adjacency``.
 
 
 def _restrict_edges(edges, labels) -> frozenset:
     """The edges with both ends among ``labels``."""
     keep = set(labels)
     return frozenset(e for e in edges if e[0] in keep and e[1] in keep)
+
+
+def _adjacency(labels, edges) -> tuple[int, ...]:
+    """The neighbour mask of each position of ``labels``: bit j of entry i
+    is set when parties i and j are joined.  Edges with an end outside
+    ``labels`` are left out, so a subset is a mask of live positions and
+    its edges never need restricting."""
+    index = {l: i for i, l in enumerate(labels)}
+    adj = [0] * len(labels)
+    for a, b in edges:
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+class _Members(dict):
+    """``members[live]`` is the labels at the positions set in the mask
+    ``live``, in label order, each computed once."""
+
+    def __init__(self, labels):
+        super().__init__()
+        self.labels = tuple(labels)
+
+    def __missing__(self, live: int) -> tuple[str, ...]:
+        names = self[live] = tuple([l for i, l in enumerate(self.labels) if live >> i & 1])
+        return names
 
 
 @dataclass(frozen=True)
@@ -201,7 +212,13 @@ class ConfigGraph:
     def neighbors(self, label: str) -> set[str]:
         if label not in self.labels:
             raise InvalidPartyError(f"unknown node {label!r}")
-        return _neighbors(label, self.edges)
+        out = set()
+        for a, b in self.edges:
+            if a == label:
+                out.add(b)
+            elif b == label:
+                out.add(a)
+        return out
 
     def degree(self, label: str) -> int:
         return len(self.neighbors(label))

@@ -9,6 +9,12 @@ exactly.  The rules here are also the equal-or-vanish steps of
 :func:`wdistill.lpo.build_protocol_tree`; the explicit branch tree is
 that builder's node table, stopped at standard W states
 (:func:`wdistill.lpo.ev_tree`).
+
+The walks run on position bitmasks.  A walk computes one neighbour mask
+per party position with :func:`~wdistill.core._adjacency` and carries the
+set of parties still in play as a live mask beside a component tuple
+indexed by position; :func:`_select` answers from mask tests and returns
+a position, and :func:`_step` takes that position.
 """
 
 from __future__ import annotations
@@ -25,42 +31,45 @@ from .core import (
     PreconditionError,
     StandardW,
     WState,
-    _degrees,
-    _neighbors,
-    _restrict_edges,
+    _adjacency,
+    _Members,
 )
 
 X0_TOL = 1e-12
 
 
-def _select(comps, labels, edges):
-    """Next action for an x0 = 0 node, as (tag, party).
+def _select(comps, adj, live):
+    """Next action for an x0 = 0 node, as (tag, position).
 
-    Order of the rules matters: isolated nodes are dealt with before the
-    all-maximal terminal check, and the measuring party is the lowest-index
-    non-maximal party connected to a maximal one, falling back to the
-    lowest-index non-maximal party.
+    ``comps`` holds one weight per position, 0.0 at every position outside
+    the ``live`` mask, and ``adj`` the neighbour masks of
+    :func:`~wdistill.core._adjacency`.  Order of the rules matters:
+    isolated parties (no live neighbour) are dealt with before the
+    all-maximal terminal check, and the measuring party is the
+    lowest-position non-maximal party next to a maximal one, falling back
+    to the lowest-position non-maximal party.
     """
-    deg = _degrees(labels, edges)
-    isolated = [l for l in labels if deg[l] == 0]
-    if isolated:
-        if len(labels) == 2:
-            return "fail2", None
-        return "isolate", isolated[0]
-    xmax = max(comps)
-    maximal = [c >= xmax * (1.0 - MAX_EQUAL_RTOL) for c in comps]
-    if all(maximal):
+    floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
+    maxmask = 0
+    bit = 1
+    for nbrs, c in zip(adj, comps):
+        if live & bit:
+            if not nbrs & live:
+                return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
+            if c >= floor:
+                maxmask |= bit
+        bit <<= 1
+    if maxmask == live:
         return "terminal", None
-    max_parties = {labels[i] for i in range(len(labels)) if maximal[i]}
-    fallback = None
-    for i, l in enumerate(labels):
-        if maximal[i]:
-            continue
-        if fallback is None:
-            fallback = l
-        if _neighbors(l, edges) & max_parties:
-            return "measure", l
-    return "measure", fallback
+    lagging = live & ~maxmask
+    rest = lagging
+    while rest:
+        bit = rest & -rest
+        i = bit.bit_length() - 1
+        if adj[i] & maxmask:
+            return "measure", i
+        rest ^= bit
+    return "measure", (lagging & -lagging).bit_length() - 1
 
 
 def ev_measurement(state: WState, k: str) -> LocalMeasurement:
@@ -83,23 +92,25 @@ def ev_measurement(state: WState, k: str) -> LocalMeasurement:
 # party weights are tracked.
 
 
-def _step(comps, labels, tag, party):
-    """Children of an isolate or measure step, as ``(p, comps, labels)``,
-    and the failure mass.
+def _step(comps, live, tag, k):
+    """Children of an isolate or measure step by position ``k``, as
+    ``(p, comps, live)``, and the failure mass.
 
     Isolating party k keeps the others entangled with probability 1 - x_k
     and fails otherwise.  Measuring k either lifts x_k to the current
-    maximum ('equal', which keeps the ``labels`` object) or removes k
-    ('vanish').  Outcomes rarer than NULL_OUTCOME_PROB are dropped.
+    maximum ('equal', which keeps ``live``) or removes k ('vanish').  A
+    removed party's weight becomes 0.0.  Outcomes rarer than
+    NULL_OUTCOME_PROB are dropped.
     """
-    k = labels.index(party)
     xk = comps[k]
-    rest = labels[:k] + labels[k + 1:]
+    rest = live & ~(1 << k)
     children = []
     if tag == "isolate":
         p = 1.0 - xk
         if p >= NULL_OUTCOME_PROB:
-            children.append((p, tuple(c / p for c in comps[:k] + comps[k + 1:]), rest))
+            new = [c / p for c in comps]
+            new[k] = 0.0
+            children.append((p, tuple(new), rest))
         return children, xk if xk >= NULL_OUTCOME_PROB else 0.0
     imax = comps.index(max(comps))
     a = xk / comps[imax]
@@ -107,10 +118,12 @@ def _step(comps, labels, tag, party):
     if pe >= NULL_OUTCOME_PROB:
         new = [a * c / pe for c in comps]
         new[k] = new[imax]  # force the intended exact tie
-        children.append((pe, tuple(new), labels))
+        children.append((pe, tuple(new), live))
     pv = (1.0 - a) * (1.0 - xk)
     if pv >= NULL_OUTCOME_PROB:
-        children.append((pv, tuple(c / (1.0 - xk) for c in comps[:k] + comps[k + 1:]), rest))
+        new = [c / (1.0 - xk) for c in comps]
+        new[k] = 0.0
+        children.append((pv, tuple(new), rest))
     return children, 0.0
 
 
@@ -124,48 +137,50 @@ def enumerate_ev(comps, labels, edges) -> dict:
     protocol-tree builder, whose walk stopped at standard W states is
     :func:`wdistill.lpo.ev_tree`.
     """
+    adj = _adjacency(labels, edges)
+    members = _Members(labels)
     acc: dict = {}
     depth_cap = 2 * len(labels)
 
-    def visit(comps, labels, edges, pathp, depth):
+    def visit(comps, live, pathp, depth):
         if depth > depth_cap:
             raise InternalConsistencyError("equal-or-vanish recursion too deep")
-        if len(labels) < 2:
+        if live.bit_count() < 2:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
             return
-        tag, party = _select(comps, labels, edges)
+        tag, k = _select(comps, adj, live)
         if tag == "fail2":
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
             return
         if tag == "terminal":
-            acc[labels] = acc.get(labels, 0.0) + pathp
+            term = members[live]
+            acc[term] = acc.get(term, 0.0) + pathp
             return
-        children, fail = _step(comps, labels, tag, party)
-        for p, sub, sublab in children:
-            subedges = edges if sublab is labels else _restrict_edges(edges, sublab)
-            visit(sub, sublab, subedges, pathp * p, depth + 1)
+        children, fail = _step(comps, live, tag, k)
+        for p, sub, sublive in children:
+            visit(sub, sublive, pathp * p, depth + 1)
         if fail:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
-    visit(tuple(comps), tuple(labels), frozenset(edges), 1.0, 0)
+    visit(tuple(comps), (1 << len(labels)) - 1, 1.0, 0)
     return acc
 
 
 def _check_support(terminals, comps, labels, edges):
     """Every W terminal must contain each initially-maximal party or be
     disconnected from it."""
+    adj = _adjacency(labels, edges)
+    index = {l: i for i, l in enumerate(labels)}
     xmax = max(comps)
-    maximal = [labels[i] for i, c in enumerate(comps) if c >= xmax * (1.0 - MAX_EQUAL_RTOL)]
+    maximal = [i for i, c in enumerate(comps) if c >= xmax * (1.0 - MAX_EQUAL_RTOL)]
     for term in terminals:
         if term is FAILURE:
             continue
-        members = set(term)
-        for m in maximal:
-            if m in members:
-                continue
-            if _neighbors(m, edges) & members:
+        members = sum(1 << index[l] for l in term)
+        for i in maximal:
+            if not members >> i & 1 and adj[i] & members:
                 raise InternalConsistencyError(
-                    f"terminal {term} is adjacent to the maximal party {m!r}"
+                    f"terminal {term} is adjacent to the maximal party {labels[i]!r}"
                 )
 
 

@@ -29,6 +29,7 @@ from .core import (
     Failure,
     InternalConsistencyError,
     InvalidInputError,
+    InvalidPartyError,
     LocalMeasurement,
     NULL_OUTCOME_PROB,
     OutcomeDistribution,
@@ -36,7 +37,9 @@ from .core import (
     Residual,
     StandardW,
     WState,
-    _degrees,
+    ZERO_COMPONENT,
+    _adjacency,
+    _Members,
     _restrict_edges,
     component_update,
 )
@@ -52,71 +55,83 @@ SQRT3 = math.sqrt(3.0)
 # phase I: removing the x0 weight
 
 
-def phase1_measurement(state: WState) -> LocalMeasurement:
-    """Measurement by the dominant party that cancels the x0 weight on
-    outcome 1 and zeroes that party's own weight on outcome 2."""
-    x0 = state.x0
-    if x0 <= X0_TOL:
-        raise PreconditionError("x0 is already zero")
-    xn = state.max_component()
+def _phase1_round(comps):
+    """One x0-removal round on raw components, as ``(k, r, mu, p1)``: the
+    dominant position k (the lowest on a tie), r = x0 / x_k, the smaller
+    root mu of mu^2 - (2 + r) mu + 1 = 0, and the success probability
+    p1 = 2 x_k (1 - x0) / (x0 + 2 x_k + sqrt(x0^2 + 4 x_k x0)).  As in
+    :class:`WState`, components below ``ZERO_COMPONENT`` count as 0 here."""
+    held = [0.0 if c < ZERO_COMPONENT else c for c in comps]
+    x0 = max(0.0, 1.0 - sum(held))
+    xn = max(held)
     if xn <= 0.0:
         raise PreconditionError("state has no entangled party")
     r = x0 / xn
-    # smaller root of mu^2 - (2 + r) mu + 1 = 0
     mu = 2.0 / (2.0 + r + math.sqrt(r * r + 4.0 * r))
+    p1 = 2.0 * xn * (1.0 - x0) / (x0 + 2.0 * xn + math.sqrt(x0 * x0 + 4.0 * xn * x0))
+    return held.index(xn), r, mu, p1
+
+
+def phase1_measurement(state: WState) -> LocalMeasurement:
+    """Measurement by the dominant party that cancels the x0 weight on
+    outcome 1 and zeroes that party's own weight on outcome 2."""
+    if state.x0 <= X0_TOL:
+        raise PreconditionError("x0 is already zero")
+    k, r, mu, _ = _phase1_round(state.components)
     b1 = -math.sqrt(mu * r)
     b2 = mu * math.sqrt(r) / math.sqrt(1.0 - mu)
-    return LocalMeasurement(state.dominant_party(), [(mu, b1, mu), (1.0 - mu, b2, 0.0)])
+    return LocalMeasurement(state.labels[k], [(mu, b1, mu), (1.0 - mu, b2, 0.0)])
 
 
 def phase1_success_probability(state: WState) -> float:
     """Probability that one x0-removal round succeeds:
     2 x_n1 (1 - x0) / (x0 + 2 x_n1 + sqrt(x0^2 + 4 x_n1 x0))."""
-    x0 = state.x0
-    xn = state.max_component()
-    return 2.0 * xn * (1.0 - x0) / (x0 + 2.0 * xn + math.sqrt(x0 * x0 + 4.0 * xn * x0))
+    return _phase1_round(state.components)[3]
 
 
-def _phase1_step(comps, labels):
-    """The x0-removal measurement on raw components and its children as
-    ``(p, comps, labels)``: outcome 1 cancels x0 and renormalizes, outcome
-    2 zeroes the measuring party, which leaves state and graph."""
-    st = WState(comps, labels)
-    m = phase1_measurement(st)
-    k = labels.index(m.party)
-    p1 = phase1_success_probability(st)
+def _phase1_step(comps, live):
+    """The x0-removal round on raw components indexed by position, 0.0
+    outside ``live``, and its children as ``(p, comps, live)``: outcome 1
+    cancels x0 and renormalizes, outcome 2 zeroes the dominant party,
+    which leaves state and graph."""
+    k, _, mu, p1 = _phase1_round(comps)
     total = sum(comps)
-    children = [(p1, tuple(c / total for c in comps), labels)]
+    children = [(p1, tuple(c / total for c in comps), live)]
     p2 = 1.0 - p1
     if p2 >= NULL_OUTCOME_PROB:
-        a2 = m.outcomes[1][0]
-        rest = tuple(a2 * c / p2 for i, c in enumerate(comps) if i != k)
-        children.append((p2, rest, labels[:k] + labels[k + 1:]))
-    return m, children
+        a2 = 1.0 - mu
+        rest = [a2 * c / p2 for c in comps]
+        rest[k] = 0.0
+        children.append((p2, tuple(rest), live & ~(1 << k)))
+    return children
 
 
-def _peel_party(labels, edges) -> str:
-    """The party that peels off: the least connected, lowest index on a
-    tie."""
-    return min(labels, key=_degrees(labels, edges).__getitem__)
+def _peel_party(adj, live) -> int:
+    """The position that peels off: the least connected live party, the
+    lowest position on a tie."""
+    return min(
+        (i for i in range(len(adj)) if live >> i & 1), key=lambda i: (adj[i] & live).bit_count()
+    )
 
 
-def _peel_step(labels, edges, alpha: float):
-    """The peel-off measurement by :func:`_peel_party` and its children as
-    ``(p, comps, labels)``: outcome 1 keeps weight 1 on that party and
-    alpha elsewhere, normalized; outcome 2 removes the party and leaves the
-    others uniform."""
-    k = _peel_party(labels, edges)
-    n = len(labels)
+def _peel_step(adj, live, alpha: float):
+    """The peel-off position k of :func:`_peel_party` and the children of
+    its measurement as ``(p, comps, live)``, weights indexed by position:
+    outcome 1 keeps weight 1 on k and alpha elsewhere, normalized; outcome
+    2 removes k and leaves the others uniform."""
+    k = _peel_party(adj, live)
+    n = live.bit_count()
     p1 = (1.0 + alpha * (n - 1)) / n
     scale = 1.0 / (n * p1)
-    m = LocalMeasurement.diagonal(k, [(alpha, 1.0), (1.0 - alpha, 0.0)])
-    children = [(p1, tuple(scale if l == k else alpha * scale for l in labels), labels)]
+    peeled = [alpha * scale if live >> i & 1 else 0.0 for i in range(len(adj))]
+    peeled[k] = scale
+    children = [(p1, tuple(peeled), live)]
     p2 = (1.0 - alpha) * (n - 1) / n
     if p2 >= NULL_OUTCOME_PROB:
-        rest = tuple(1.0 / (n - 1) for _ in range(n - 1))
-        children.append((p2, rest, tuple(l for l in labels if l != k)))
-    return m, children
+        rest = live & ~(1 << k)
+        uniform = tuple(1.0 / (n - 1) if rest >> i & 1 else 0.0 for i in range(len(adj)))
+        children.append((p2, uniform, rest))
+    return k, children
 
 
 def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
@@ -129,30 +144,33 @@ def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
     party j raises every other e by one, vanishing removes j and raises
     v, and isolating removes the party (after the last maximal one the
     rest are maximal at e + 1).  :func:`_select` sees the exponents coded
-    as 2^-(e - e_min), so no alpha is needed.
+    as 2^-(e - e_min), so no alpha is needed; a removed party's exponent
+    is infinite, which codes it as exactly 0.
     """
-    k = _peel_party(labels, edges)
-    out = [(tuple(l for l in labels if l != k), 0, 1)]
+    n = len(labels)
+    adj = _adjacency(labels, edges)
+    members = _Members(labels)
+    full = (1 << n) - 1
+    k = _peel_party(adj, full)
+    out = [(members[full & ~(1 << k)], 0, 1)]
 
-    def walk(exps, labels, edges, v):
-        if len(labels) < 2:
+    def walk(exps, live, v):
+        if live.bit_count() < 2:
             return
         low = min(exps)
-        tag, party = _select(tuple(0.5 ** (e - low) for e in exps), labels, edges)
+        tag, j = _select(tuple(0.5 ** (e - low) for e in exps), adj, live)
         if tag == "terminal":
-            out.append((labels, low, v))
+            out.append((members[live], low, v))
         if tag in ("terminal", "fail2"):
             return
-        j = labels.index(party)
-        rest = labels[:j] + labels[j + 1:]
-        drop = (exps[:j] + exps[j + 1:], rest, _restrict_edges(edges, rest))
+        drop = (exps[:j] + (math.inf,) + exps[j + 1:], live & ~(1 << j))
         if tag == "isolate":
             walk(*drop, v)
             return
-        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), labels, edges, v)
+        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), live, v)
         walk(*drop, v + 1)  # vanish
 
-    walk(tuple(0 if l == k else 1 for l in labels), labels, edges, 0)
+    walk(tuple(0 if i == k else 1 for i in range(n)), full, 0)
     return out
 
 
@@ -161,24 +179,26 @@ def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistributio
     product state.  Residual terminals keep the pruned graph."""
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
+    labels = state.labels
+    members = _Members(labels)
     entries: dict = {}
 
-    def visit(comps, labels, pathp):
-        live = sum(1 for c in comps if c > 0.0)
+    def visit(comps, live, pathp):
         x0 = max(0.0, 1.0 - sum(comps))
-        if len(labels) < 2 or live <= 1:
+        if live.bit_count() < 2 or sum(1 for c in comps if c > 0.0) <= 1:
             entries[FAILURE] = entries.get(FAILURE, 0.0) + pathp
             return
         if x0 <= X0_TOL:
             total = sum(comps)
-            st = WState(tuple(c / total for c in comps), labels)
-            key = Residual(st, graph.induced(labels))
+            sub = members[live]
+            st = WState(tuple(c / total for i, c in enumerate(comps) if live >> i & 1), sub)
+            key = Residual(st, graph.induced(sub))
             entries[key] = entries.get(key, 0.0) + pathp
             return
-        for p, sub, sublab in _phase1_step(comps, labels)[1]:
-            visit(sub, sublab, pathp * p)
+        for p, sub, sublive in _phase1_step(comps, live):
+            visit(sub, sublive, pathp * p)
 
-    visit(state.components, state.labels, 1.0)
+    visit(state.components, (1 << len(labels)) - 1, 1.0)
     items = sorted(
         ((t, p) for t, p in entries.items()),
         key=lambda tp: (isinstance(tp[0], Failure), -tp[1]),
@@ -266,9 +286,8 @@ class PhaseThreeSolver:
     """Memoized recursion over party subsets.
 
     Values depend only on the induced subgraph, and the recursion reads
-    labels only through their order: the peel-off tie goes to the lowest
-    index, and :func:`_select` and :func:`_restrict_edges` keep label
-    order.  So the memo is keyed by the subgraph's shape (:func:`_shape`),
+    labels only through their order: the walks work on label positions,
+    and the peel-off and :func:`_select` ties go to the lowest one.  So the memo is keyed by the subgraph's shape (:func:`_shape`),
     and every relabelled copy of one shape is solved once.  Each memo entry
     holds the report and its children, the subsets whose values it reads,
     as index tuples.  The subsets :meth:`p3` was asked for, with their
@@ -333,7 +352,7 @@ class PhaseThreeSolver:
     def _optimize(self, labels, edges, name, terms) -> OptimizationReport:
         n = len(labels)
         m = n - 1
-        has_loop = min(_degrees(labels, edges).values()) > 0  # an isolated party never loops
+        has_loop = all(_adjacency(labels, edges))  # an isolated party never loops
         for c, e, v in terms:
             if e + v > m or (has_loop and v < 1):
                 raise InternalConsistencyError(
@@ -375,10 +394,9 @@ class PhaseThreeSolver:
         party, bypassing the lowest-index tie-break."""
         labels = tuple(labels)
         edges = _restrict_edges(frozenset(edges), labels)
-        deg = _degrees(labels, edges)
-        dmin = min(deg.values())
+        deg = [nbrs.bit_count() for nbrs in _adjacency(labels, edges)]
         out = {}
-        for k in (l for l in labels if deg[l] == dmin):
+        for k in (l for l, d in zip(labels, deg) if d == min(deg)):
             reordered = (k,) + tuple(l for l in labels if l != k)
             out[k] = PhaseThreeSolver().p3(reordered, edges).value
         return out
@@ -407,18 +425,51 @@ class PhaseThreeSolver:
         """Every labelled subset the recursion has met, as a new dict from
         ``(labels, edges)`` to the report named for those labels: the
         labelled index and, below each entry, the children of its shape,
-        relabelled.  Each subset is listed once, children first."""
-        met: dict = {}
+        relabelled.  Each subset is listed once, children first.
 
-        def expand(labels, edges, seen):
-            report, children = self._memo[_shape(labels, edges)]
+        A shape met a third time is expanded only through its cover: the
+        children that are not a child of a child one party smaller.
+        Expanding those meets every child, and on a dense graph they are
+        few, where expanding all children would revisit about 3^n / 2
+        subsets.  A shape met once or twice is expanded through all of its
+        children, which on a sparse graph costs less than building the
+        cover."""
+        met: dict = {}
+        times_met: dict = {}  # shape -> expansions so far
+        covers: dict = {}     # shape -> its cover
+        below: dict = {}      # (shape, child) -> the child's shape
+
+        def child_shape(shape, child):
+            key = (shape, child)
+            if key not in below:
+                at = {i: j for j, i in enumerate(child)}
+                pairs = ((at[a], at[b]) for a, b in shape[1] if a in at and b in at)
+                below[key] = (len(child), frozenset(pairs))
+            return below[key]
+
+        def cover(shape):
+            children = self._memo[shape][1]
+            reached = {
+                tuple(map(child.__getitem__, grand))
+                for child in children if len(child) == shape[0] - 1
+                for grand in self._memo[child_shape(shape, child)][1]
+            }
+            return [child for child in children if child not in reached]
+
+        def expand(labels, edges, shape, seen):
+            report, children = self._memo[shape]
+            times_met[shape] = times_met.get(shape, 0) + 1
+            if times_met[shape] > 2:
+                if shape not in covers:
+                    covers[shape] = cover(shape)
+                children = covers[shape]
             for child in children:
-                sub = tuple(labels[i] for i in child)
+                sub = tuple(map(labels.__getitem__, child))
                 if sub not in seen:
                     seen.add(sub)
                     sub_edges = _restrict_edges(edges, sub)
                     if (sub, sub_edges) not in met:
-                        expand(sub, sub_edges, seen)
+                        expand(sub, sub_edges, child_shape(shape, child), seen)
             named = self._labelled.get((labels, edges))
             if named is None:
                 named = replace(report, subgraph_key=_subgraph_key(labels, edges))
@@ -427,7 +478,7 @@ class PhaseThreeSolver:
         # largest first, so that most smaller entries are met below one
         for labels, edges in sorted(self._labelled, key=lambda key: -len(key[0])):
             if (labels, edges) not in met:
-                expand(labels, edges, set())
+                expand(labels, edges, _shape(labels, edges), set())
         return met
 
     def reports(self) -> list[OptimizationReport]:
@@ -450,8 +501,16 @@ def f_alpha(parties, graph: ConfigGraph, alpha: float, solver: PhaseThreeSolver 
 
 
 def p3(parties, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> OptimizationReport:
+    """The solved peel-off recursion for a standard W state on ``parties``,
+    distinct nodes of ``graph``."""
+    parties = tuple(parties)
+    unknown = set(parties) - set(graph.labels)
+    if unknown:
+        raise InvalidPartyError(f"unknown parties {sorted(map(str, unknown))}")
+    if len(set(parties)) != len(parties):
+        raise InvalidInputError(f"duplicate parties in {parties}")
     solver = solver or PhaseThreeSolver()
-    return solver.p3(tuple(parties), graph.edges)
+    return solver.p3(parties, graph.edges)
 
 
 def p_lpo(state: WState, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> float:
@@ -735,49 +794,56 @@ def ev_tree(state: WState, graph: ConfigGraph) -> ProtocolTree:
 def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     """The walk of :func:`build_protocol_tree`, unchecked but for the label
     sets.  At ``loop_cap`` 0 it stops at every standard W state, so that no
-    peel-off, solver or epsilon is needed."""
+    peel-off, solver or epsilon is needed.  Like the equal-or-vanish walk
+    it carries weights indexed by position, 0.0 outside a live mask."""
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
-    full_edges = frozenset(graph.edges)
-    shared: dict = {}  # (comps, labels, cycle) -> subtree
+    labels = state.labels
+    edges = frozenset(graph.edges)
+    adj = _adjacency(labels, edges)
+    members = _Members(labels)
+    shared: dict = {}  # (comps, cycle) -> subtree
 
-    def build(comps, labels, cycle: int):
+    def build(comps, live: int, cycle: int):
         """The subtree for this state after ``cycle`` peel-offs on these
-        labels; an equal subtree built before is reused."""
+        parties; an equal subtree built before is reused.  ``live`` holds
+        the parties of the node that leads here: the count carries over
+        only if every one of them still carries weight."""
         # drop parties that carry no weight
-        live = tuple(i for i, c in enumerate(comps) if c > 0.0)
-        if len(live) != len(comps):
-            labels = tuple(labels[i] for i in live)
-            comps = tuple(comps[i] for i in live)
-            cycle = 0
-        if len(labels) < 2:
+        held = 0
+        for i, c in enumerate(comps):
+            if c > 0.0:
+                held |= 1 << i
+        if held != live:
+            live, cycle = held, 0
+        if live.bit_count() < 2:
             return FAILURE
-        key = (comps, labels, cycle)
+        key = (comps, cycle)
         if key not in shared:
-            shared[key] = decide(comps, labels, cycle)
+            shared[key] = decide(comps, live, cycle)
         return shared[key]
 
-    def branch(steps, labels, cycle: int) -> list:
-        return [(p, build(sub, sublab, cycle if sublab == labels else 0)) for p, sub, sublab in steps]
+    def branch(steps, live: int, cycle: int) -> list:
+        return [(p, build(sub, live, cycle)) for p, sub, _ in steps]
 
-    def decide(comps, labels, cycle: int):
+    def decide(comps, live: int, cycle: int):
         """The subtree for a state with no equal subtree built yet."""
         x0 = max(0.0, 1.0 - sum(comps))
-        edges = _restrict_edges(full_edges, labels)
-        st = WState(comps, labels)
+        names = members[live]
+        st = WState(tuple(c for i, c in enumerate(comps) if live >> i & 1), names)
         if x0 > X0_TOL:
-            m, steps = _phase1_step(comps, labels)
-            return DecisionNode(st, m, "phase1", tuple(branch(steps, labels, cycle)))
+            steps = _phase1_step(comps, live)
+            return DecisionNode(st, phase1_measurement(st), "phase1", tuple(branch(steps, live, cycle)))
 
-        tag, party = _select(comps, labels, edges)
+        tag, k = _select(comps, adj, live)
         if tag == "fail2":
             return FAILURE
         if tag == "terminal":
             if loop_cap == 0:
-                return StandardW(labels)
-            if len(labels) == 2:
-                return Epr(labels)
-            report = solver.p3(labels, edges)
+                return StandardW(names)
+            if len(names) == 2:
+                return Epr(names)
+            report = solver.p3(names, edges)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
             if cycle >= loop_cap:
                 return TruncationLeaf(st, report.objective(alpha))
@@ -785,21 +851,22 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
                 # the first return to this W state: build its later cycles
                 # deepest first, so that each finds the next one built
                 for later in range(loop_cap, 1, -1):
-                    build(comps, labels, later)
-            m, steps = _peel_step(labels, edges, alpha)
-            children = branch(steps, labels, cycle + 1)
+                    build(comps, live, later)
+            k, steps = _peel_step(adj, live, alpha)
+            m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
+            children = branch(steps, live, cycle + 1)
             return DecisionNode(st, m, "phase3", tuple(children), alpha=alpha, cycle=cycle + 1)
 
-        steps, fail = _step(comps, labels, tag, party)
-        children = branch(steps, labels, cycle)
+        steps, fail = _step(comps, live, tag, k)
+        children = branch(steps, live, cycle)
         if fail:
             children.append((fail, FAILURE))
         if tag == "isolate":
-            m = LocalMeasurement.diagonal(party, [(1.0, 0.0), (0.0, 1.0)])
+            m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
             return DecisionNode(st, m, "isolate", tuple(children))
-        return DecisionNode(st, ev_measurement(st, party), "ev", tuple(children))
+        return DecisionNode(st, ev_measurement(st, labels[k]), "ev", tuple(children))
 
-    root = build(state.components, state.labels, 0)
+    root = build(state.components, (1 << len(labels)) - 1, 0)
     return ProtocolTree(root, epsilon, loop_cap)
 
 

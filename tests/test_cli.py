@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wdistill import bounds as bounds_mod
+from wdistill import cli as cli_mod
 from wdistill import verify as verify_mod
 from wdistill.cli import main
 
@@ -287,6 +288,16 @@ def test_fuzz_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["max_violation"] <= 1e-10
+
+
+def test_fuzz_reports_a_violation_with_exit_1(capsys, monkeypatch):
+    # a violation above the 1e-10 gate is a finding, not an error: the
+    # payload is printed and the exit code is 1
+    monkeypatch.setattr(cli_mod, "monotone_fuzz", lambda *args, **kwargs: 1e-3)
+    code, out, err = run_cli(capsys, "fuzz", "--function", "tau", "--states", "2", "--seed", "4")
+    assert code == 1
+    assert json.loads(out)["max_violation"] == 1e-3
+    assert err == ""
 
 
 @pytest.mark.parametrize(

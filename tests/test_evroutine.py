@@ -18,6 +18,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
+from wdistill.core import _adjacency, _Members
 from wdistill.evroutine import _select, ev_order_sensitivity
 from wdistill.lpo import _peel_step, _peel_walk
 from wdistill.mc import random_w_state
@@ -31,7 +32,9 @@ def y_alpha_state(alpha, heavy="D"):
 
 
 def select(state, graph):
-    return _select(state.components, state.labels, graph.edges)
+    """The selection rule's action, its position mapped back to a label."""
+    tag, k = _select(state.components, _adjacency(state.labels, graph.edges), (1 << state.n) - 1)
+    return tag, None if k is None else state.labels[k]
 
 
 def test_select_terminal_on_uniform_states():
@@ -164,10 +167,11 @@ def test_branch_polynomial_structure():
             walked = {}
             for term, e, v in paths:
                 walked[term] = walked.get(term, 0.0) + len(term) / n * alpha**e * (1 - alpha) ** v
-            (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
+            _, ((p_alpha, y, _), *rest) = _peel_step(_adjacency(labels, edges), (1 << n) - 1, alpha)
             d = ev_distribution(WState(y, labels), g)
             sampled = {t.parties: p * p_alpha for t, p in d.items() if t is not FAILURE}
-            for p, _, sub in rest:
+            for p, _, live in rest:
+                sub = _Members(labels)[live]
                 sampled[sub] = sampled.get(sub, 0.0) + p
             for term in walked.keys() | sampled.keys():
                 want = sampled.get(term, 0.0)

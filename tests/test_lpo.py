@@ -14,6 +14,8 @@ from wdistill import (
     Epr,
     FAILURE,
     Failure,
+    InvalidInputError,
+    InvalidPartyError,
     PreconditionError,
     Residual,
     WState,
@@ -33,6 +35,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
+from wdistill.core import _adjacency, _Members
 from wdistill.evroutine import enumerate_ev
 from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
@@ -119,8 +122,9 @@ def enumerated_f_alpha(solver, labels, edges, alpha):
     reached other than ``labels`` weighted by its value."""
     labels = tuple(labels)
     edges = lpo_mod._restrict_edges(frozenset(edges), labels)
-    (p_alpha, y, _), *rest = _peel_step(labels, edges, alpha)[1]
-    total = sum(p * solver.p3(sub, edges).value for p, _, sub in rest)
+    full = (1 << len(labels)) - 1
+    _, ((p_alpha, y, _), *rest) = _peel_step(_adjacency(labels, edges), full, alpha)
+    total = sum(p * solver.p3(_Members(labels)[sub], edges).value for p, _, sub in rest)
     for term, lam in enumerate_ev(y, labels, edges).items():
         if term is not FAILURE and len(term) < len(labels):
             total += p_alpha * lam * solver.p3(term, edges).value
@@ -193,6 +197,25 @@ def test_p3_paw_interior_maximum(solver):
 def test_p3_four_party_values(solver, name, value):
     g = graph_catalog(name)
     assert p3(g.labels, g, solver).value == pytest.approx(value, abs=1e-10)
+
+
+def test_p3_rejects_a_party_outside_the_graph():
+    # Z used to count as an isolated node, which gave 2/3
+    g = graph_catalog("VI")
+    with pytest.raises(InvalidPartyError):
+        p3(("A", "B", "Z"), g)
+    with pytest.raises(InvalidPartyError):
+        f_alpha(("A", "B", "Z"), g, 0.5)
+    assert p3(("A", "B", "C"), g).value == 1.0  # a triangle
+
+
+def test_p3_rejects_a_repeated_party():
+    # a repeated party used to give 0.0
+    g = graph_catalog("VI")
+    with pytest.raises(InvalidInputError):
+        p3(("A", "A", "B"), g)
+    with pytest.raises(InvalidInputError):
+        f_alpha(("A", "A", "B"), g, 0.5)
 
 
 def test_p3_trivial_cases(solver):

@@ -1,0 +1,273 @@
+"""The walks on position bitmasks against the label-and-edge walks they
+replaced.
+
+``reference_select``, ``reference_enumerate_ev`` and ``reference_peel_walk``
+are the earlier forms of :func:`wdistill.evroutine._select`,
+:func:`~wdistill.evroutine.enumerate_ev` and :func:`wdistill.lpo._peel_walk`:
+they pass a subset as its labels and its restricted edge set, and read
+degrees and neighbours off the edges at every node.  The engine's walks
+must return the same dicts and lists, key order included.
+
+The protocol trees are checked against ``data/tree_pinned.json``, the
+values of trees built by the label-and-edge walk: node counts exactly,
+values within 1e-12 (another numpy may move the last bits of the
+optimizer's roots).  Re-record (only when a value is meant to move) with
+``PYTHONPATH=src python tests/test_walk_oracle.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wdistill import (
+    FAILURE,
+    ConfigGraph,
+    WState,
+    build_protocol_tree,
+    graph_catalog,
+    standard_w,
+)
+from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _restrict_edges
+from wdistill.evroutine import enumerate_ev
+from wdistill.lpo import PhaseThreeSolver, _peel_walk
+from wdistill.mc import random_w_state
+
+DATA = Path(__file__).parent / "data" / "tree_pinned.json"
+FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
+TREE_CAPS = {"triangle": 200, "IV": 20, "VI": 30, "III-c": 60, "complete:5": 3, "pairs:6": 8}
+TREE_EPSILON = 1e-3
+FLOAT_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the label-and-edge walks
+
+
+def reference_degrees(labels, edges):
+    deg = {l: 0 for l in labels}
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def reference_neighbors(label, edges):
+    return {b if a == label else a for a, b in edges if label in (a, b)}
+
+
+def reference_select(comps, labels, edges):
+    """Next action for an x0 = 0 node, as (tag, party label)."""
+    deg = reference_degrees(labels, edges)
+    isolated = [l for l in labels if deg[l] == 0]
+    if isolated:
+        if len(labels) == 2:
+            return "fail2", None
+        return "isolate", isolated[0]
+    xmax = max(comps)
+    maximal = [c >= xmax * (1.0 - MAX_EQUAL_RTOL) for c in comps]
+    if all(maximal):
+        return "terminal", None
+    max_parties = {labels[i] for i in range(len(labels)) if maximal[i]}
+    fallback = None
+    for i, l in enumerate(labels):
+        if maximal[i]:
+            continue
+        if fallback is None:
+            fallback = l
+        if reference_neighbors(l, edges) & max_parties:
+            return "measure", l
+    return "measure", fallback
+
+
+def reference_step(comps, labels, tag, party):
+    """Children of an isolate or measure step as ``(p, comps, labels)``,
+    and the failure mass."""
+    k = labels.index(party)
+    xk = comps[k]
+    rest = labels[:k] + labels[k + 1:]
+    children = []
+    if tag == "isolate":
+        p = 1.0 - xk
+        if p >= NULL_OUTCOME_PROB:
+            children.append((p, tuple(c / p for c in comps[:k] + comps[k + 1:]), rest))
+        return children, xk if xk >= NULL_OUTCOME_PROB else 0.0
+    imax = comps.index(max(comps))
+    a = xk / comps[imax]
+    pe = a * (1.0 - xk) + xk
+    if pe >= NULL_OUTCOME_PROB:
+        new = [a * c / pe for c in comps]
+        new[k] = new[imax]
+        children.append((pe, tuple(new), labels))
+    pv = (1.0 - a) * (1.0 - xk)
+    if pv >= NULL_OUTCOME_PROB:
+        children.append((pv, tuple(c / (1.0 - xk) for c in comps[:k] + comps[k + 1:]), rest))
+    return children, 0.0
+
+
+def reference_enumerate_ev(comps, labels, edges):
+    acc = {}
+
+    def visit(comps, labels, edges, pathp):
+        if len(labels) < 2:
+            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
+            return
+        tag, party = reference_select(comps, labels, edges)
+        if tag == "fail2":
+            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
+            return
+        if tag == "terminal":
+            acc[labels] = acc.get(labels, 0.0) + pathp
+            return
+        children, fail = reference_step(comps, labels, tag, party)
+        for p, sub, sublab in children:
+            subedges = edges if sublab is labels else _restrict_edges(edges, sublab)
+            visit(sub, sublab, subedges, pathp * p)
+        if fail:
+            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
+
+    visit(tuple(comps), tuple(labels), frozenset(edges), 1.0)
+    return acc
+
+
+def reference_peel_walk(labels, edges):
+    k = min(labels, key=reference_degrees(labels, edges).__getitem__)
+    out = [(tuple(l for l in labels if l != k), 0, 1)]
+
+    def walk(exps, labels, edges, v):
+        if len(labels) < 2:
+            return
+        low = min(exps)
+        tag, party = reference_select(tuple(0.5 ** (e - low) for e in exps), labels, edges)
+        if tag == "terminal":
+            out.append((labels, low, v))
+        if tag in ("terminal", "fail2"):
+            return
+        j = labels.index(party)
+        rest = labels[:j] + labels[j + 1:]
+        drop = (exps[:j] + exps[j + 1:], rest, _restrict_edges(edges, rest))
+        if tag == "isolate":
+            walk(*drop, v)
+            return
+        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), labels, edges, v)
+        walk(*drop, v + 1)
+
+    walk(tuple(0 if l == k else 1 for l in labels), labels, edges, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# graphs and states
+
+
+def family_graph(family, n):
+    labels = tuple("ABCDEFGHIJ"[:n])
+    if family == "cycle":
+        return ConfigGraph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+    if family == "path":
+        return ConfigGraph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    return graph_catalog(family, n)
+
+
+def oracle_graphs():
+    graphs = {name: graph_catalog(name) for name in FIXED_PRESETS}
+    for family in ("complete", "cycle", "path"):
+        for n in range(3, 11):
+            graphs[f"{family}:{n}"] = family_graph(family, n)
+    for n in (4, 6, 8, 10):
+        graphs[f"pairs:{n}"] = family_graph("pairs", n)
+    return graphs
+
+
+def ev_states(g, seed):
+    """Seeded random x0 = 0 states on ``g``, with a zero weight, ties and
+    a uniform state among them."""
+    rng = np.random.default_rng(seed)
+    states = [tuple(float(c) for c in rng.dirichlet(np.ones(g.n))) for _ in range(12)]
+    states.append(tuple([1.0 / g.n] * g.n))
+    states.append(tuple([1.0 / (g.n - 1)] * (g.n - 1) + [0.0]))
+    heavy = [0.5 / (g.n - 2)] * g.n
+    heavy[0] = heavy[-1] = 0.25
+    states.append(tuple(heavy))
+    return [WState(c, g.labels).components for c in states]
+
+
+def named_graph(name):
+    preset, _, size = name.partition(":")
+    return graph_catalog(preset, int(size) if size else None)
+
+
+def tree_states(name):
+    """The standard W state, one x0 > 0 and one x0 = 0 random state."""
+    g = named_graph(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    return {
+        "W": standard_w(g.labels),
+        "x0": WState(random_w_state(rng, g.n).components, g.labels),
+        "x0=0": WState(random_w_state(rng, g.n, x0_zero=True).components, g.labels),
+    }
+
+
+def tree_values(name, state):
+    g = named_graph(name)
+    tree = build_protocol_tree(state, g, TREE_EPSILON, TREE_CAPS[name], solver=PhaseThreeSolver())
+    return {
+        "analytic_value": tree.analytic_value(),
+        "success_lower_bound": tree.analytic_value(credit_truncation=False),
+        "node_count": tree.node_count(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_enumerate_ev_matches_the_label_walk(name):
+    g = ORACLE_GRAPHS[name]
+    for comps in ev_states(g, sum(map(ord, name))):
+        got = enumerate_ev(comps, g.labels, g.edges)
+        want = reference_enumerate_ev(comps, g.labels, g.edges)
+        assert list(got.items()) == list(want.items()), (name, comps)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_peel_walk_matches_the_label_walk(name):
+    g = ORACLE_GRAPHS[name]
+    # the whole graph and every subset its recursion solves
+    solver = PhaseThreeSolver()
+    solver.p_lpo(standard_w(g.labels), g)
+    subsets = [(g.labels, g.edges), *(key for key in solver.audit() if len(key[0]) > 2)]
+    for labels, edges in subsets:
+        assert _peel_walk(labels, edges) == reference_peel_walk(labels, edges), (name, labels)
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(DATA.read_text())
+
+
+def test_the_pinned_trees_are_the_tree_list(pinned):
+    assert {name: sorted(cases) for name, cases in pinned.items()} == {
+        name: sorted(tree_states(name)) for name in TREE_CAPS
+    }
+
+
+@pytest.mark.parametrize("name", list(TREE_CAPS))
+def test_protocol_tree_matches_the_label_walk(pinned, name):
+    for tag, state in tree_states(name).items():
+        got, want = tree_values(name, state), pinned[name][tag]
+        assert got["node_count"] == want["node_count"], (name, tag)
+        for key in ("analytic_value", "success_lower_bound"):
+            assert math.isclose(got[key], want[key], rel_tol=0.0, abs_tol=FLOAT_TOL), (name, tag, key)
+
+
+if __name__ == "__main__":
+    recorded = {name: {tag: tree_values(name, s) for tag, s in tree_states(name).items()} for name in TREE_CAPS}
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(recorded, indent=1) + "\n")
+    print(f"recorded {sum(map(len, recorded.values()))} trees in {DATA}")
