@@ -60,7 +60,8 @@ def _phase1_round(comps):
     dominant position k (the lowest on a tie), r = x0 / x_k, the smaller
     root mu of mu^2 - (2 + r) mu + 1 = 0, and the success probability
     p1 = 2 x_k (1 - x0) / (x0 + 2 x_k + sqrt(x0^2 + 4 x_k x0)).  As in
-    :class:`WState`, components below ``ZERO_COMPONENT`` count as 0 here."""
+    :class:`WState`, components below ``ZERO_COMPONENT`` count as 0 here.
+    With no entangled party r and mu are undefined, and it raises."""
     held = [0.0 if c < ZERO_COMPONENT else c for c in comps]
     x0 = max(0.0, 1.0 - sum(held))
     xn = max(held)
@@ -85,7 +86,10 @@ def phase1_measurement(state: WState) -> LocalMeasurement:
 
 def phase1_success_probability(state: WState) -> float:
     """Probability that one x0-removal round succeeds:
-    2 x_n1 (1 - x0) / (x0 + 2 x_n1 + sqrt(x0^2 + 4 x_n1 x0))."""
+    2 x_n1 (1 - x0) / (x0 + 2 x_n1 + sqrt(x0^2 + 4 x_n1 x0)), which is 0
+    on a state with no entangled party."""
+    if state.max_component() <= 0.0:
+        return 0.0
     return _phase1_round(state.components)[3]
 
 
@@ -287,8 +291,9 @@ class PhaseThreeSolver:
 
     Values depend only on the induced subgraph, and the recursion reads
     labels only through their order: the walks work on label positions,
-    and the peel-off and :func:`_select` ties go to the lowest one.  So the memo is keyed by the subgraph's shape (:func:`_shape`),
-    and every relabelled copy of one shape is solved once.  Each memo entry
+    and the peel-off and :func:`_select` ties go to the lowest one.  So
+    the memo is keyed by the subgraph's shape (:func:`_shape`), and every
+    relabelled copy of one shape is solved once.  Each memo entry
     holds the report and its children, the subsets whose values it reads,
     as index tuples.  The subsets :meth:`p3` was asked for, with their
     reports named for their labels, form the labelled index; :meth:`audit`
@@ -427,15 +432,14 @@ class PhaseThreeSolver:
         labelled index and, below each entry, the children of its shape,
         relabelled.  Each subset is listed once, children first.
 
-        A shape met a third time is expanded only through its cover: the
-        children that are not a child of a child one party smaller.
-        Expanding those meets every child, and on a dense graph they are
-        few, where expanding all children would revisit about 3^n / 2
-        subsets.  A shape met once or twice is expanded through all of its
-        children, which on a sparse graph costs less than building the
-        cover."""
+        A shape met again is expanded only through its cover: the children
+        that are not a child of a child one party smaller.  Expanding those
+        meets every child, and on a dense graph they are few, where
+        expanding all children would revisit about 3^n / 2 subsets.  A
+        shape met once is expanded through all of its children, as on a
+        sparse graph the cover costs more to build than it saves there."""
         met: dict = {}
-        times_met: dict = {}  # shape -> expansions so far
+        shapes_met: set = set()
         covers: dict = {}     # shape -> its cover
         below: dict = {}      # (shape, child) -> the child's shape
 
@@ -458,11 +462,11 @@ class PhaseThreeSolver:
 
         def expand(labels, edges, shape, seen):
             report, children = self._memo[shape]
-            times_met[shape] = times_met.get(shape, 0) + 1
-            if times_met[shape] > 2:
+            if shape in shapes_met:
                 if shape not in covers:
                     covers[shape] = cover(shape)
                 children = covers[shape]
+            shapes_met.add(shape)
             for child in children:
                 sub = tuple(map(labels.__getitem__, child))
                 if sub not in seen:

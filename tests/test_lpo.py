@@ -83,6 +83,13 @@ def test_phase1_requires_positive_x0():
         phase1_measurement(standard_w("ABC"))
 
 
+def test_phase1_with_no_entangled_party():
+    s = WState([0.0, 0.0])
+    assert phase1_success_probability(s) == 0.0
+    with pytest.raises(PreconditionError):
+        phase1_measurement(s)
+
+
 def test_phase1_distribution_identity_on_x0_zero():
     g = graph_catalog("triangle")
     s = standard_w(g.labels)
