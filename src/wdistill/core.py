@@ -135,9 +135,9 @@ class WState:
         return cls(data["components"], data.get("labels"))
 
 
-# Subgraph helpers.  The subset recursions pass a subgraph as ``(labels,
-# edges)``; the walks pass one as a mask of live positions over the labels
-# they started from, with the neighbour masks of ``_adjacency``.
+# Subgraph helpers.  Inside the engine a subgraph is the neighbour masks of
+# ``_adjacency``, or a mask of live positions over them; ``(labels, edges)``
+# from ``_restrict_edges`` is its form where labels enter or leave.
 
 
 def _restrict_edges(edges, labels) -> frozenset:
@@ -229,7 +229,10 @@ class ConfigGraph:
         if unknown:
             raise InvalidPartyError(f"unknown nodes {sorted(unknown)}")
         labels = tuple(l for l in self.labels if l in keep_set)
-        return ConfigGraph(labels, _restrict_edges(self.edges, labels))
+        sub = object.__new__(ConfigGraph)  # a subgraph of a valid graph needs no checks
+        object.__setattr__(sub, "labels", labels)
+        object.__setattr__(sub, "edges", _restrict_edges(self.edges, labels))
+        return sub
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "edges": sorted(list(e) for e in self.edges)}

@@ -4,13 +4,17 @@ Three phases: remove the x0 weight, symmetrize with the equal-or-vanish
 subroutine, then peel parties off in order of graph connectivity.  The
 recursion over party subsets reduces the whole protocol to a family of
 one-dimensional maximizations over the peel-off parameter alpha, one per
-subgraph shape (relabelled copies of one shape share it), each of which
-is solved exactly: one walk of the peel-off node reads the cycle
-success function off as an exact sum of monomials c a^e (1 - a)^v, its
-shared (1 - alpha) factor is divided out term by term, and the maximum is
-taken over alpha = 0, alpha = 1 and the real critical points between.
+subgraph shape, each of which is solved exactly: one walk of the
+peel-off node reads the cycle success function off as an exact sum of
+monomials c a^e (1 - a)^v, its shared (1 - alpha) factor is divided out
+term by term, and the maximum is taken over alpha = 0, alpha = 1 and the
+real critical points between.
 The power coefficients reported as ``f_polynomial`` are expanded from
 the monomials.
+
+A shape is the :func:`~wdistill.core._adjacency` neighbour masks of the
+subgraph's labels in order.  The walks, the subset recursion and the
+baseline :func:`p_fl` all recurse on masks, never on labels.
 """
 
 from __future__ import annotations
@@ -138,9 +142,10 @@ def _peel_step(adj, live, alpha: float):
     return k, children
 
 
-def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
+def _peel_walk(adj) -> list[tuple[int, int, int]]:
     """Every path from the peel-off node to a standard W state on T, as
-    ``(T, e, v)``: the path has probability |T|/n a^e (1 - a)^v.
+    ``(T, e, v)`` with T a mask of live positions: the path has
+    probability |T|/n a^e (1 - a)^v.
 
     Outcome 2 reaches S minus k at (0, 1).  After outcome 1 every
     equal-or-vanish ratio is exactly alpha, so each party's unnormalized
@@ -151,12 +156,10 @@ def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
     as 2^-(e - e_min), so no alpha is needed; a removed party's exponent
     is infinite, which codes it as exactly 0.
     """
-    n = len(labels)
-    adj = _adjacency(labels, edges)
-    members = _Members(labels)
+    n = len(adj)
     full = (1 << n) - 1
     k = _peel_party(adj, full)
-    out = [(members[full & ~(1 << k)], 0, 1)]
+    out = [(full & ~(1 << k), 0, 1)]
 
     def walk(exps, live, v):
         if live.bit_count() < 2:
@@ -164,7 +167,7 @@ def _peel_walk(labels, edges) -> list[tuple[tuple[str, ...], int, int]]:
         low = min(exps)
         tag, j = _select(tuple(0.5 ** (e - low) for e in exps), adj, live)
         if tag == "terminal":
-            out.append((members[live], low, v))
+            out.append((live, low, v))
         if tag in ("terminal", "fail2"):
             return
         drop = (exps[:j] + (math.inf,) + exps[j + 1:], live & ~(1 << j))
@@ -203,10 +206,7 @@ def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistributio
             visit(sub, sublive, pathp * p)
 
     visit(state.components, (1 << len(labels)) - 1, 1.0)
-    items = sorted(
-        ((t, p) for t, p in entries.items()),
-        key=lambda tp: (isinstance(tp[0], Failure), -tp[1]),
-    )
+    items = sorted(entries.items(), key=lambda tp: (isinstance(tp[0], Failure), -tp[1]))
     return OutcomeDistribution(items)
 
 
@@ -278,33 +278,37 @@ def _subgraph_key(labels, edges) -> str:
     return f"{'|'.join(labels)}[{es}]"
 
 
-def _shape(labels, edges) -> tuple[int, frozenset[tuple[int, int]]]:
-    """The subgraph up to relabelling in label order: ``(n, index pairs)``,
-    each edge as its positions i < j in ``labels``."""
-    index = {l: i for i, l in enumerate(labels)}
-    pairs = ((index[a], index[b]) for a, b in edges)
-    return len(labels), frozenset((i, j) if i < j else (j, i) for i, j in pairs)
+def _induced(adj, child) -> tuple[int, ...]:
+    """The neighbour masks of the subgraph on the ascending positions
+    ``child`` of ``adj``, renumbered in that order."""
+    gone = sorted(set(range(len(adj))).difference(child), reverse=True)
+    out = []
+    for m in map(adj.__getitem__, child):
+        for r in gone:  # squeeze out bit r, the highest first
+            m = m & ((1 << r) - 1) | m >> (r + 1) << r
+        out.append(m)
+    return tuple(out)
 
 
 class PhaseThreeSolver:
     """Memoized recursion over party subsets.
 
-    Values depend only on the induced subgraph, and the recursion reads
-    labels only through their order: the walks work on label positions,
-    and the peel-off and :func:`_select` ties go to the lowest one.  So
-    the memo is keyed by the subgraph's shape (:func:`_shape`), and every
-    relabelled copy of one shape is solved once.  Each memo entry
-    holds the report and its children, the subsets whose values it reads,
-    as index tuples.  The subsets :meth:`p3` was asked for, with their
-    reports named for their labels, form the labelled index; :meth:`audit`
-    expands it through the children into every labelled subset the
-    recursion has met, which :meth:`reports` lists.  Build the tables
-    exclusively, then share them read-only; all other operations here are
-    pure.
+    Inside the recursion a subgraph is its neighbour masks, which fix it
+    up to relabelling, and values depend on nothing else: the walks work
+    on positions, and the peel-off and :func:`_select` ties go to the
+    lowest one.  So the memo is keyed by the masks, and every relabelled
+    copy of one shape is solved once.  Each entry holds the report, which
+    names no labels, and its children, the subsets whose values it reads,
+    as ascending position tuples (:func:`_induced` gives their masks).
+    Labels enter only at :meth:`p3`, which names the report for them and
+    files it in the labelled index; :meth:`audit` expands that index
+    through the children into every labelled subset the recursion has
+    met, which :meth:`reports` lists.  Build the tables exclusively, then
+    share them read-only; all other operations here are pure.
     """
 
     def __init__(self):
-        self._memo: dict = {}       # shape -> (report, children)
+        self._memo: dict = {}       # masks -> (report, children)
         self._labelled: dict = {}   # (labels, edges) -> report
 
     # -- recursion -----------------------------------------------------
@@ -315,53 +319,51 @@ class PhaseThreeSolver:
         labels = tuple(labels)
         edges = _restrict_edges(frozenset(edges), labels)
         report = self._labelled.get((labels, edges))
-        if report is not None:
-            return report
-        shape = _shape(labels, edges)
-        solved = self._memo.get(shape)
-        if solved is None:
-            solved = self._memo[shape] = self._solve(labels, edges)
-            report = solved[0]
-        else:
-            report = replace(solved[0], subgraph_key=_subgraph_key(labels, edges))
-        self._labelled[(labels, edges)] = report
+        if report is None:
+            solved = self._solve(_adjacency(labels, edges))[0]
+            report = replace(solved, subgraph_key=_subgraph_key(labels, edges))
+            self._labelled[(labels, edges)] = report
         return report
 
-    def _solve(self, labels, edges) -> tuple[OptimizationReport, tuple[tuple[int, ...], ...]]:
-        """The report of a shape not in the memo, and its children."""
-        name = _subgraph_key(labels, edges)
-        n = len(labels)
-        if n < 2 or not edges:
-            return OptimizationReport(0.0, 0.0, False, ((0.0, 0, 0),), name, False, max(1, n - 1)), ()
-        if n == 2:
-            return OptimizationReport(1.0, 0.0, False, ((1.0, 0, 0),), name, False, 1), ()
-        terms, children = self._cycle_terms(labels, edges)
-        return self._optimize(labels, edges, name, terms), children
+    def _solve(self, adj) -> tuple[OptimizationReport, tuple[tuple[int, ...], ...]]:
+        """The memo entry of the subgraph ``adj``: its report and its
+        children, solved on a miss."""
+        if adj not in self._memo:
+            n = len(adj)
+            if n > 2 and any(adj):
+                terms, children = self._cycle_terms(adj)
+                self._memo[adj] = self._optimize(adj, terms), children
+            else:  # no peel-off: two joined parties succeed, anything else fails
+                c = 1.0 if any(adj) else 0.0
+                report = OptimizationReport(c, 0.0, False, ((c, 0, 0),), "", False, max(1, n - 1))
+                self._memo[adj] = report, ()
+        return self._memo[adj]
 
-    def _cycle_terms(self, labels, edges) -> tuple[list[tuple[float, int, int]], tuple[tuple[int, ...], ...]]:
+    def _cycle_terms(self, adj) -> tuple[list[tuple[float, int, int]], tuple[tuple[int, ...], ...]]:
         """The cycle function f as monomials ``(c, e, v)``, one per (e, v):
         each path of :func:`_peel_walk` to a subset T other than S adds
         |T|/n p3(T) at its (e, v).  Also returns each such T once, as
-        positions in ``labels``, in walk order."""
-        n = len(labels)
-        index = {l: i for i, l in enumerate(labels)}
+        ascending positions, in walk order."""
+        n = len(adj)
+        weight: dict[int, float] = {}                  # T -> |T| p3(T)
+        children: dict[int, tuple[int, ...]] = {}      # T -> its positions
         parts: dict[tuple[int, int], list[float]] = {}
-        children: dict[tuple[int, ...], None] = {}
-        for term, e, v in _peel_walk(labels, edges):
-            if len(term) < n:
-                parts.setdefault((e, v), []).append(len(term) * self.p3(term, edges).value)
-                children[tuple(index[l] for l in term)] = None
+        for live, e, v in _peel_walk(adj):
+            if live.bit_count() < n:
+                if live not in weight:
+                    child = children[live] = tuple(i for i in range(n) if live >> i & 1)
+                    weight[live] = len(child) * self._solve(_induced(adj, child))[0].value
+                parts.setdefault((e, v), []).append(weight[live])
         terms = [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
-        return terms, tuple(children)
+        return terms, tuple(children.values())
 
-    def _optimize(self, labels, edges, name, terms) -> OptimizationReport:
-        n = len(labels)
-        m = n - 1
-        has_loop = all(_adjacency(labels, edges))  # an isolated party never loops
+    def _optimize(self, adj, terms) -> OptimizationReport:
+        m = len(adj) - 1
+        has_loop = all(adj)  # an isolated party never loops
         for c, e, v in terms:
             if e + v > m or (has_loop and v < 1):
                 raise InternalConsistencyError(
-                    f"cycle function on {name} has the term a^{e} (1 - a)^{v}"
+                    f"cycle function on the subgraph {adj} has the term a^{e} (1 - a)^{v}"
                 )
         if has_loop:
             # d/da (q / s) has the numerator q's - qs', q = f / (1 - a),
@@ -390,9 +392,7 @@ class PhaseThreeSolver:
             x_star, v_star = 1.0, v_end
             attained_at_limit = True
         value = min(1.0, max(0.0, float(v_star)))
-        return OptimizationReport(
-            value, x_star, attained_at_limit, tuple(terms), name, has_loop, m
-        )
+        return OptimizationReport(value, x_star, attained_at_limit, tuple(terms), "", has_loop, m)
 
     def p3_diagnostic(self, labels, edges) -> dict[str, float]:
         """Value obtained for every minimal-degree choice of the peel-off
@@ -421,9 +421,8 @@ class PhaseThreeSolver:
         edges = frozenset(graph.edges)
         total = 0.0
         for term, lam in enumerate_ev(state.components, state.labels, edges).items():
-            if term is FAILURE:
-                continue
-            total += lam * self.p3(term, edges).value
+            if term is not FAILURE:
+                total += lam * self.p3(term, edges).value
         return total
 
     def audit(self) -> dict:
@@ -440,40 +439,31 @@ class PhaseThreeSolver:
         sparse graph the cover costs more to build than it saves there."""
         met: dict = {}
         shapes_met: set = set()
-        covers: dict = {}     # shape -> its cover
-        below: dict = {}      # (shape, child) -> the child's shape
+        covers: dict = {}     # masks -> their cover
 
-        def child_shape(shape, child):
-            key = (shape, child)
-            if key not in below:
-                at = {i: j for j, i in enumerate(child)}
-                pairs = ((at[a], at[b]) for a, b in shape[1] if a in at and b in at)
-                below[key] = (len(child), frozenset(pairs))
-            return below[key]
-
-        def cover(shape):
-            children = self._memo[shape][1]
+        def cover(adj):
+            children = self._memo[adj][1]
             reached = {
                 tuple(map(child.__getitem__, grand))
-                for child in children if len(child) == shape[0] - 1
-                for grand in self._memo[child_shape(shape, child)][1]
+                for child in children if len(child) == len(adj) - 1
+                for grand in self._memo[_induced(adj, child)][1]
             }
             return [child for child in children if child not in reached]
 
-        def expand(labels, edges, shape, seen):
-            report, children = self._memo[shape]
-            if shape in shapes_met:
-                if shape not in covers:
-                    covers[shape] = cover(shape)
-                children = covers[shape]
-            shapes_met.add(shape)
+        def expand(labels, edges, adj, seen):
+            report, children = self._memo[adj]
+            if adj in shapes_met:
+                if adj not in covers:
+                    covers[adj] = cover(adj)
+                children = covers[adj]
+            shapes_met.add(adj)
             for child in children:
                 sub = tuple(map(labels.__getitem__, child))
                 if sub not in seen:
                     seen.add(sub)
                     sub_edges = _restrict_edges(edges, sub)
                     if (sub, sub_edges) not in met:
-                        expand(sub, sub_edges, child_shape(shape, child), seen)
+                        expand(sub, sub_edges, _induced(adj, child), seen)
             named = self._labelled.get((labels, edges))
             if named is None:
                 named = replace(report, subgraph_key=_subgraph_key(labels, edges))
@@ -482,7 +472,7 @@ class PhaseThreeSolver:
         # largest first, so that most smaller entries are met below one
         for labels, edges in sorted(self._labelled, key=lambda key: -len(key[0])):
             if (labels, edges) not in met:
-                expand(labels, edges, _shape(labels, edges), set())
+                expand(labels, edges, _adjacency(labels, edges), set())
         return met
 
     def reports(self) -> list[OptimizationReport]:
@@ -531,33 +521,37 @@ def p_fl(graph: ConfigGraph) -> float:
 
     Complete induced subgraphs succeed outright, three-party non-complete
     subgraphs with an edge reach 2/3, and everything larger averages over
-    single-party removals.
+    single-party removals.  A subset is a mask of live positions over the
+    neighbour masks of the whole graph, and each one is valued once.
     """
     if graph.n < 2:
         raise PreconditionError("need at least two nodes")
-    memo: dict = {}
+    adj = _adjacency(graph.labels, graph.edges)
+    memo: dict[int, float] = {}
 
-    def value(labels: tuple[str, ...], edges) -> float:
-        """The value on ``labels``, whose edges are among ``edges``."""
-        hit = memo.get(labels)
+    def value(live: int) -> float:
+        """The value on the parties at the positions set in ``live``."""
+        hit = memo.get(live)
         if hit is not None:
             return hit
-        edges = _restrict_edges(edges, labels)
-        n = len(labels)
+        n = live.bit_count()
+        positions = [i for i in range(len(adj)) if live >> i & 1]
+        ends = sum((adj[i] & live).bit_count() for i in positions)  # twice the edges
         if n == 2:
-            out = 1.0 if edges else 0.0
-        elif len(edges) == n * (n - 1) // 2:
+            out = 1.0 if ends else 0.0
+        elif ends == n * (n - 1):
             out = 1.0
         elif n == 3:
-            out = 2.0 / 3.0 if edges else 0.0
-        elif not edges:
+            out = 2.0 / 3.0 if ends else 0.0
+        elif not ends:
             out = 0.0
         else:
-            out = sum(value(labels[:i] + labels[i + 1:], edges) for i in range(n)) / n
-        memo[labels] = out
+            # drop each party in turn, the lowest position first
+            out = sum(value(live & ~(1 << i)) for i in positions) / n
+        memo[live] = out
         return out
 
-    return value(graph.labels, graph.edges)
+    return value((1 << graph.n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,8 @@ def test_branch_polynomial_structure():
     cycle5 = ConfigGraph("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E")])
     for g in (graph_catalog("VI"), cycle5):
         labels, edges, n = tuple(g.labels), frozenset(g.edges), g.n
-        paths = _peel_walk(labels, edges)
+        members = _Members(labels)
+        paths = [(members[live], e, v) for live, e, v in _peel_walk(_adjacency(labels, edges))]
         for alpha in (0.0, 0.11, 0.37, 0.5, 0.83, 0.97):
             walked = {}
             for term, e, v in paths:
@@ -171,7 +172,7 @@ def test_branch_polynomial_structure():
             d = ev_distribution(WState(y, labels), g)
             sampled = {t.parties: p * p_alpha for t, p in d.items() if t is not FAILURE}
             for p, _, live in rest:
-                sub = _Members(labels)[live]
+                sub = members[live]
                 sampled[sub] = sampled.get(sub, 0.0) + p
             for term in walked.keys() | sampled.keys():
                 want = sampled.get(term, 0.0)

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from wdistill.core import _adjacency, _Members
 from wdistill.evroutine import enumerate_ev
 from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
+
+from test_walk_oracle import reference_peel_walk
 
 SQRT3 = math.sqrt(3.0)
 FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
@@ -314,16 +317,31 @@ def test_walked_cycle_function_equals_f_alpha():
 
 
 class LabelKeyedSolver(PhaseThreeSolver):
-    """Reference solver whose memo is keyed by labelled subset, so that no
-    relabelled copy of a shape reuses another's solve."""
+    """Reference solver that recurses on labelled subsets: its memo is
+    keyed by labels and edges, so that no relabelled copy of a shape
+    reuses another's solve, and each cycle function is read off the label
+    walk ``reference_peel_walk`` that the mask walk replaced."""
 
     def p3(self, labels, edges):
         labels = tuple(labels)
         edges = lpo_mod._restrict_edges(frozenset(edges), labels)
         key = (labels, edges)
         if key not in self._labelled:
-            self._labelled[key] = self._solve(labels, edges)[0]
+            self._labelled[key] = replace(
+                self._label_solve(labels, edges), subgraph_key=lpo_mod._subgraph_key(labels, edges)
+            )
         return self._labelled[key]
+
+    def _label_solve(self, labels, edges):
+        n = len(labels)
+        if n <= 2 or not edges:
+            return PhaseThreeSolver()._solve(_adjacency(labels, edges))[0]
+        parts = {}
+        for term, e, v in reference_peel_walk(labels, edges):
+            if len(term) < n:
+                parts.setdefault((e, v), []).append(len(term) * self.p3(term, edges).value)
+        terms = [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
+        return self._optimize(_adjacency(labels, edges), terms)
 
     def reports(self):
         return sorted(self._labelled.values(), key=lambda r: (-len(r.subgraph_key), r.subgraph_key))
@@ -510,10 +528,29 @@ def p_fl_reference(graph):
     return value(graph.labels)
 
 
+def shuffled_graphs(seed, count):
+    """Seeded random graphs on 3 to 9 parties with their labels in shuffled
+    order, each edge present with probability 0.45."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(3, 10))
+        labels = [str(i + 1) for i in range(n)] if rng.random() < 0.5 else list("PQRSTUVWX"[:n])
+        labels = [labels[i] for i in rng.permutation(n)]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+        graphs.append(ConfigGraph(labels, edges))
+    return graphs
+
+
 def test_p_fl_matches_the_graph_object_reference():
+    # the recursion drops positions in ascending order, which must be the
+    # reference's label order also where that differs from sorted order:
+    # on the reversed cycle and path, on "1".."10" and on shuffled labels
     graphs = [graph_catalog(name) for name in FIXED_PRESETS]
     graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(3, 11)]
     graphs += [graph_catalog("pairs", n) for n in range(4, 13, 2)]
+    graphs += equivalence_graphs()
+    graphs += shuffled_graphs(17, 40)
     for g in graphs:
         assert repr(p_fl(g)) == repr(p_fl_reference(g)), g
 

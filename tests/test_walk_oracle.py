@@ -6,7 +6,8 @@ are the earlier forms of :func:`wdistill.evroutine._select`,
 :func:`~wdistill.evroutine.enumerate_ev` and :func:`wdistill.lpo._peel_walk`:
 they pass a subset as its labels and its restricted edge set, and read
 degrees and neighbours off the edges at every node.  The engine's walks
-must return the same dicts and lists, key order included.
+must return the same dicts and lists, key order included, once the
+peel-off walk's live masks are read as labels.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -30,7 +31,7 @@ from wdistill import (
     graph_catalog,
     standard_w,
 )
-from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _restrict_edges
+from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _Members, _restrict_edges
 from wdistill.evroutine import enumerate_ev
 from wdistill.lpo import PhaseThreeSolver, _peel_walk
 from wdistill.mc import random_w_state
@@ -243,7 +244,9 @@ def test_peel_walk_matches_the_label_walk(name):
     solver.p_lpo(standard_w(g.labels), g)
     subsets = [(g.labels, g.edges), *(key for key in solver.audit() if len(key[0]) > 2)]
     for labels, edges in subsets:
-        assert _peel_walk(labels, edges) == reference_peel_walk(labels, edges), (name, labels)
+        members = _Members(labels)
+        walked = [(members[live], e, v) for live, e, v in _peel_walk(_adjacency(labels, edges))]
+        assert walked == reference_peel_walk(labels, edges), (name, labels)
 
 
 @pytest.fixture(scope="module")
