@@ -137,7 +137,7 @@ class WState:
 
 # Subgraph helpers.  Inside the engine a subgraph is the neighbour masks of
 # ``_adjacency``, or a mask of live positions over them; ``(labels, edges)``
-# from ``_restrict_edges`` is its form where labels enter or leave.
+# from ``_restrict_edges`` is the form of ``ConfigGraph.induced`` only.
 
 
 def _restrict_edges(edges, labels) -> frozenset:
@@ -161,17 +161,9 @@ def _adjacency(labels, edges) -> tuple[int, ...]:
     return tuple(adj)
 
 
-class _Members(dict):
-    """``members[live]`` is the labels at the positions set in the mask
-    ``live``, in label order, each computed once."""
-
-    def __init__(self, labels):
-        super().__init__()
-        self.labels = tuple(labels)
-
-    def __missing__(self, live: int) -> tuple[str, ...]:
-        names = self[live] = tuple([l for i, l in enumerate(self.labels) if live >> i & 1])
-        return names
+def _members(labels, live: int) -> tuple[str, ...]:
+    """The labels at the positions set in the mask ``live``, in order."""
+    return tuple([l for i, l in enumerate(labels) if live >> i & 1])
 
 
 @dataclass(frozen=True)

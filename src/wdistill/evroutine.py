@@ -10,11 +10,12 @@ exactly.  The rules here are also the equal-or-vanish steps of
 that builder's node table, stopped at standard W states
 (:func:`wdistill.lpo.ev_tree`).
 
-The walks run on position bitmasks.  A walk computes one neighbour mask
-per party position with :func:`~wdistill.core._adjacency` and carries the
+The walks run on position bitmasks.  A walk reads one neighbour mask per
+party position, from :func:`~wdistill.core._adjacency`, and carries the
 set of parties still in play as a live mask beside a component tuple
 indexed by position; :func:`_select` answers from mask tests and returns
-a position, and :func:`_step` takes that position.
+a position, and :func:`_step` takes that position.  :func:`enumerate_ev`
+keys its terminals by live mask, which :func:`ev_distribution` names.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     StandardW,
     WState,
     _adjacency,
-    _Members,
+    _members,
 )
 
 X0_TOL = 1e-12
@@ -127,20 +128,19 @@ def _step(comps, live, tag, k):
     return children, 0.0
 
 
-def enumerate_ev(comps, labels, edges) -> dict:
-    """Exhaustively walk the equal-or-vanish tree.
+def enumerate_ev(comps, adj, live) -> dict:
+    """Exhaustively walk the equal-or-vanish tree from the parties in the
+    mask ``live``, over the neighbour masks ``adj``.
 
-    Returns a map from terminal to probability; terminals are either an
-    ordered tuple of party labels (a standard W state on those parties) or
-    the FAILURE sentinel.  Raw-tuple variant of :func:`ev_distribution`;
-    its rules :func:`_select` and :func:`_step` are shared with the
-    protocol-tree builder, whose walk stopped at standard W states is
+    Returns a map from terminal to probability; terminals are either a
+    live mask (a standard W state on those positions) or the FAILURE
+    sentinel.  Raw-tuple variant of :func:`ev_distribution`, which names
+    the masks; its rules :func:`_select` and :func:`_step` are shared with
+    the protocol-tree builder, whose walk stopped at standard W states is
     :func:`wdistill.lpo.ev_tree`.
     """
-    adj = _adjacency(labels, edges)
-    members = _Members(labels)
     acc: dict = {}
-    depth_cap = 2 * len(labels)
+    depth_cap = 2 * live.bit_count()
 
     def visit(comps, live, pathp, depth):
         if depth > depth_cap:
@@ -153,8 +153,7 @@ def enumerate_ev(comps, labels, edges) -> dict:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
             return
         if tag == "terminal":
-            term = members[live]
-            acc[term] = acc.get(term, 0.0) + pathp
+            acc[live] = acc.get(live, 0.0) + pathp
             return
         children, fail = _step(comps, live, tag, k)
         for p, sub, sublive in children:
@@ -162,26 +161,21 @@ def enumerate_ev(comps, labels, edges) -> dict:
         if fail:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
-    visit(tuple(comps), (1 << len(labels)) - 1, 1.0, 0)
+    visit(tuple(comps), live, 1.0, 0)
     return acc
 
 
-def _check_support(terminals, comps, labels, edges):
-    """Every W terminal must contain each initially-maximal party or be
-    disconnected from it."""
-    adj = _adjacency(labels, edges)
-    index = {l: i for i, l in enumerate(labels)}
+def _check_support(terminals, comps, adj):
+    """Every W terminal mask must contain each initially-maximal position
+    or be disconnected from it."""
     xmax = max(comps)
     maximal = [i for i, c in enumerate(comps) if c >= xmax * (1.0 - MAX_EQUAL_RTOL)]
     for term in terminals:
         if term is FAILURE:
             continue
-        members = sum(1 << index[l] for l in term)
         for i in maximal:
-            if not members >> i & 1 and adj[i] & members:
-                raise InternalConsistencyError(
-                    f"terminal {term} is adjacent to the maximal party {labels[i]!r}"
-                )
+            if not term >> i & 1 and adj[i] & term:
+                raise InternalConsistencyError(f"terminal {term:b} is adjacent to the maximal position {i}")
 
 
 def _check_ev_input(state: WState, graph: ConfigGraph) -> None:
@@ -199,16 +193,12 @@ def ev_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
     single Failure entry collecting every dead end.
     """
     _check_ev_input(state, graph)
-    acc = enumerate_ev(state.components, state.labels, graph.edges)
-    _check_support(acc.keys(), state.components, state.labels, graph.edges)
-    entries = []
-    fail = 0.0
-    for term, p in acc.items():
-        if term is FAILURE:
-            fail += p
-        else:
-            entries.append((StandardW(term), p))
+    adj = _adjacency(state.labels, graph.edges)
+    acc = enumerate_ev(state.components, adj, (1 << state.n) - 1)
+    _check_support(acc.keys(), state.components, adj)
+    entries = [(StandardW(_members(state.labels, t)), p) for t, p in acc.items() if t is not FAILURE]
     entries.sort(key=lambda tp: (-len(tp[0].parties), tp[0].parties))
+    fail = acc.get(FAILURE, 0.0)
     if fail > 0.0:
         entries.append((FAILURE, fail))
     return OutcomeDistribution(entries)
@@ -239,14 +229,9 @@ def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:
     rules.
     """
     _check_ev_input(state, graph)
-
-    def by_party_set(comps, labels):
-        out: dict = {}
-        for term, p in enumerate_ev(comps, labels, graph.edges).items():
-            key = term if term is FAILURE else tuple(sorted(term))
-            out[key] = out.get(key, 0.0) + p
-        return out
-
-    base = by_party_set(state.components, state.labels)
-    rev = by_party_set(state.components[::-1], state.labels[::-1])
+    n, full = state.n, (1 << state.n) - 1
+    base = enumerate_ev(state.components, _adjacency(state.labels, graph.edges), full)
+    walked = enumerate_ev(state.components[::-1], _adjacency(state.labels[::-1], graph.edges), full)
+    # position i of the reversal is position n - 1 - i of the state
+    rev = {t if t is FAILURE else int(f"{t:0{n}b}"[::-1], 2): p for t, p in walked.items()}
     return max(abs(base.get(key, 0.0) - rev.get(key, 0.0)) for key in base.keys() | rev.keys())

@@ -14,7 +14,8 @@ the monomials.
 
 A shape is the :func:`~wdistill.core._adjacency` neighbour masks of the
 subgraph's labels in order.  The walks, the subset recursion and the
-baseline :func:`p_fl` all recurse on masks, never on labels.
+baseline :func:`p_fl` all recurse on masks, never on labels; labels
+enter only where a report or a state is handed out.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     FAILURE,
     ConfigGraph,
     Epr,
-    Failure,
     InternalConsistencyError,
     InvalidInputError,
     InvalidPartyError,
@@ -43,8 +43,7 @@ from .core import (
     WState,
     ZERO_COMPONENT,
     _adjacency,
-    _Members,
-    _restrict_edges,
+    _members,
     component_update,
 )
 from .evroutine import X0_TOL, _check_ev_input, _select, _step, enumerate_ev, ev_measurement
@@ -181,13 +180,10 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
     return out
 
 
-def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
-    """Iterate x0-removal until every branch lands on an x0 = 0 state or a
-    product state.  Residual terminals keep the pruned graph."""
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
-    labels = state.labels
-    members = _Members(labels)
+def _phase1_walk(comps, live) -> list:
+    """:func:`phase1_distribution` from the parties in ``live``, its
+    residuals as ``(comps, live)``, weights normalized and clamped as in
+    :class:`WState`."""
     entries: dict = {}
 
     def visit(comps, live, pathp):
@@ -197,17 +193,29 @@ def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistributio
             return
         if x0 <= X0_TOL:
             total = sum(comps)
-            sub = members[live]
-            st = WState(tuple(c / total for i, c in enumerate(comps) if live >> i & 1), sub)
-            key = Residual(st, graph.induced(sub))
+            key = (tuple(0.0 if c / total < ZERO_COMPONENT else c / total for c in comps), live)
             entries[key] = entries.get(key, 0.0) + pathp
             return
         for p, sub, sublive in _phase1_step(comps, live):
             visit(sub, sublive, pathp * p)
 
-    visit(state.components, (1 << len(labels)) - 1, 1.0)
-    items = sorted(entries.items(), key=lambda tp: (isinstance(tp[0], Failure), -tp[1]))
-    return OutcomeDistribution(items)
+    visit(tuple(comps), live, 1.0)
+    return sorted(entries.items(), key=lambda tp: (tp[0] is FAILURE, -tp[1]))
+
+
+def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
+    """Iterate x0-removal until every branch lands on an x0 = 0 state or a
+    product state.  Residual terminals keep the pruned graph."""
+    if set(state.labels) != set(graph.labels):
+        raise InvalidInputError("state parties and graph nodes differ")
+    out = []
+    for key, p in _phase1_walk(state.components, (1 << state.n) - 1):
+        if key is not FAILURE:
+            comps, live = key
+            sub = _members(state.labels, live)
+            key = Residual(WState([c for i, c in enumerate(comps) if live >> i & 1], sub), graph.induced(sub))
+        out.append((key, p))
+    return OutcomeDistribution(out)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +281,20 @@ def _objective_value(terms, has_loop: bool, m: int, alpha):
     return total / nppoly.polyval(a, np.ones(m))
 
 
-def _subgraph_key(labels, edges) -> str:
-    es = ",".join(f"{a}{b}" for a, b in sorted(edges))
-    return f"{'|'.join(labels)}[{es}]"
+def _subgraph_key(labels, adj) -> str:
+    """``labels`` and the edges the masks ``adj`` give them, as
+    ``A|B|C[AB,BC]``: each edge once, smaller label first, in label order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    es = [f"{labels[i]}{labels[j]}" for x, i in enumerate(order) for j in order[x + 1:] if adj[i] >> j & 1]
+    return f"{'|'.join(labels)}[{','.join(es)}]"
 
 
-def _induced(adj, child) -> tuple[int, ...]:
-    """The neighbour masks of the subgraph on the ascending positions
-    ``child`` of ``adj``, renumbered in that order."""
-    gone = sorted(set(range(len(adj))).difference(child), reverse=True)
+def _induced(adj, live) -> tuple[int, ...]:
+    """The neighbour masks of the subgraph on the positions set in
+    ``live``, renumbered in order."""
+    gone = [r for r in range(len(adj) - 1, -1, -1) if not live >> r & 1]
     out = []
-    for m in map(adj.__getitem__, child):
+    for m in (m for i, m in enumerate(adj) if live >> i & 1):
         for r in gone:  # squeeze out bit r, the highest first
             m = m & ((1 << r) - 1) | m >> (r + 1) << r
         out.append(m)
@@ -299,17 +310,19 @@ class PhaseThreeSolver:
     lowest one.  So the memo is keyed by the masks, and every relabelled
     copy of one shape is solved once.  Each entry holds the report, which
     names no labels, and its children, the subsets whose values it reads,
-    as ascending position tuples (:func:`_induced` gives their masks).
-    Labels enter only at :meth:`p3`, which names the report for them and
-    files it in the labelled index; :meth:`audit` expands that index
-    through the children into every labelled subset the recursion has
-    met, which :meth:`reports` lists.  Build the tables exclusively, then
-    share them read-only; all other operations here are pure.
+    each as its live mask over the entry's positions and its own masks.
+    The labelled index files the report of each subset asked for under its
+    root, the labels and masks a query started from, by its live mask.
+    Labels name a report only where it is handed out: in :meth:`p3`, and
+    in :meth:`audit`, which expands the index through the children into
+    every labelled subset met, the list :meth:`reports` sorts.  Build the
+    tables exclusively, then share them read-only; all other operations
+    here are pure.
     """
 
     def __init__(self):
         self._memo: dict = {}       # masks -> (report, children)
-        self._labelled: dict = {}   # (labels, edges) -> report
+        self._labelled: dict = {}   # (labels, masks) of a root -> {live mask: report}
 
     # -- recursion -----------------------------------------------------
 
@@ -317,15 +330,18 @@ class PhaseThreeSolver:
         """Best asymptotic success probability for a standard W state on
         ``labels`` against the induced subgraph."""
         labels = tuple(labels)
-        edges = _restrict_edges(frozenset(edges), labels)
-        report = self._labelled.get((labels, edges))
-        if report is None:
-            solved = self._solve(_adjacency(labels, edges))[0]
-            report = replace(solved, subgraph_key=_subgraph_key(labels, edges))
-            self._labelled[(labels, edges)] = report
-        return report
+        adj = _adjacency(labels, edges)
+        report = self._report(labels, adj, (1 << len(labels)) - 1)
+        return replace(report, subgraph_key=_subgraph_key(labels, adj))
 
-    def _solve(self, adj) -> tuple[OptimizationReport, tuple[tuple[int, ...], ...]]:
+    def _report(self, labels, adj, live) -> OptimizationReport:
+        """The report of the subset ``live`` of the root (labels, adj)."""
+        index = self._labelled.setdefault((labels, adj), {})
+        if live not in index:
+            index[live] = self._solve(_induced(adj, live))[0]
+        return index[live]
+
+    def _solve(self, adj) -> tuple[OptimizationReport, tuple[tuple[int, tuple[int, ...]], ...]]:
         """The memo entry of the subgraph ``adj``: its report and its
         children, solved on a miss."""
         if adj not in self._memo:
@@ -339,23 +355,23 @@ class PhaseThreeSolver:
                 self._memo[adj] = report, ()
         return self._memo[adj]
 
-    def _cycle_terms(self, adj) -> tuple[list[tuple[float, int, int]], tuple[tuple[int, ...], ...]]:
+    def _cycle_terms(self, adj) -> tuple[list[tuple[float, int, int]], tuple]:
         """The cycle function f as monomials ``(c, e, v)``, one per (e, v):
         each path of :func:`_peel_walk` to a subset T other than S adds
-        |T|/n p3(T) at its (e, v).  Also returns each such T once, as
-        ascending positions, in walk order."""
+        |T|/n p3(T) at its (e, v).  Also returns each such T once, as its
+        live mask and its :func:`_induced` masks, in walk order."""
         n = len(adj)
         weight: dict[int, float] = {}                  # T -> |T| p3(T)
-        children: dict[int, tuple[int, ...]] = {}      # T -> its positions
+        children: dict[int, tuple[int, ...]] = {}      # T -> its masks
         parts: dict[tuple[int, int], list[float]] = {}
         for live, e, v in _peel_walk(adj):
             if live.bit_count() < n:
                 if live not in weight:
-                    child = children[live] = tuple(i for i in range(n) if live >> i & 1)
-                    weight[live] = len(child) * self._solve(_induced(adj, child))[0].value
+                    sub = children[live] = _induced(adj, live)
+                    weight[live] = live.bit_count() * self._solve(sub)[0].value
                 parts.setdefault((e, v), []).append(weight[live])
         terms = [(math.fsum(cs) / n, e, v) for (e, v), cs in sorted(parts.items())]
-        return terms, tuple(children.values())
+        return terms, tuple(children.items())
 
     def _optimize(self, adj, terms) -> OptimizationReport:
         m = len(adj) - 1
@@ -398,38 +414,43 @@ class PhaseThreeSolver:
         """Value obtained for every minimal-degree choice of the peel-off
         party, bypassing the lowest-index tie-break."""
         labels = tuple(labels)
-        edges = _restrict_edges(frozenset(edges), labels)
         deg = [nbrs.bit_count() for nbrs in _adjacency(labels, edges)]
-        out = {}
-        for k in (l for l, d in zip(labels, deg) if d == min(deg)):
-            reordered = (k,) + tuple(l for l in labels if l != k)
-            out[k] = PhaseThreeSolver().p3(reordered, edges).value
-        return out
+        return {
+            k: PhaseThreeSolver().p3((k,) + tuple(l for l in labels if l != k), edges).value
+            for k, d in zip(labels, deg) if d == min(deg)
+        }
 
     # -- whole-protocol values ------------------------------------------
 
     def p_lpo(self, state: WState, graph: ConfigGraph) -> float:
-        """Overall success probability of the protocol on (state, graph)."""
+        """Overall success probability of the protocol on (state, graph):
+        one recursion on a branch's weights and live mask, through phase I
+        and the equal-or-vanish walk to the standard W terminals."""
         if set(state.labels) != set(graph.labels):
             raise InvalidInputError("state parties and graph nodes differ")
-        if state.x0 > X0_TOL:
+        labels = state.labels
+        adj = _adjacency(labels, graph.edges)
+
+        def value(comps, live) -> float:
             total = 0.0
-            for term, p in phase1_distribution(state, graph).items():
-                if isinstance(term, Residual):
-                    total += p * self.p_lpo(term.state, term.graph)
+            if 1.0 - sum(comps) > X0_TOL:
+                for key, p in _phase1_walk(comps, live):
+                    if key is not FAILURE:
+                        total += p * value(*key)
+                return total
+            for term, lam in enumerate_ev(comps, adj, live).items():
+                if term is not FAILURE:
+                    total += lam * self._report(labels, adj, term).value
             return total
-        edges = frozenset(graph.edges)
-        total = 0.0
-        for term, lam in enumerate_ev(state.components, state.labels, edges).items():
-            if term is not FAILURE:
-                total += lam * self.p3(term, edges).value
-        return total
+
+        return value(state.components, (1 << len(labels)) - 1)
 
     def audit(self) -> dict:
         """Every labelled subset the recursion has met, as a new dict from
-        ``(labels, edges)`` to the report named for those labels: the
-        labelled index and, below each entry, the children of its shape,
-        relabelled.  Each subset is listed once, children first.
+        ``(labels, masks)`` to the report named for those labels: each
+        subset of the labelled index, the duplicates across roots removed,
+        and below it the children of its shape, relabelled.  Each subset is
+        listed once, children first.
 
         A shape met again is expanded only through its cover: the children
         that are not a child of a child one party smaller.  Expanding those
@@ -443,36 +464,37 @@ class PhaseThreeSolver:
 
         def cover(adj):
             children = self._memo[adj][1]
-            reached = {
-                tuple(map(child.__getitem__, grand))
-                for child in children if len(child) == len(adj) - 1
-                for grand in self._memo[_induced(adj, child)][1]
+            reached = {  # each grandchild g, the child's one gone bit r put back
+                g & ((1 << r) - 1) | g >> r << (r + 1)
+                for child, sub_adj in children if child.bit_count() == len(adj) - 1
+                for r in [(child ^ ((1 << len(adj)) - 1)).bit_length() - 1]
+                for g, _ in self._memo[sub_adj][1]
             }
-            return [child for child in children if child not in reached]
+            return [entry for entry in children if entry[0] not in reached]
 
-        def expand(labels, edges, adj, seen):
+        def expand(labels, adj, seen):
             report, children = self._memo[adj]
             if adj in shapes_met:
                 if adj not in covers:
                     covers[adj] = cover(adj)
                 children = covers[adj]
             shapes_met.add(adj)
-            for child in children:
-                sub = tuple(map(labels.__getitem__, child))
+            for child, sub_adj in children:
+                sub = _members(labels, child)
                 if sub not in seen:
                     seen.add(sub)
-                    sub_edges = _restrict_edges(edges, sub)
-                    if (sub, sub_edges) not in met:
-                        expand(sub, sub_edges, _induced(adj, child), seen)
-            named = self._labelled.get((labels, edges))
-            if named is None:
-                named = replace(report, subgraph_key=_subgraph_key(labels, edges))
-            met[(labels, edges)] = named
+                    if (sub, sub_adj) not in met:
+                        expand(sub, sub_adj, seen)
+            met[(labels, adj)] = replace(report, subgraph_key=_subgraph_key(labels, adj))
 
+        asked = dict.fromkeys(
+            (_members(labels, live), _induced(adj, live))
+            for (labels, adj), index in self._labelled.items() for live in index
+        )
         # largest first, so that most smaller entries are met below one
-        for labels, edges in sorted(self._labelled, key=lambda key: -len(key[0])):
-            if (labels, edges) not in met:
-                expand(labels, edges, _adjacency(labels, edges), set())
+        for labels, adj in sorted(asked, key=lambda key: -len(key[0])):
+            if (labels, adj) not in met:
+                expand(labels, adj, set())
         return met
 
     def reports(self) -> list[OptimizationReport]:
@@ -760,7 +782,8 @@ def build_protocol_tree(
     the unbounded loop would still collect.  Limit-attained optimizations
     use alpha = 1 - epsilon.  Phase-1, isolate and equal-or-vanish children
     come from the same branch rules as :func:`phase1_distribution` and
-    :func:`~wdistill.evroutine.enumerate_ev`.
+    :func:`~wdistill.evroutine.enumerate_ev`; each peel-off reads its
+    report by live mask, as :meth:`PhaseThreeSolver.p_lpo` does.
 
     Each distinct subtree is built once and shared wherever it recurs: it
     depends only on its state and on its cycle, the number of peel-offs
@@ -797,9 +820,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
     labels = state.labels
-    edges = frozenset(graph.edges)
-    adj = _adjacency(labels, edges)
-    members = _Members(labels)
+    adj = _adjacency(labels, graph.edges)
     shared: dict = {}  # (comps, cycle) -> subtree
 
     def build(comps, live: int, cycle: int):
@@ -827,7 +848,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     def decide(comps, live: int, cycle: int):
         """The subtree for a state with no equal subtree built yet."""
         x0 = max(0.0, 1.0 - sum(comps))
-        names = members[live]
+        names = _members(labels, live)
         st = WState(tuple(c for i, c in enumerate(comps) if live >> i & 1), names)
         if x0 > X0_TOL:
             steps = _phase1_step(comps, live)
@@ -841,7 +862,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
                 return StandardW(names)
             if len(names) == 2:
                 return Epr(names)
-            report = solver.p3(names, edges)
+            report = solver._report(labels, adj, live)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
             if cycle >= loop_cap:
                 return TruncationLeaf(st, report.objective(alpha))

@@ -18,7 +18,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.core import _adjacency, _Members
+from wdistill.core import _adjacency, _members
 from wdistill.evroutine import _select, ev_order_sensitivity
 from wdistill.lpo import _peel_step, _peel_walk
 from wdistill.mc import random_w_state
@@ -162,8 +162,7 @@ def test_branch_polynomial_structure():
     cycle5 = ConfigGraph("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E")])
     for g in (graph_catalog("VI"), cycle5):
         labels, edges, n = tuple(g.labels), frozenset(g.edges), g.n
-        members = _Members(labels)
-        paths = [(members[live], e, v) for live, e, v in _peel_walk(_adjacency(labels, edges))]
+        paths = [(_members(labels, live), e, v) for live, e, v in _peel_walk(_adjacency(labels, edges))]
         for alpha in (0.0, 0.11, 0.37, 0.5, 0.83, 0.97):
             walked = {}
             for term, e, v in paths:
@@ -172,7 +171,7 @@ def test_branch_polynomial_structure():
             d = ev_distribution(WState(y, labels), g)
             sampled = {t.parties: p * p_alpha for t, p in d.items() if t is not FAILURE}
             for p, _, live in rest:
-                sub = members[live]
+                sub = _members(labels, live)
                 sampled[sub] = sampled.get(sub, 0.0) + p
             for term in walked.keys() | sampled.keys():
                 want = sampled.get(term, 0.0)

@@ -36,8 +36,8 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill.core import _adjacency, _Members
-from wdistill.evroutine import enumerate_ev
+from wdistill.core import _adjacency, _members, _restrict_edges
+from wdistill.evroutine import X0_TOL, enumerate_ev
 from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
 
@@ -131,13 +131,14 @@ def enumerated_f_alpha(solver, labels, edges, alpha):
     child run through the numeric equal-or-vanish enumeration, each subset
     reached other than ``labels`` weighted by its value."""
     labels = tuple(labels)
-    edges = lpo_mod._restrict_edges(frozenset(edges), labels)
+    edges = _restrict_edges(frozenset(edges), labels)
+    adj = _adjacency(labels, edges)
     full = (1 << len(labels)) - 1
-    _, ((p_alpha, y, _), *rest) = _peel_step(_adjacency(labels, edges), full, alpha)
-    total = sum(p * solver.p3(_Members(labels)[sub], edges).value for p, _, sub in rest)
-    for term, lam in enumerate_ev(y, labels, edges).items():
-        if term is not FAILURE and len(term) < len(labels):
-            total += p_alpha * lam * solver.p3(term, edges).value
+    _, ((p_alpha, y, _), *rest) = _peel_step(adj, full, alpha)
+    total = sum(p * solver.p3(_members(labels, sub), edges).value for p, _, sub in rest)
+    for term, lam in enumerate_ev(y, adj, full).items():
+        if term is not FAILURE and term != full:
+            total += p_alpha * lam * solver.p3(_members(labels, term), edges).value
     return total
 
 
@@ -306,30 +307,52 @@ def test_walked_cycle_function_equals_f_alpha():
     for g in graphs:
         solver = PhaseThreeSolver()
         solver.p_lpo(standard_w(g.labels), g)
-        for (labels, edges), rep in solver.audit().items():
-            if len(labels) < 3 or not edges:
+        for (labels, masks), rep in solver.audit().items():
+            if len(labels) < 3 or not any(masks):
                 continue
             for a in rng.uniform(0.0, 1.0, 3):
                 walked = f_alpha(labels, g, a, solver)
-                assert walked == pytest.approx(enumerated_f_alpha(solver, labels, edges, a), abs=1e-12)
+                assert walked == pytest.approx(enumerated_f_alpha(solver, labels, g.edges, a), abs=1e-12)
             checked += 1
     assert checked > 500
+
+
+def edge_key(labels, edges) -> str:
+    """A subset's name from its labels and its edge set, as the audit
+    trail names it."""
+    es = ",".join(f"{a}{b}" for a, b in sorted(edges))
+    return f"{'|'.join(labels)}[{es}]"
 
 
 class LabelKeyedSolver(PhaseThreeSolver):
     """Reference solver that recurses on labelled subsets: its memo is
     keyed by labels and edges, so that no relabelled copy of a shape
     reuses another's solve, and each cycle function is read off the label
-    walk ``reference_peel_walk`` that the mask walk replaced."""
+    walk ``reference_peel_walk`` that the mask walk replaced.  Its
+    ``p_lpo`` goes through the label objects: each phase-I ``Residual``
+    is valued as a state and graph of its own, and each equal-or-vanish
+    terminal, named, through ``p3``."""
+
+    def p_lpo(self, state, graph):
+        if state.x0 > X0_TOL:
+            total = 0.0
+            for term, p in phase1_distribution(state, graph).items():
+                if isinstance(term, Residual):
+                    total += p * self.p_lpo(term.state, term.graph)
+            return total
+        edges, full = frozenset(graph.edges), (1 << state.n) - 1
+        total = 0.0
+        for term, lam in enumerate_ev(state.components, _adjacency(state.labels, edges), full).items():
+            if term is not FAILURE:
+                total += lam * self.p3(_members(state.labels, term), edges).value
+        return total
 
     def p3(self, labels, edges):
         labels = tuple(labels)
-        edges = lpo_mod._restrict_edges(frozenset(edges), labels)
+        edges = _restrict_edges(frozenset(edges), labels)
         key = (labels, edges)
         if key not in self._labelled:
-            self._labelled[key] = replace(
-                self._label_solve(labels, edges), subgraph_key=lpo_mod._subgraph_key(labels, edges)
-            )
+            self._labelled[key] = replace(self._label_solve(labels, edges), subgraph_key=edge_key(labels, edges))
         return self._labelled[key]
 
     def _label_solve(self, labels, edges):
@@ -362,8 +385,19 @@ def equivalence_graphs():
 
 
 def equivalence_states(g, rng):
-    comps = rng.dirichlet(np.ones(g.n + 1))[: g.n]
-    return [standard_w(g.labels), WState(tuple(float(c) for c in comps), g.labels)]
+    """The standard W state and three x0 > 0 states: one on the graph's
+    label order, one on a random permutation of it, where positions and
+    tie-breaks follow the state's order, and one with a weight just above
+    ``ZERO_COMPONENT``, near the clamp of the phase-I residuals."""
+    comps = [tuple(float(c) for c in rng.dirichlet(np.ones(g.n + 1))[: g.n]) for _ in range(3)]
+    tiny = list(comps[2])
+    tiny[int(rng.integers(g.n))] = float(rng.uniform(1e-14, 3e-14))
+    return [
+        standard_w(g.labels),
+        WState(comps[0], g.labels),
+        WState(comps[1], tuple(str(l) for l in rng.permutation(g.labels))),
+        WState(tiny, g.labels),
+    ]
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "fresh"])

@@ -25,6 +25,7 @@ from wdistill import (
     statevector_oracle,
 )
 from wdistill import mc
+from wdistill.core import NULL_OUTCOME_PROB
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
 
@@ -391,28 +392,61 @@ def test_batched_fuzz_equals_the_object_path_on_ties_and_zeros(fid):
     assert np.abs(batched - scalar).max() <= 1e-12
 
 
+def dropped_b(update):
+    """``update`` with the b term dropped but the measurement kept complete
+    (c absorbs b^2), so that the probabilities still sum to one."""
+
+    def faulty(x, x0, parties, kraus):
+        a, b, c = kraus[..., 0], kraus[..., 1], kraus[..., 2]
+        return update(x, x0, parties, np.stack([a, 0.0 * b, c + b * b], axis=-1))
+
+    return faulty
+
+
 @pytest.mark.parametrize("fid", ["kt_0", "tau", "gamma"])
 def test_monotone_fuzz_detects_a_broken_batched_update(monkeypatch, fid):
-    # drop the b term but keep the measurement complete (c absorbs b^2),
-    # so the probabilities still sum to one and only the subsample shows
-    # the fault; kt_i cannot, as the unmeasured parties' averages stay put
-    real = mc._update_batch
-
-    def dropped_b(x, x0, parties, kraus):
-        a, b, c = kraus[..., 0], kraus[..., 1], kraus[..., 2]
-        return real(x, x0, parties, np.stack([a, 0.0 * b, c + b * b], axis=-1))
-
-    monkeypatch.setattr(mc, "_update_batch", dropped_b)
+    # only the subsample shows the dropped b term; kt_i cannot, as the
+    # unmeasured parties' averages stay put
+    monkeypatch.setattr(mc, "_update_batch", dropped_b(mc._update_batch))
     assert monotone_fuzz(fid, 50, 4, weak_radius=0.05, seed=3) > 1e-6
+
+
+def exact_average_excess(update) -> float:
+    """How far the averages of ``update`` over fuzz inputs miss their exact
+    values, beyond 1e-12 plus the mass of the null outcomes.
+
+    A complete measurement on party k with outcomes (a, b, c) has sum a = 1,
+    sum sqrt(a) b = 0 and sum (b^2 + c) = 1.  So on average every other
+    party keeps x_j, party k falls to x_k (1 - sum b^2) and x0 rises to
+    x0 + x_k sum b^2."""
+    weights, parties, kraus = mc._draw_fuzz_inputs(np.random.default_rng(8), 200, 8, 0.05)
+    x, x0 = mc._stored(weights)
+    p, post = update(x, x0, parties, kraus)
+    weight = np.where(p >= NULL_OUTCOME_PROB, p, 0.0)
+    got = (weight[..., None] * post).sum(axis=2)
+    got_x0 = (weight * (1.0 - post.sum(axis=-1))).sum(axis=2)
+    xk, b2 = np.take_along_axis(x, parties, axis=1), (kraus[..., 1] ** 2).sum(axis=-1)
+    want = np.repeat(x[:, None, :], parties.shape[1], axis=1)
+    np.put_along_axis(want, parties[..., None], (xk * (1.0 - b2))[..., None], axis=2)
+    miss = np.maximum(np.abs(got - want).max(axis=-1), np.abs(got_x0 - (x0[:, None] + xk * b2)))
+    return float((miss - 1e-12 - (p - weight).sum(axis=-1)).max())
+
+
+def test_batched_update_meets_the_exact_averages():
+    assert exact_average_excess(mc._update_batch) <= 0.0
+
+
+def test_exact_averages_catch_a_dropped_b_term():
+    assert exact_average_excess(dropped_b(mc._update_batch)) > 1e-6
 
 
 def test_batched_update_keeps_the_probability_sum_check(monkeypatch):
     real = mc._update_batch
 
-    def dropped_b(x, x0, parties, kraus):
+    def incomplete(x, x0, parties, kraus):
         return real(x, x0, parties, kraus * np.array([1.0, 0.0, 1.0]))
 
-    monkeypatch.setattr(mc, "_update_batch", dropped_b)
+    monkeypatch.setattr(mc, "_update_batch", incomplete)
     with pytest.raises(InvalidInputError, match="sum to"):
         monotone_fuzz("kt_i", 50, 4, weak_radius=0.05, seed=3)
 

@@ -6,8 +6,8 @@ are the earlier forms of :func:`wdistill.evroutine._select`,
 :func:`~wdistill.evroutine.enumerate_ev` and :func:`wdistill.lpo._peel_walk`:
 they pass a subset as its labels and its restricted edge set, and read
 degrees and neighbours off the edges at every node.  The engine's walks
-must return the same dicts and lists, key order included, once the
-peel-off walk's live masks are read as labels.
+must return the same dicts and lists, key order included, once their
+live masks are read as labels.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -31,7 +31,7 @@ from wdistill import (
     graph_catalog,
     standard_w,
 )
-from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _Members, _restrict_edges
+from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
 from wdistill.evroutine import enumerate_ev
 from wdistill.lpo import PhaseThreeSolver, _peel_walk
 from wdistill.mc import random_w_state
@@ -231,7 +231,8 @@ ORACLE_GRAPHS = oracle_graphs()
 def test_enumerate_ev_matches_the_label_walk(name):
     g = ORACLE_GRAPHS[name]
     for comps in ev_states(g, sum(map(ord, name))):
-        got = enumerate_ev(comps, g.labels, g.edges)
+        walked = enumerate_ev(comps, _adjacency(g.labels, g.edges), (1 << g.n) - 1)
+        got = {term if term is FAILURE else _members(g.labels, term): p for term, p in walked.items()}
         want = reference_enumerate_ev(comps, g.labels, g.edges)
         assert list(got.items()) == list(want.items()), (name, comps)
 
@@ -242,11 +243,10 @@ def test_peel_walk_matches_the_label_walk(name):
     # the whole graph and every subset its recursion solves
     solver = PhaseThreeSolver()
     solver.p_lpo(standard_w(g.labels), g)
-    subsets = [(g.labels, g.edges), *(key for key in solver.audit() if len(key[0]) > 2)]
-    for labels, edges in subsets:
-        members = _Members(labels)
-        walked = [(members[live], e, v) for live, e, v in _peel_walk(_adjacency(labels, edges))]
-        assert walked == reference_peel_walk(labels, edges), (name, labels)
+    subsets = [(g.labels, _adjacency(g.labels, g.edges)), *(key for key in solver.audit() if len(key[0]) > 2)]
+    for labels, masks in subsets:
+        walked = [(_members(labels, live), e, v) for live, e, v in _peel_walk(masks)]
+        assert walked == reference_peel_walk(labels, _restrict_edges(g.edges, labels)), (name, labels)
 
 
 @pytest.fixture(scope="module")
