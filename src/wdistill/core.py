@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -52,6 +53,15 @@ class GraphMatchError(DistillationError):
 
 class InternalConsistencyError(DistillationError):
     """A structural invariant that should be unbreakable was broken."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer;
+    anything else, a bool, a float and a numeric string included, raises
+    :class:`PreconditionError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def default_labels(n: int) -> tuple[str, ...]:

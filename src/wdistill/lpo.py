@@ -43,6 +43,7 @@ from .core import (
     WState,
     ZERO_COMPONENT,
     _adjacency,
+    _integer,
     _members,
     component_update,
 )
@@ -777,24 +778,30 @@ def build_protocol_tree(
 ) -> ProtocolTree:
     """Unroll the protocol into a finite tree.
 
-    Loops on a standard W subset run loop_cap times, at most MAX_LOOP_CAP;
-    the residual mass lands on a truncation leaf annotated with the value
-    the unbounded loop would still collect.  Limit-attained optimizations
-    use alpha = 1 - epsilon.  Phase-1, isolate and equal-or-vanish children
-    come from the same branch rules as :func:`phase1_distribution` and
+    Loops on a standard W subset run loop_cap times, an integer from 1 to
+    MAX_LOOP_CAP; the residual mass lands on a truncation leaf annotated
+    with the value the unbounded loop would still collect.  Limit-attained
+    optimizations use alpha = 1 - epsilon.  Phase-1, isolate and
+    equal-or-vanish children come from the same branch rules as
+    :func:`phase1_distribution` and
     :func:`~wdistill.evroutine.enumerate_ev`; each peel-off reads its
     report by live mask, as :meth:`PhaseThreeSolver.p_lpo` does.
 
     Each distinct subtree is built once and shared wherever it recurs: it
     depends only on its state and on its cycle, the number of peel-offs
     already made on its own labels (labels only shrink along a branch).
-    The first return to a standard W state builds its later cycles deepest
-    first, so the build's stack does not grow with loop_cap.
+    What a node measures and which states its children reach depend on
+    its state alone, so they are worked out once per state and reused in
+    every cycle; the work per state does not grow with loop_cap, only the
+    number of nodes does.  The first return to a standard W state builds
+    its later cycles deepest first, so the build's stack does not grow
+    with loop_cap.
     """
     if not (0.0 < epsilon < 0.5):
         raise PreconditionError("epsilon must lie in (0, 0.5)")
     if 1.0 - epsilon == 1.0:
         raise PreconditionError(f"epsilon {epsilon} is too small: 1 - epsilon rounds to 1")
+    loop_cap = _integer("loop_cap", loop_cap)
     if not (1 <= loop_cap <= MAX_LOOP_CAP):
         raise PreconditionError(f"loop_cap must lie between 1 and {MAX_LOOP_CAP}")
     return _unroll(state, graph, epsilon, loop_cap, solver or PhaseThreeSolver())
@@ -812,78 +819,117 @@ def ev_tree(state: WState, graph: ConfigGraph) -> ProtocolTree:
     return _unroll(state, graph, None, 0, None)
 
 
+@dataclass(frozen=True)
+class _StateStep:
+    """The part of a protocol-tree node that no loop cycle changes, worked
+    out once per component tuple.  ``held`` is the mask of parties that
+    carry weight.  A state whose node is a leaf in every cycle (``FAILURE``,
+    an EPR pair, or a standard W state of an EV tree) holds only ``leaf``;
+    any other holds the validated state, its measurement and phase, and its
+    children ``(p, comps, live)`` with the failure mass.  A peel-off also
+    holds its optimizer report and alpha."""
+
+    held: int
+    leaf: object = None
+    state: WState | None = None
+    measurement: LocalMeasurement | None = None
+    phase: str | None = None
+    steps: tuple = ()
+    fail: float = 0.0
+    report: OptimizationReport | None = None
+    alpha: float | None = None
+
+
 def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     """The walk of :func:`build_protocol_tree`, unchecked but for the label
     sets.  At ``loop_cap`` 0 it stops at every standard W state, so that no
     peel-off, solver or epsilon is needed.  Like the equal-or-vanish walk
-    it carries weights indexed by position, 0.0 outside a live mask."""
+    it carries weights indexed by position, 0.0 outside a live mask.
+
+    A node depends on its components and on its cycle.  What depends on
+    the components alone, the :class:`_StateStep`, is worked out once per
+    component tuple and kept in ``table``, and every cycle of a loop reuses
+    it: a cycle only wraps the step's children into a
+    :class:`DecisionNode`, or cuts the loop with a :class:`TruncationLeaf`
+    at the cap.  The keys of ``table`` are the nodes of the finite loop
+    graph that the unrolled tree repeats."""
     if set(state.labels) != set(graph.labels):
         raise InvalidInputError("state parties and graph nodes differ")
     labels = state.labels
     adj = _adjacency(labels, graph.edges)
+    table: dict = {}   # comps -> _StateStep
     shared: dict = {}  # (comps, cycle) -> subtree
+
+    def state_step(comps) -> _StateStep:
+        """The cycle-free part of the node for ``comps``."""
+        held = 0
+        for i, c in enumerate(comps):
+            if c > 0.0:
+                held |= 1 << i
+        if held.bit_count() < 2:
+            return _StateStep(held, FAILURE)
+        x0 = max(0.0, 1.0 - sum(comps))
+        names = _members(labels, held)
+        st = WState(tuple(c for i, c in enumerate(comps) if held >> i & 1), names)
+        if x0 > X0_TOL:
+            return _StateStep(held, None, st, phase1_measurement(st), "phase1", _phase1_step(comps, held))
+
+        tag, k = _select(comps, adj, held)
+        if tag == "fail2":
+            return _StateStep(held, FAILURE)
+        if tag == "terminal":
+            if loop_cap == 0:
+                return _StateStep(held, StandardW(names))
+            if len(names) == 2:
+                return _StateStep(held, Epr(names))
+            report = solver._report(labels, adj, held)
+            alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
+            k, steps = _peel_step(adj, held, alpha)
+            m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
+            return _StateStep(held, None, st, m, "phase3", steps, report=report, alpha=alpha)
+
+        steps, fail = _step(comps, held, tag, k)
+        if tag == "isolate":
+            m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
+            return _StateStep(held, None, st, m, "isolate", steps, fail)
+        return _StateStep(held, None, st, ev_measurement(st, labels[k]), "ev", steps, fail)
 
     def build(comps, live: int, cycle: int):
         """The subtree for this state after ``cycle`` peel-offs on these
         parties; an equal subtree built before is reused.  ``live`` holds
         the parties of the node that leads here: the count carries over
         only if every one of them still carries weight."""
-        # drop parties that carry no weight
-        held = 0
-        for i, c in enumerate(comps):
-            if c > 0.0:
-                held |= 1 << i
-        if held != live:
-            live, cycle = held, 0
-        if live.bit_count() < 2:
-            return FAILURE
+        s = table.get(comps)
+        if s is None:
+            s = table[comps] = state_step(comps)
+        if s.leaf is not None:
+            return s.leaf
+        if s.held != live:
+            live, cycle = s.held, 0
         key = (comps, cycle)
-        if key not in shared:
-            shared[key] = decide(comps, live, cycle)
-        return shared[key]
-
-    def branch(steps, live: int, cycle: int) -> list:
-        return [(p, build(sub, live, cycle)) for p, sub, _ in steps]
-
-    def decide(comps, live: int, cycle: int):
-        """The subtree for a state with no equal subtree built yet."""
-        x0 = max(0.0, 1.0 - sum(comps))
-        names = _members(labels, live)
-        st = WState(tuple(c for i, c in enumerate(comps) if live >> i & 1), names)
-        if x0 > X0_TOL:
-            steps = _phase1_step(comps, live)
-            return DecisionNode(st, phase1_measurement(st), "phase1", tuple(branch(steps, live, cycle)))
-
-        tag, k = _select(comps, adj, live)
-        if tag == "fail2":
-            return FAILURE
-        if tag == "terminal":
-            if loop_cap == 0:
-                return StandardW(names)
-            if len(names) == 2:
-                return Epr(names)
-            report = solver._report(labels, adj, live)
-            alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
+        node = shared.get(key)
+        if node is not None:
+            return node
+        if s.phase == "phase3":
             if cycle >= loop_cap:
-                return TruncationLeaf(st, report.objective(alpha))
+                node = shared[key] = TruncationLeaf(s.state, s.report.objective(s.alpha))
+                return node
             if cycle == 1:
                 # the first return to this W state: build its later cycles
                 # deepest first, so that each finds the next one built
                 for later in range(loop_cap, 1, -1):
                     build(comps, live, later)
-            k, steps = _peel_step(adj, live, alpha)
-            m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
-            children = branch(steps, live, cycle + 1)
-            return DecisionNode(st, m, "phase3", tuple(children), alpha=alpha, cycle=cycle + 1)
-
-        steps, fail = _step(comps, live, tag, k)
-        children = branch(steps, live, cycle)
-        if fail:
-            children.append((fail, FAILURE))
-        if tag == "isolate":
-            m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
-            return DecisionNode(st, m, "isolate", tuple(children))
-        return DecisionNode(st, ev_measurement(st, labels[k]), "ev", tuple(children))
+            cycle += 1
+        children = []
+        for p, sub, _ in s.steps:
+            children.append((p, build(sub, live, cycle)))
+        if s.fail:
+            children.append((s.fail, FAILURE))
+        node = shared[key] = DecisionNode(
+            s.state, s.measurement, s.phase, tuple(children),
+            alpha=s.alpha, cycle=cycle if s.phase == "phase3" else None,
+        )
+        return node
 
     root = build(state.components, (1 << len(labels)) - 1, 0)
     return ProtocolTree(root, epsilon, loop_cap)

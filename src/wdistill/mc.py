@@ -9,6 +9,7 @@ distribution as per-trial walks but draws once per distinct node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -29,6 +30,7 @@ from .core import (
     PreconditionError,
     WState,
     ZERO_COMPONENT,
+    _integer,
     apply_measurement,
     graph_catalog,
     kt_averages,
@@ -201,21 +203,38 @@ class SimResult:
         return "\n".join(lines)
 
 
+def _split(rng, count, probs):
+    """One multinomial draw that shares ``count`` trials among children of
+    probabilities ``probs``, clipped below at 0 and normalized as plain
+    floats: the sum runs in order, as numpy sums a short array, so the
+    draw is bit-identical to clipping and normalizing a numpy array."""
+    if not count:
+        return [0] * len(probs)
+    clipped = [0.0 if p < 0.0 else p for p in probs]
+    total = 0.0
+    for p in clipped:
+        total += p
+    return rng.multinomial(count, [p / total for p in clipped]).tolist()
+
+
 def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = None) -> SimResult:
     """Run ``trials`` protocol executions through the tree.
 
     All trials take one :meth:`ProtocolTree._flow` over the node table,
     parents first, on one RNG stream: a decision node splits the trials
     that reach it, summed over all of its parents, with one multinomial
-    draw, and a node that no trial reaches draws nothing.  A sum of
-    independent multinomials with equal probabilities is one multinomial,
-    so this samples the same distribution as splitting path by path, at a
-    cost that does not grow with ``trials`` (1 to 2**63 - 1, numpy's int64
+    draw (:func:`_split`, which clips and normalizes the child
+    probabilities as Python floats), and a node that no trial reaches
+    draws nothing.  A sum of independent multinomials with equal
+    probabilities is one multinomial, so this samples the same
+    distribution as splitting path by path, at a cost that does not grow
+    with ``trials`` (an integer from 1 to 2**63 - 1, numpy's int64
     counts).  Each truncation leaf resolves its cut loop with one binomial
     coin of its continuation value.  Results are byte-identical for a
-    given seed, which must not be negative.  ``workers`` is accepted for
-    compatibility and ignored.
+    given seed, an integer that must not be negative.  ``workers`` is
+    accepted for compatibility and ignored.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if not 1 <= trials <= 2**63 - 1:
         raise PreconditionError("trials must lie between 1 and 2**63 - 1")
     if seed < 0:
@@ -223,15 +242,9 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
     # spawn(1)[0]: the stream earlier releases drew their first 2**18 trials from
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
 
-    def split(count, probs):
-        if not count:
-            return [0] * len(probs)
-        probs = np.clip(probs, 0.0, None)
-        return rng.multinomial(count, probs / probs.sum())
-
     counts: dict = {}
     success = 0
-    for leaf, count in tree._flow(trials, split).items():
+    for leaf, count in tree._flow(trials, functools.partial(_split, rng)).items():
         counts[leaf.label()] = counts.get(leaf.label(), 0) + int(count)
         if isinstance(leaf, Epr):
             success += int(count)

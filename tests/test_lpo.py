@@ -857,6 +857,51 @@ def test_tree_rejects_bad_parameters(solver):
         build_protocol_tree(s, g, loop_cap=0)
 
 
+@pytest.mark.parametrize("loop_cap", [2.5, 3.0, "3", True], ids=["fraction", "float", "string", "bool"])
+def test_tree_rejects_a_loop_cap_that_is_not_an_integer(loop_cap):
+    g = graph_catalog("wedge")
+    with pytest.raises(PreconditionError, match="loop_cap must be an integer"):
+        build_protocol_tree(standard_w(g.labels), g, loop_cap=loop_cap)
+
+
+def test_tree_takes_a_numpy_integer_loop_cap(solver):
+    g = graph_catalog("triangle")
+    want = build_protocol_tree(standard_w(g.labels), g, loop_cap=3, solver=solver)
+    got = build_protocol_tree(standard_w(g.labels), g, loop_cap=np.int64(3), solver=solver)
+    assert type(got.loop_cap) is int
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_tree_works_out_each_state_once_whatever_the_loop_cap(monkeypatch):
+    # every cycle of a loop meets the same states, so a longer loop adds
+    # nodes but no per-state work: no more _select calls or WState builds
+    g = graph_catalog("IV")
+    w = standard_w(g.labels)
+    solver = PhaseThreeSolver()
+    build_protocol_tree(w, g, loop_cap=2, solver=solver)  # fills the solver's memo
+    calls = {"select": 0, "wstate": 0}
+
+    def counting_select(*args):
+        calls["select"] += 1
+        return select(*args)
+
+    def counting_wstate(*args):
+        calls["wstate"] += 1
+        return WState(*args)
+
+    select = lpo_mod._select
+    monkeypatch.setattr(lpo_mod, "_select", counting_select)
+    monkeypatch.setattr(lpo_mod, "WState", counting_wstate)
+    seen = {}
+    for cap in (20, 200):
+        calls.update(select=0, wstate=0)
+        tree = build_protocol_tree(w, g, loop_cap=cap, solver=solver)
+        seen[cap] = (dict(calls), tree.node_count())
+    assert seen[20][0] == seen[200][0]
+    assert 0 < seen[20][0]["select"] and 0 < seen[20][0]["wstate"]
+    assert seen[20][1] < seen[200][1]
+
+
 # ---------------------------------------------------------------------------
 # the paw-graph closed form and its weak-measurement response
 

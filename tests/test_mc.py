@@ -28,6 +28,8 @@ from wdistill import mc
 from wdistill.core import NULL_OUTCOME_PROB
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
+from test_walk_oracle import TREE_CAPS, TREE_EPSILON, named_graph, tree_states
+
 
 @pytest.fixture(scope="module")
 def solver():
@@ -229,15 +231,49 @@ def test_simulate_counts_for_a_seed_are_pinned(solver):
 
 @pytest.mark.parametrize(
     "trials,seed",
-    [(0, 1), (-5, 1), (2**63, 1), (10**20, 1), (math.nan, 1), (math.inf, 1), (10, -1)],
+    [(0, 1), (-5, 1), (2**63, 1), (10**20, 1), (math.nan, 1), (math.inf, 1), (10, -1),
+     (1000.5, 1), (1000.0, 1), ("1000", 1), (10, 2.5), (10, 1.0), (10, "1")],
     ids=["no-trials", "negative-trials", "2**63-trials", "1e20-trials", "nan-trials",
-         "inf-trials", "negative-seed"],
+         "inf-trials", "negative-seed", "fractional-trials", "float-trials", "string-trials",
+         "fractional-seed", "float-seed", "string-seed"],
 )
 def test_simulate_rejects_trials_outside_int64_and_negative_seeds(trials, seed):
     g = ConfigGraph("AB", [("A", "B")])
     tree = build_protocol_tree(standard_w("AB"), g)
     with pytest.raises(PreconditionError):
         simulate(tree, trials, seed=seed)
+
+
+def test_simulate_takes_numpy_integers_as_python_ints():
+    g = graph_catalog("triangle")
+    tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=5)
+    res = simulate(tree, np.int64(1000), seed=np.uint32(3))
+    assert type(res.trials) is int and type(res.seed) is int
+    assert res.to_json() == simulate(tree, 1000, seed=3).to_json()
+
+
+def numpy_split(rng, count, probs):
+    """The split as numpy arrays, the reference for mc._split: clip below
+    at 0, normalize by the array's sum, draw."""
+    if not count:
+        return [0] * len(probs)
+    probs = np.clip(probs, 0.0, None)
+    return rng.multinomial(count, probs / probs.sum())
+
+
+@pytest.mark.parametrize("name", list(TREE_CAPS))
+def test_simulate_draws_what_the_numpy_split_draws(name, monkeypatch):
+    g = named_graph(name)
+    for tag, state in tree_states(name).items():
+        if tag == "x0=0":
+            continue
+        tree = build_protocol_tree(state, g, TREE_EPSILON, TREE_CAPS[name], solver=PhaseThreeSolver())
+        for trials, seed in ((200_000, 1), (200_000, 7), (2**40, 12345)):
+            got = simulate(tree, trials, seed).to_json()
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_split", numpy_split)
+                want = simulate(tree, trials, seed).to_json()
+            assert got == want, (name, tag, trials, seed)
 
 
 def test_simulate_matches_analytic_tree_value(solver):
