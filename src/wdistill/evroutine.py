@@ -13,9 +13,12 @@ that builder's node table, stopped at standard W states
 The walks run on position bitmasks.  A walk reads one neighbour mask per
 party position, from :func:`~wdistill.core._adjacency`, and carries the
 set of parties still in play as a live mask beside a component tuple
-indexed by position; :func:`_select` answers from mask tests and returns
-a position, and :func:`_step` takes that position.  :func:`enumerate_ev`
-keys its terminals by live mask, which :func:`ev_distribution` names.
+indexed by position.  :func:`_select` finds the mask of maximal live
+parties and :func:`_decide` answers from it and mask tests with a
+position, which :func:`_step` takes; the peel-off walk of
+:mod:`wdistill.lpo` passes :func:`_decide` its own mask of maximal
+parties.  :func:`enumerate_ev` keys its terminals by live mask, which
+:func:`ev_distribution` names.
 """
 
 from __future__ import annotations
@@ -40,25 +43,38 @@ X0_TOL = 1e-12
 
 
 def _select(comps, adj, live):
-    """Next action for an x0 = 0 node, as (tag, position).
+    """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
+    on the live parties within ``MAX_EQUAL_RTOL`` of the largest weight.
 
     ``comps`` holds one weight per position, 0.0 at every position outside
     the ``live`` mask, and ``adj`` the neighbour masks of
-    :func:`~wdistill.core._adjacency`.  Order of the rules matters:
-    isolated parties (no live neighbour) are dealt with before the
-    all-maximal terminal check, and the measuring party is the
-    lowest-position non-maximal party next to a maximal one, falling back
-    to the lowest-position non-maximal party.
+    :func:`~wdistill.core._adjacency`.
     """
     floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
     maxmask = 0
     bit = 1
-    for nbrs, c in zip(adj, comps):
-        if live & bit:
-            if not nbrs & live:
-                return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
-            if c >= floor:
-                maxmask |= bit
+    for c in comps:
+        if c >= floor:
+            maxmask |= bit
+        bit <<= 1
+    return _decide(maxmask & live, adj, live)
+
+
+def _decide(maxmask, adj, live):
+    """The action of :func:`_select`, given the mask of maximal live
+    parties, as (tag, position).
+
+    Order of the rules matters: isolated parties (no live neighbour) are
+    dealt with before the all-maximal terminal check, and the measuring
+    party is the lowest-position non-maximal party next to a maximal one,
+    falling back to the lowest-position non-maximal party.  The weights
+    themselves are not read, so any walk that can say which parties are
+    maximal shares the rule.
+    """
+    bit = 1
+    for nbrs in adj:
+        if not nbrs & live and live & bit:
+            return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
         bit <<= 1
     if maxmask == live:
         return "terminal", None

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from .core import (
     FAILURE,
@@ -47,7 +46,7 @@ from .core import (
     _members,
     component_update,
 )
-from .evroutine import X0_TOL, _check_ev_input, _select, _step, enumerate_ev, ev_measurement
+from .evroutine import X0_TOL, _check_ev_input, _decide, _select, _step, enumerate_ev, ev_measurement
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
 MAX_LOOP_CAP = 1_000           # loops a protocol tree runs on one W subset
@@ -152,9 +151,9 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
     weight is a^e (1 - a)^v with its own e and a shared v: equalizing
     party j raises every other e by one, vanishing removes j and raises
     v, and isolating removes the party (after the last maximal one the
-    rest are maximal at e + 1).  :func:`_select` sees the exponents coded
-    as 2^-(e - e_min), so no alpha is needed; a removed party's exponent
-    is infinite, which codes it as exactly 0.
+    rest are maximal at e + 1).  The maximal parties are the live ones at
+    the least exponent, the mask :func:`_decide` acts on, so no alpha is
+    needed; a removed party's exponent is infinite.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -165,7 +164,13 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
         if live.bit_count() < 2:
             return
         low = min(exps)
-        tag, j = _select(tuple(0.5 ** (e - low) for e in exps), adj, live)
+        maxmask = 0
+        bit = 1
+        for e in exps:
+            if e == low:
+                maxmask |= bit
+            bit <<= 1
+        tag, j = _decide(maxmask, adj, live)
         if tag == "terminal":
             out.append((live, low, v))
         if tag in ("terminal", "fail2"):
@@ -268,18 +273,73 @@ def _power_coefficients(terms) -> np.ndarray:
     for c, e, v in terms:
         for i in range(v + 1):
             parts.setdefault(e + i, []).append((-1) ** i * math.comb(v, i) * c)
-    return nppoly.polytrim([math.fsum(parts.get(d, ())) for d in range(max(parts) + 1)])
+    return _trim(np.array([math.fsum(parts.get(d, ())) for d in range(max(parts) + 1)]))
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """``c`` without its trailing zeros, keeping at least one entry."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Power coefficients of the derivative; a constant gives ``[0.0]``."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else c[:1] * 0
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Every root of the power series ``c``, sorted: the eigenvalues of
+    its companion matrix (Edelman and Murakami, Math. Comp. 64, 1995).
+    This is numpy 2.x's ``polyroots`` step for step, with its unrotated
+    companion matrix, so the roots agree with it to the last bit."""
+    c = _trim(c)
+    if len(c) < 2:
+        return np.array([])
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
+    roots.sort()
+    return roots
 
 
 def _objective_value(terms, has_loop: bool, m: int, alpha):
     """f(a), or f(a) / (1 - a^m) on a looping node, in monomial form: every
     term of a looping node has v >= 1, so the shared (1 - a) is divided
-    out exactly.  ``alpha`` may be an array."""
+    out exactly.  ``alpha`` may be an array.
+
+    The one evaluator of the objective, for :meth:`OptimizationReport.objective`,
+    :func:`f_alpha` and the optimizer.  Each power a^e and (1 - a)^v is
+    taken once per exponent with numpy's pow, the terms are added in
+    order from 0, and the loop's divisor 1 + a + ... + a^(m-1) is summed
+    by Horner's rule as numpy's ``polyval`` does, so values are
+    bit-identical to summing the terms one by one.  Python's float ``**``
+    differs from numpy's pow in the last bit on some inputs, and the
+    built-in ``sum`` of Python floats is compensated from CPython 3.12 on,
+    so neither may stand in here; the pinned values hold on CPython 3.11.
+    """
     a = np.asarray(alpha, dtype=float)
+    b = 1.0 - a
+    drop = 1 if has_loop else 0
+    pa: dict = {}
+    pb: dict = {}
+    total = 0
+    for c, e, v in terms:
+        v -= drop
+        if e not in pa:
+            pa[e] = a**e
+        if v not in pb:
+            pb[v] = b**v
+        total += c * pa[e] * pb[v]
     if not has_loop:
-        return sum(c * a**e * (1.0 - a) ** v for c, e, v in terms)
-    total = sum(c * a**e * (1.0 - a) ** (v - 1) for c, e, v in terms)
-    return total / nppoly.polyval(a, np.ones(m))
+        return total
+    s = 1.0 + a * 0
+    for _ in range(m - 1):
+        s = 1.0 + s * a
+    return total / s
 
 
 def _subgraph_key(labels, adj) -> str:
@@ -382,19 +442,26 @@ class PhaseThreeSolver:
                 raise InternalConsistencyError(
                     f"cycle function on the subgraph {adj} has the term a^{e} (1 - a)^{v}"
                 )
+        # the slope numerator as numpy 2.x's polyder, polymul and polysub
+        # build it: products by convolution, trailing zeros trimmed
         if has_loop:
             # d/da (q / s) has the numerator q's - qs', q = f / (1 - a),
             # s = 1 + a + ... + a^(m-1)
             q = _power_coefficients([(c, e, v - 1) for c, e, v in terms])
-            s = np.ones(m)
-            slope = nppoly.polysub(
-                nppoly.polymul(nppoly.polyder(q), s), nppoly.polymul(q, nppoly.polyder(s))
-            )
+            left = _trim(np.convolve(_derivative(q), np.ones(m)))
+            right = _trim(np.convolve(q, np.arange(1.0, m)))
+            if len(left) > len(right):
+                left[:len(right)] -= right
+                slope = _trim(left)
+            else:
+                right = -right
+                right[:len(left)] += left
+                slope = _trim(right)
         else:
-            slope = nppoly.polyder(_power_coefficients(terms))
-        # companion-matrix eigenvalues: real roots come back with zero
-        # imaginary part, the others in conjugate pairs
-        roots = nppoly.polyroots(slope)
+            slope = _derivative(_power_coefficients(terms))
+        # the roots as numpy 2.x's polyroots finds them: real ones come
+        # back with zero imaginary part, the others in conjugate pairs
+        roots = _roots(slope)
         roots = roots[roots.imag == 0].real
         points = np.array([0.0, *roots[(roots > 0.0) & (roots < 1.0)], 1.0])
         vals = _objective_value(terms, has_loop, m, points)

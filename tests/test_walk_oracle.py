@@ -9,6 +9,13 @@ degrees and neighbours off the edges at every node.  The engine's walks
 must return the same dicts and lists, key order included, once their
 live masks are read as labels.
 
+``single_loop_select`` and ``coded_peel_walk`` are the mask forms that
+came before the selection rule was split into the maximal-party mask and
+:func:`wdistill.evroutine._decide`: one loop that checks isolation and
+maximality together, and a peel-off walk that codes each exponent e as
+the weight 2^-(e - e_min) for it.  The split rule must act the same on
+every input, and the peel-off walk return the same lists.
+
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
 values within 1e-12 (another numpy may move the last bits of the
@@ -32,8 +39,8 @@ from wdistill import (
     standard_w,
 )
 from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
-from wdistill.evroutine import enumerate_ev
-from wdistill.lpo import PhaseThreeSolver, _peel_walk
+from wdistill.evroutine import _select, enumerate_ev
+from wdistill.lpo import PhaseThreeSolver, _peel_party, _peel_walk
 from wdistill.mc import random_w_state
 
 DATA = Path(__file__).parent / "data" / "tree_pinned.json"
@@ -160,6 +167,63 @@ def reference_peel_walk(labels, edges):
 
 
 # ---------------------------------------------------------------------------
+# the single-loop selection and the exponent walk coded as weights
+
+
+def single_loop_select(comps, adj, live):
+    """Next action for an x0 = 0 node, as (tag, position)."""
+    floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
+    maxmask = 0
+    bit = 1
+    for nbrs, c in zip(adj, comps):
+        if live & bit:
+            if not nbrs & live:
+                return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
+            if c >= floor:
+                maxmask |= bit
+        bit <<= 1
+    if maxmask == live:
+        return "terminal", None
+    lagging = live & ~maxmask
+    rest = lagging
+    while rest:
+        bit = rest & -rest
+        i = bit.bit_length() - 1
+        if adj[i] & maxmask:
+            return "measure", i
+        rest ^= bit
+    return "measure", (lagging & -lagging).bit_length() - 1
+
+
+def coded_peel_walk(adj):
+    """The peel-off walk's ``(T, e, v)`` paths, each exponent handed to the
+    selection rule as the weight 2^-(e - e_min)."""
+    n = len(adj)
+    full = (1 << n) - 1
+    k = _peel_party(adj, full)
+    out = [(full & ~(1 << k), 0, 1)]
+
+    def walk(exps, live, v):
+        if live.bit_count() < 2:
+            return
+        low = min(exps)
+        tag, j = single_loop_select(tuple(0.5 ** (e - low) for e in exps), adj, live)
+        if tag == "terminal":
+            out.append((live, low, v))
+        if tag in ("terminal", "fail2"):
+            return
+        drop = (exps[:j] + (math.inf,) + exps[j + 1:], live & ~(1 << j))
+        if tag == "isolate":
+            walk(*drop, v)
+            return
+        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), live, v)
+        walk(*drop, v + 1)  # vanish
+
+    walk(tuple(0 if i == k else 1 for i in range(n)), full, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # graphs and states
 
 
@@ -247,6 +311,71 @@ def test_peel_walk_matches_the_label_walk(name):
     for labels, masks in subsets:
         walked = [(_members(labels, live), e, v) for live, e, v in _peel_walk(masks)]
         assert walked == reference_peel_walk(labels, _restrict_edges(g.edges, labels)), (name, labels)
+
+
+def random_select_input(rng):
+    """Weights, neighbour masks and a live mask: some parties isolated,
+    some positions dead at weight 0.0, and weights tied with the largest
+    one up to and just past MAX_EQUAL_RTOL."""
+    n = int(rng.integers(2, 9))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    live = int(rng.integers(1, 1 << n))
+    comps = [float(rng.random()) if live >> i & 1 else 0.0 for i in range(n)]
+    top = max(comps)
+    for i in range(n):
+        if live >> i & 1 and rng.random() < 0.4:
+            comps[i] = top * (1.0 - float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0])) * MAX_EQUAL_RTOL)
+    return tuple(comps), tuple(adj), live
+
+
+def test_select_matches_the_single_loop_select():
+    rng = np.random.default_rng(7)
+    tags = set()
+    for _ in range(20_000):
+        comps, adj, live = random_select_input(rng)
+        got = _select(comps, adj, live)
+        assert got == single_loop_select(comps, adj, live), (comps, adj, live)
+        tags.add(got[0])
+    assert tags == {"fail2", "isolate", "terminal", "measure"}
+
+
+def labelled_graph_masks(n):
+    """The neighbour masks of every graph on n labelled parties."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for chosen in range(1 << len(pairs)):
+        adj = [0] * n
+        for b, (i, j) in enumerate(pairs):
+            if chosen >> b & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield tuple(adj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_peel_walk_matches_the_coded_walk_on_every_small_graph(n):
+    for adj in labelled_graph_masks(n):
+        assert _peel_walk(adj) == coded_peel_walk(adj), adj
+
+
+@pytest.mark.parametrize(
+    "name", ["complete:5", "complete:6", "complete:7", "cycle:6", "cycle:7", "cycle:8",
+             "path:6", "path:7", "path:8", "pairs:8", "pairs:10", "pairs:12"],
+)
+def test_peel_walk_matches_the_coded_walk_on_the_scaling_graphs(name):
+    family, _, n = name.partition(":")
+    g = family_graph(family, int(n))
+    w = standard_w(g.labels)
+    solver = PhaseThreeSolver()
+    solver.p_lpo(w, g)
+    shapes = [adj for adj in solver._memo if len(adj) > 2]
+    assert _adjacency(w.labels, g.edges) in shapes
+    for adj in shapes:
+        assert _peel_walk(adj) == coded_peel_walk(adj), (name, adj)
 
 
 @pytest.fixture(scope="module")
