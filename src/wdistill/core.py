@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 COMPONENT_SUM_TOL = 1e-12      # sum(x_i) may exceed 1 by at most this
@@ -64,6 +65,22 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _label(value) -> str:
+    """A party label as a string: a string, or the digits of a Python or
+    numpy integer; anything else, a bool, a float and None included,
+    raises :class:`InvalidInputError`."""
+    if isinstance(value, str) or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    ):
+        return str(value)
+    raise InvalidInputError(f"a party label is a string or an integer, not {value!r}")
+
+
+def _labels(values) -> tuple[str, ...]:
+    """:func:`_label` of each value, a plain string passed through as is."""
+    return tuple([l if type(l) is str else _label(l) for l in values])
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
         return tuple(chr(ord("A") + i) for i in range(n))
@@ -77,8 +94,9 @@ class WState:
     ``components[i]`` is the weight of party ``labels[i]``; the weight of
     the all-zero amplitude is the derived ``x0 = 1 - sum(components)``.
     Weights below ``ZERO_COMPONENT`` are clamped to exactly zero, which
-    marks that party as disentangled.  Non-numeric and non-finite weights
-    raise :class:`InvalidInputError`.  Instances are immutable.
+    marks that party as disentangled.  Non-numeric and non-finite weights,
+    and labels other than strings and integers, raise
+    :class:`InvalidInputError`.  Instances are immutable.
     """
 
     components: tuple[float, ...]
@@ -87,7 +105,7 @@ class WState:
     def __init__(self, components: Sequence[float], labels: Sequence[str] | None = None):
         try:
             comps = tuple(float(c) for c in components)
-            labels = default_labels(len(comps)) if labels is None else tuple(str(l) for l in labels)
+            labels = default_labels(len(comps)) if labels is None else _labels(labels)
         except (TypeError, ValueError, OverflowError):
             raise InvalidInputError(f"bad components {components!r} or labels {labels!r}") from None
         if len(comps) < 2:
@@ -179,15 +197,22 @@ def _members(labels, live: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ConfigGraph:
     """Target-pair configuration graph: nodes are parties, edges mark the
-    pairs whose shared EPR state counts as a success."""
+    pairs whose shared EPR state counts as a success.  Labels are strings
+    or integers, which become strings; anything else raises
+    :class:`InvalidInputError`.
+
+    The neighbour masks of :func:`_adjacency` and the position of each
+    label are worked out on first use and kept on the instance.  They are
+    not fields, so equality, hashing, ``repr`` and :meth:`to_json` see only
+    the labels and edges."""
 
     labels: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
     def __init__(self, labels: Sequence[str], edges: Iterable[Sequence[str]] = ()):
         try:
-            labels = tuple(str(l) for l in labels)
-            pairs = [tuple(str(v) for v in e) for e in edges]
+            labels = _labels(labels)
+            pairs = [_labels(e) for e in edges]
         except TypeError:
             raise InvalidInputError("graph labels and edges must be sequences") from None
         if len(set(labels)) != len(labels):
@@ -204,6 +229,16 @@ class ConfigGraph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", frozenset(normalized))
 
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The neighbour mask of each position of :attr:`labels`."""
+        return _adjacency(self.labels, self.edges)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """The position of each label in :attr:`labels`."""
+        return {l: i for i, l in enumerate(self.labels)}
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -212,18 +247,20 @@ class ConfigGraph:
         return ((a, b) if a <= b else (b, a)) in self.edges
 
     def neighbors(self, label: str) -> set[str]:
-        if label not in self.labels:
-            raise InvalidPartyError(f"unknown node {label!r}")
-        out = set()
-        for a, b in self.edges:
-            if a == label:
-                out.add(b)
-            elif b == label:
-                out.add(a)
-        return out
+        """A new set of the labels joined to ``label``, read off its
+        neighbour mask."""
+        try:
+            mask = self._masks[self._positions[label]]
+        except (KeyError, TypeError):
+            raise InvalidPartyError(f"unknown node {label!r}") from None
+        return {l for i, l in enumerate(self.labels) if mask >> i & 1}
 
     def degree(self, label: str) -> int:
-        return len(self.neighbors(label))
+        """The number of edges at ``label``: its neighbour mask's popcount."""
+        try:
+            return self._masks[self._positions[label]].bit_count()
+        except (KeyError, TypeError):
+            raise InvalidPartyError(f"unknown node {label!r}") from None
 
     def induced(self, keep: Iterable[str]) -> "ConfigGraph":
         keep_set = set(keep)
@@ -453,7 +490,7 @@ def kt_averages(
 
 def standard_w(labels: Iterable[str]) -> WState:
     """The standard W state on the given parties: all weights equal, x0 = 0."""
-    labs = sorted(str(l) for l in set(labels))
+    labs = sorted(set(_labels(labels)))
     if len(labs) < 2:
         raise InvalidInputError("a standard W state needs at least two parties")
     return WState([1.0 / len(labs)] * len(labs), labs)

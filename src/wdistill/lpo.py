@@ -193,13 +193,13 @@ def _phase1_walk(comps, live) -> list:
     entries: dict = {}
 
     def visit(comps, live, pathp):
-        x0 = max(0.0, 1.0 - sum(comps))
         if live.bit_count() < 2 or sum(1 for c in comps if c > 0.0) <= 1:
             entries[FAILURE] = entries.get(FAILURE, 0.0) + pathp
             return
-        if x0 <= X0_TOL:
-            total = sum(comps)
-            key = (tuple(0.0 if c / total < ZERO_COMPONENT else c / total for c in comps), live)
+        total = sum(comps)
+        if 1.0 - total <= X0_TOL:
+            normed = [c / total for c in comps]
+            key = (tuple([0.0 if c < ZERO_COMPONENT else c for c in normed]), live)
             entries[key] = entries.get(key, 0.0) + pathp
             return
         for p, sub, sublive in _phase1_step(comps, live):
@@ -392,15 +392,21 @@ class PhaseThreeSolver:
         ``labels`` against the induced subgraph."""
         labels = tuple(labels)
         adj = _adjacency(labels, edges)
-        report = self._report(labels, adj, (1 << len(labels)) - 1)
+        report = self._report(self._index(labels, adj), adj, (1 << len(labels)) - 1)
         return replace(report, subgraph_key=_subgraph_key(labels, adj))
 
-    def _report(self, labels, adj, live) -> OptimizationReport:
-        """The report of the subset ``live`` of the root (labels, adj)."""
-        index = self._labelled.setdefault((labels, adj), {})
-        if live not in index:
-            index[live] = self._solve(_induced(adj, live))[0]
-        return index[live]
+    def _index(self, labels, adj) -> dict:
+        """The labelled index of the root (labels, adj): its reports by
+        live mask."""
+        return self._labelled.setdefault((labels, adj), {})
+
+    def _report(self, index, adj, live) -> OptimizationReport:
+        """The report of the subset ``live`` of the root whose masks are
+        ``adj`` and whose labelled index is ``index``."""
+        report = index.get(live)
+        if report is None:
+            report = index[live] = self._solve(_induced(adj, live))[0]
+        return report
 
     def _solve(self, adj) -> tuple[OptimizationReport, tuple[tuple[int, tuple[int, ...]], ...]]:
         """The memo entry of the subgraph ``adj``: its report and its
@@ -498,6 +504,7 @@ class PhaseThreeSolver:
             raise InvalidInputError("state parties and graph nodes differ")
         labels = state.labels
         adj = _adjacency(labels, graph.edges)
+        index = self._index(labels, adj)
 
         def value(comps, live) -> float:
             total = 0.0
@@ -508,7 +515,7 @@ class PhaseThreeSolver:
                 return total
             for term, lam in enumerate_ev(comps, adj, live).items():
                 if term is not FAILURE:
-                    total += lam * self._report(labels, adj, term).value
+                    total += lam * self._report(index, adj, term).value
             return total
 
         return value(state.components, (1 << len(labels)) - 1)
@@ -612,11 +619,13 @@ def p_fl(graph: ConfigGraph) -> float:
     Complete induced subgraphs succeed outright, three-party non-complete
     subgraphs with an edge reach 2/3, and everything larger averages over
     single-party removals.  A subset is a mask of live positions over the
-    neighbour masks of the whole graph, and each one is valued once.
+    graph's own neighbour masks, and each one is valued once per call; the
+    loops visit only its set bits, the lowest first.  Each average is
+    summed from int 0 in that order, one addition at a time.
     """
     if graph.n < 2:
         raise PreconditionError("need at least two nodes")
-    adj = _adjacency(graph.labels, graph.edges)
+    adj = graph._masks
     memo: dict[int, float] = {}
 
     def value(live: int) -> float:
@@ -625,8 +634,12 @@ def p_fl(graph: ConfigGraph) -> float:
         if hit is not None:
             return hit
         n = live.bit_count()
-        positions = [i for i in range(len(adj)) if live >> i & 1]
-        ends = sum((adj[i] & live).bit_count() for i in positions)  # twice the edges
+        ends = 0  # twice the edges
+        rest = live
+        while rest:
+            bit = rest & -rest
+            ends += (adj[bit.bit_length() - 1] & live).bit_count()
+            rest ^= bit
         if n == 2:
             out = 1.0 if ends else 0.0
         elif ends == n * (n - 1):
@@ -637,7 +650,13 @@ def p_fl(graph: ConfigGraph) -> float:
             out = 0.0
         else:
             # drop each party in turn, the lowest position first
-            out = sum(value(live & ~(1 << i)) for i in positions) / n
+            out = 0
+            rest = live
+            while rest:
+                bit = rest & -rest
+                out += value(live ^ bit)
+                rest ^= bit
+            out /= n
         memo[live] = out
         return out
 
@@ -924,6 +943,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         raise InvalidInputError("state parties and graph nodes differ")
     labels = state.labels
     adj = _adjacency(labels, graph.edges)
+    index = None if solver is None else solver._index(labels, adj)
     table: dict = {}   # comps -> _StateStep
     shared: dict = {}  # (comps, cycle) -> subtree
 
@@ -949,7 +969,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
                 return _StateStep(held, StandardW(names))
             if len(names) == 2:
                 return _StateStep(held, Epr(names))
-            report = solver._report(labels, adj, held)
+            report = solver._report(index, adj, held)
             alpha = 1.0 - epsilon if report.attained_at_limit else report.argmax_alpha
             k, steps = _peel_step(adj, held, alpha)
             m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])

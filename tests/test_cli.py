@@ -69,11 +69,18 @@ def test_prob_json_format_round_trips(capsys, tmp_path):
         ("--state", "W3", "--graph", '{"labels": ["A", "B", "C"], "edges": [["A", "B", "C"]]}'),
         ("--state", "W6", "--graph", '{"preset": "pairs", "n": "x"}'),
         ("--state", "W\u00b2", "--preset", "wedge"),
+        ("--state", "W2", "--graph", '{"labels": [{"x": 1}, "B"], "edges": []}'),
+        ("--state", '{"components": [0.5, 0.5], "labels": [null, "B"]}',
+         "--graph", '{"labels": [null, "B"], "edges": [[null, "B"]]}'),
+        ("--state", '{"components": [0.5, 0.5], "labels": [true, "B"]}',
+         "--graph", '{"labels": [true, "B"], "edges": []}'),
+        ("--state", "W3", "--graph", '{"labels": ["A", "B", "C"], "edges": [["A", 1.5]]}'),
     ],
     ids=[
         "truncated-json", "nan-component", "string-component", "preset-size", "graph-size",
         "state-without-components", "state-number", "state-labels-number", "graph-labels-number",
         "one-end-edge", "three-end-edge", "json-preset-size", "superscript-state-preset",
+        "object-label", "null-label", "bool-label", "float-edge-end",
     ],
 )
 def test_prob_malformed_json_exits_2(capsys, argv):

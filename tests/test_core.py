@@ -206,6 +206,84 @@ def test_graph_validation():
         ConfigGraph("AB", [("A", "C")])
 
 
+def scanned_neighbors(g, label):
+    """The neighbours of ``label`` read off the edge set."""
+    return {b if a == label else a for a, b in g.edges if label in (a, b)}
+
+
+def queried_graphs():
+    """Presets, their subgraphs, JSON-built graphs and the padded graphs of
+    the bound lookup."""
+    from wdistill.bounds import _pad_to_four
+
+    presets = [graph_catalog(name) for name in ("wedge", "triangle", "I", "II", "III-b", "IV", "V", "VI")]
+    presets += [graph_catalog("pairs", 6), graph_catalog("complete", 5)]
+    out = list(presets)
+    for g in presets:
+        out.append(g.induced(g.labels[1:]))
+        out.append(remove_nodes(g, g.labels[:1]))
+        out.append(ConfigGraph.from_json(json.loads(json.dumps(g.to_json()))))
+    out.append(ConfigGraph.from_json({"labels": ["2", "10", "x"], "edges": [["10", "x"], ["x", "2"]]}))
+    for name in ("wedge", "triangle"):
+        g = graph_catalog(name)
+        out.append(_pad_to_four(standard_w(g.labels), g)[1])
+    two = ConfigGraph("AB", [("A", "B")])
+    out.append(_pad_to_four(standard_w("AB"), two)[1])
+    return out
+
+
+@pytest.mark.parametrize("g", queried_graphs(), ids=lambda g: f"{','.join(g.labels)}/{len(g.edges)}")
+def test_neighbors_and_degree_match_an_edge_scan(g):
+    for label in g.labels:
+        assert g.neighbors(label) == scanned_neighbors(g, label)
+        assert g.degree(label) == len(scanned_neighbors(g, label))
+    for bad in ("nobody", 1, None, ["A"]):
+        with pytest.raises(InvalidPartyError):
+            g.neighbors(bad)
+        with pytest.raises(InvalidPartyError):
+            g.degree(bad)
+
+
+def test_neighbor_sets_are_copies():
+    g = graph_catalog("IV")
+    g.neighbors("A").clear()
+    g.neighbors("C").add("C")
+    assert g.neighbors("A") == {"B", "C", "D"}
+    assert g.neighbors("C") == {"A", "B"}
+    assert g.degree("A") == 3
+
+
+def test_cached_masks_leave_equality_hash_and_json_unchanged():
+    g = graph_catalog("VI")
+    fresh = ConfigGraph(g.labels, g.edges)
+    before = (repr(g), g.to_json())
+    [g.degree(l) for l in g.labels]
+    sub = g.induced("ABD")
+    sub.neighbors("A")
+    assert g == fresh and hash(g) == hash(fresh)
+    assert (repr(g), g.to_json()) == before
+    assert sub == ConfigGraph("ABD", [("A", "B"), ("A", "D")])
+    assert hash(sub) == hash(ConfigGraph("ABD", [("A", "B"), ("A", "D")]))
+
+
+@pytest.mark.parametrize("bad", [{"x": 1}, None, 1.5, True, ("A",)], ids=repr)
+def test_labels_other_than_strings_and_integers_are_rejected(bad):
+    with pytest.raises(InvalidInputError):
+        WState([0.5, 0.5], [bad, "B"])
+    with pytest.raises(InvalidInputError):
+        ConfigGraph([bad, "B"])
+    with pytest.raises(InvalidInputError):
+        ConfigGraph(["A", "B"], [("A", bad)])
+    with pytest.raises(InvalidInputError):
+        standard_w([bad, "B"])
+
+
+def test_integer_labels_become_strings():
+    assert WState([0.5, 0.5], [1, np.int64(2)]).labels == ("1", "2")
+    g = ConfigGraph([1, "B"], [(1, "B")])
+    assert g == ConfigGraph(["1", "B"], [("1", "B")])
+
+
 def test_json_round_trips():
     s = WState([0.5, 0.25, 0.25], ("x", "y", "z"))
     assert WState.from_json(json.loads(json.dumps(s.to_json()))) == s

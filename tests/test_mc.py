@@ -24,7 +24,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill import mc
+from wdistill import core, mc
 from wdistill.core import NULL_OUTCOME_PROB
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
@@ -474,6 +474,47 @@ def test_batched_update_meets_the_exact_averages():
 
 def test_exact_averages_catch_a_dropped_b_term():
     assert exact_average_excess(dropped_b(mc._update_batch)) > 1e-6
+
+
+def scalar_average_excess() -> float:
+    """:func:`exact_average_excess` for the scalar path: how far the
+    averages of ``core.apply_measurement`` over random complete
+    measurements, strong and weak, miss their exact values, beyond 1e-12
+    plus the mass of the null outcomes."""
+    rng = np.random.default_rng(9)
+    worst = -math.inf
+    for i in range(300):
+        s = random_w_state(rng, 2 + i % 5)
+        for weak_radius in (None, 0.05):
+            k = int(rng.integers(s.n))
+            m = random_measurement(rng, s.labels[k], weak_radius=weak_radius)
+            outcomes = apply_measurement(s, m)
+            null_mass = sum(p for p, post in outcomes if post is None)
+            got = [sum(p * post.components[j] for p, post in outcomes if post is not None)
+                   for j in range(s.n)]
+            got_x0 = sum(p * post.x0 for p, post in outcomes if post is not None)
+            xk, b2 = s.components[k], sum(b * b for _, b, _ in m.outcomes)
+            want = list(s.components)
+            want[k] = xk * (1.0 - b2)
+            miss = max(abs(got_x0 - (s.x0 + xk * b2)), *(abs(g - w) for g, w in zip(got, want)))
+            worst = max(worst, miss - 1e-12 - null_mass)
+    return worst
+
+
+def test_apply_measurement_meets_the_exact_averages():
+    assert scalar_average_excess() <= 0.0
+
+
+def test_exact_averages_catch_a_dropped_b_term_in_the_scalar_update(monkeypatch):
+    # the fault the kt_i fuzz cannot see: b is dropped and c absorbs b^2,
+    # so every outcome set stays complete and the probabilities sum to one
+    real = core.component_update
+
+    def dropped(comps, x0, k, a, b, c):
+        return real(comps, x0, k, a, 0.0, c + b * b)
+
+    monkeypatch.setattr(core, "component_update", dropped)
+    assert scalar_average_excess() > 1e-6
 
 
 def test_batched_update_keeps_the_probability_sum_check(monkeypatch):
