@@ -147,42 +147,53 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
     probability |T|/n a^e (1 - a)^v.
 
     Outcome 2 reaches S minus k at (0, 1).  After outcome 1 every
-    equal-or-vanish ratio is exactly alpha, so each party's unnormalized
-    weight is a^e (1 - a)^v with its own e and a shared v: equalizing
-    party j raises every other e by one, vanishing removes j and raises
-    v, and isolating removes the party (after the last maximal one the
-    rest are maximal at e + 1).  The maximal parties are the live ones at
-    the least exponent, the mask :func:`_decide` acts on, so no alpha is
-    needed; a removed party's exponent is infinite.
+    equal-or-vanish ratio is exactly alpha, so each live party's
+    unnormalized weight is a^e (1 - a)^v with its own e and a shared v.
+    The walk carries the least exponent ``low`` and ``levels``, one mask
+    of live parties per exponent from ``low`` up: ``levels[0]`` holds the
+    maximal parties, the mask :func:`_decide` acts on, so no alpha is
+    needed.  Equalizing party j, at level L >= 1, raises every other e by
+    one: j moves to level L - 1 and ``low`` rises by one.  Vanishing
+    removes j and raises v, and isolating removes the party; if no
+    maximal party is left, the empty leading levels go and ``low`` rises
+    by their number.  Empty trailing levels are dropped.
     """
     n = len(adj)
     full = (1 << n) - 1
     k = _peel_party(adj, full)
-    out = [(full & ~(1 << k), 0, 1)]
+    others = full & ~(1 << k)
+    out = [(others, 0, 1)]
 
-    def walk(exps, live, v):
+    def walk(levels, live, low, v):
         if live.bit_count() < 2:
             return
-        low = min(exps)
-        maxmask = 0
-        bit = 1
-        for e in exps:
-            if e == low:
-                maxmask |= bit
-            bit <<= 1
-        tag, j = _decide(maxmask, adj, live)
+        tag, j = _decide(levels[0], adj, live)
         if tag == "terminal":
             out.append((live, low, v))
         if tag in ("terminal", "fail2"):
             return
-        drop = (exps[:j] + (math.inf,) + exps[j + 1:], live & ~(1 << j))
+        bit = 1 << j
+        at = 0
+        while not levels[at] & bit:
+            at += 1
+        rest = (*levels[:at], levels[at] ^ bit, *levels[at + 1:])
         if tag == "isolate":
-            walk(*drop, v)
-            return
-        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), live, v)
-        walk(*drop, v + 1)  # vanish
+            lead = 0
+            while not rest[lead]:
+                lead += 1
+            low += lead
+            rest = rest[lead:]
+        else:
+            raised = (*rest[:at - 1], rest[at - 1] | bit, *rest[at:])
+            while not raised[-1]:
+                raised = raised[:-1]
+            walk(raised, live, low + 1, v)  # equalize
+            v += 1  # vanish
+        while not rest[-1]:
+            rest = rest[:-1]
+        walk(rest, live ^ bit, low, v)
 
-    walk(tuple(0 if i == k else 1 for i in range(n)), full, 0)
+    walk((1 << k, others), full, 0, 0)
     return out
 
 
@@ -352,12 +363,27 @@ def _subgraph_key(labels, adj) -> str:
 
 def _induced(adj, live) -> tuple[int, ...]:
     """The neighbour masks of the subgraph on the positions set in
-    ``live``, renumbered in order."""
-    gone = [r for r in range(len(adj) - 1, -1, -1) if not live >> r & 1]
+    ``live``, renumbered in order: each live bit is mapped to its rank
+    once, and each kept mask is rebuilt from its live neighbour bits.
+    The full mask gives ``adj`` itself."""
+    if live == (1 << len(adj)) - 1:
+        return adj
+    rank = {}  # live bit -> the bit of its rank
+    r = 1
+    rest = live
+    while rest:
+        bit = rest & -rest
+        rank[bit] = r
+        r <<= 1
+        rest ^= bit
     out = []
-    for m in (m for i, m in enumerate(adj) if live >> i & 1):
-        for r in gone:  # squeeze out bit r, the highest first
-            m = m & ((1 << r) - 1) | m >> (r + 1) << r
+    for bit in rank:
+        nbrs = adj[bit.bit_length() - 1] & live
+        m = 0
+        while nbrs:
+            b = nbrs & -nbrs
+            m |= rank[b]
+            nbrs ^= b
         out.append(m)
     return tuple(out)
 

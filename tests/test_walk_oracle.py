@@ -16,6 +16,15 @@ maximality together, and a peel-off walk that codes each exponent e as
 the weight 2^-(e - e_min) for it.  The split rule must act the same on
 every input, and the peel-off walk return the same lists.
 
+``exponent_peel_walk`` is the peel-off walk that carried one exponent per
+position, infinite for a removed party, before the walk kept one mask of
+live parties per exponent level; the level walk must return the same
+lists.  :func:`wdistill.lpo._induced` must renumber every subset as
+:func:`~wdistill.core._adjacency` does on its labels and restricted edges.
+A planted fault in each, a selection rule that measures the highest
+lagging position and an ``_induced`` that ranks bits from the top, must
+be caught by these checks.
+
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
 values within 1e-12 (another numpy may move the last bits of the
@@ -39,8 +48,9 @@ from wdistill import (
     standard_w,
 )
 from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
-from wdistill.evroutine import _select, enumerate_ev
-from wdistill.lpo import PhaseThreeSolver, _peel_party, _peel_walk
+from wdistill import lpo as lpo_mod
+from wdistill.evroutine import _decide, _select, enumerate_ev
+from wdistill.lpo import PhaseThreeSolver, _induced, _peel_party, _peel_walk
 from wdistill.mc import random_w_state
 
 DATA = Path(__file__).parent / "data" / "tree_pinned.json"
@@ -224,11 +234,77 @@ def coded_peel_walk(adj):
 
 
 # ---------------------------------------------------------------------------
+# the walk on one exponent per position
+
+
+def exponent_peel_walk(adj) -> list[tuple[int, int, int]]:
+    """Every path from the peel-off node to a standard W state on T, as
+    ``(T, e, v)`` with T a mask of live positions: the path has
+    probability |T|/n a^e (1 - a)^v.
+
+    Outcome 2 reaches S minus k at (0, 1).  After outcome 1 every
+    equal-or-vanish ratio is exactly alpha, so each party's unnormalized
+    weight is a^e (1 - a)^v with its own e and a shared v: equalizing
+    party j raises every other e by one, vanishing removes j and raises
+    v, and isolating removes the party (after the last maximal one the
+    rest are maximal at e + 1).  The maximal parties are the live ones at
+    the least exponent, the mask :func:`_decide` acts on, so no alpha is
+    needed; a removed party's exponent is infinite.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    k = _peel_party(adj, full)
+    out = [(full & ~(1 << k), 0, 1)]
+
+    def walk(exps, live, v):
+        if live.bit_count() < 2:
+            return
+        low = min(exps)
+        maxmask = 0
+        bit = 1
+        for e in exps:
+            if e == low:
+                maxmask |= bit
+            bit <<= 1
+        tag, j = _decide(maxmask, adj, live)
+        if tag == "terminal":
+            out.append((live, low, v))
+        if tag in ("terminal", "fail2"):
+            return
+        drop = (exps[:j] + (math.inf,) + exps[j + 1:], live & ~(1 << j))
+        if tag == "isolate":
+            walk(*drop, v)
+            return
+        walk(tuple(e if i == j else e + 1 for i, e in enumerate(exps)), live, v)
+        walk(*drop, v + 1)  # vanish
+
+    walk(tuple(0 if i == k else 1 for i in range(n)), full, 0)
+    return out
+
+
+def highest_lagging_decide(maxmask, adj, live):
+    """A planted fault: :func:`_decide`, but a measuring step picks the
+    highest lagging position."""
+    tag, j = _decide(maxmask, adj, live)
+    if tag == "measure":
+        j = (live & ~maxmask).bit_length() - 1
+    return tag, j
+
+
+def top_ranked_induced(adj, live):
+    """A planted fault: :func:`_induced` with the live bits ranked from the
+    highest position down."""
+    kept = [i for i in range(len(adj)) if live >> i & 1][::-1]
+    rank = {i: r for r, i in enumerate(kept)}
+    return tuple(sum(1 << rank[j] for j in kept if adj[i] >> j & 1) for i in kept)
+
+
+# ---------------------------------------------------------------------------
 # graphs and states
 
 
 def family_graph(family, n):
-    labels = tuple("ABCDEFGHIJ"[:n])
+    labels = tuple("ABCDEFGHIJKLMN"[:n])
     if family == "cycle":
         return ConfigGraph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
     if family == "path":
@@ -376,6 +452,86 @@ def test_peel_walk_matches_the_coded_walk_on_the_scaling_graphs(name):
     assert _adjacency(w.labels, g.edges) in shapes
     for adj in shapes:
         assert _peel_walk(adj) == coded_peel_walk(adj), (name, adj)
+
+
+def random_masks(rng, n):
+    """The neighbour masks of a random graph on n parties, each edge drawn
+    with one probability for the whole graph."""
+    density = float(rng.choice([0.15, 0.3, 0.5, 0.7, 0.9]))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def test_peel_walk_matches_the_exponent_walk_on_random_graphs():
+    rng = np.random.default_rng(20)
+    for _ in range(2_000):
+        adj = random_masks(rng, int(rng.integers(6, 10)))
+        assert _peel_walk(adj) == exponent_peel_walk(adj), adj
+
+
+@pytest.mark.parametrize("name", ["cycle:12", "pairs:14"])
+def test_peel_walk_matches_the_exponent_walk_on_every_solved_shape(name):
+    family, _, n = name.partition(":")
+    g = family_graph(family, int(n))
+    w = standard_w(g.labels)
+    solver = PhaseThreeSolver()
+    solver.p_lpo(w, g)
+    shapes = [adj for adj in solver._memo if len(adj) > 2]
+    assert _adjacency(w.labels, g.edges) in shapes
+    for adj in shapes:
+        assert _peel_walk(adj) == exponent_peel_walk(adj), (name, adj)
+
+
+def coded_walk_mismatch(max_n):
+    """The first graph on at most ``max_n`` parties on which
+    :func:`_peel_walk` and ``coded_peel_walk`` differ, or None."""
+    for n in range(3, max_n + 1):
+        for adj in labelled_graph_masks(n):
+            if _peel_walk(adj) != coded_peel_walk(adj):
+                return adj
+    return None
+
+
+def test_the_coded_walk_catches_a_planted_selection_fault(monkeypatch):
+    assert coded_walk_mismatch(5) is None
+    monkeypatch.setattr(lpo_mod, "_decide", highest_lagging_decide)
+    assert coded_walk_mismatch(5) is not None
+
+
+def induced_mismatch():
+    """The first ``(adj, live)`` on which ``wdistill.lpo._induced`` differs
+    from :func:`_adjacency` on the live labels and their restricted edges,
+    over every live mask of seeded random graphs on at most 7 parties, or
+    None."""
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 4, 5, 6, 7, 7]:
+        labels = tuple("ABCDEFG"[:n])
+        adj = random_masks(rng, n)
+        edges = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1}
+        for live in range(1 << n):
+            members = _members(labels, live)
+            if lpo_mod._induced(adj, live) != _adjacency(members, _restrict_edges(edges, members)):
+                return adj, live
+    return None
+
+
+def test_induced_matches_the_restricted_edges():
+    assert induced_mismatch() is None
+    adj = _adjacency("ABCD", {("A", "B"), ("B", "C"), ("A", "D")})
+    assert _induced(adj, 0b1111) == adj
+    assert _induced(adj, 0b0100) == (0,)
+    assert _induced(adj, 0) == ()
+    assert _induced(adj, 0b1101) == (0b100, 0, 0b001)
+
+
+def test_the_induced_check_catches_a_planted_ranking_fault(monkeypatch):
+    monkeypatch.setattr(lpo_mod, "_induced", top_ranked_induced)
+    assert induced_mismatch() is not None
 
 
 @pytest.fixture(scope="module")
