@@ -18,6 +18,8 @@ from .core import (
     InvalidInputError,
     PreconditionError,
     WState,
+    _require_weight,
+    _same_parties,
 )
 
 
@@ -81,12 +83,6 @@ _FOUR_PARTY_PRESETS = {
 _UNCONNECTED_PAIRS = ("III-a", "III-b", "III-c")  # every node has an unconnected partner
 
 
-def _require_weight(state: WState) -> None:
-    """Every formula divides by a dominant weight, which must not be 0."""
-    if state.max_component() <= 0.0:
-        raise PreconditionError("the state carries no weight on any party")
-
-
 def _four_party_preset(graph: ConfigGraph) -> str | None:
     """Name of the catalog preset a four-node graph is a relabelling of,
     or None (other sizes and the empty graph)."""
@@ -105,8 +101,7 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
     the other two (when n1 has two unconnected partners, p' is the one that
     is not n1').
     """
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     if _four_party_preset(graph) not in _UNCONNECTED_PAIRS:
         raise GraphMatchError("graph is not an unconnected-pairs configuration")
     _require_weight(state)
@@ -135,8 +130,7 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     degree differs from n1's, e2 and e3 the remaining degree-2 and
     degree-3 parties.  The formula branches on n1's own degree.
     """
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     if _four_party_preset(graph) != "IV":
         raise GraphMatchError("graph is not the five-edge configuration")
     _require_weight(state)
@@ -185,8 +179,7 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
     component; otherwise the report is flagged not applicable and carries
     the fallback bound 2 x_center instead.
     """
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     kind = _four_party_preset(graph)
     if kind not in _STAR_TRIANGLE_COMPLETE:
         raise GraphMatchError("graph is outside the star/triangle/complete families")
@@ -243,8 +236,9 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
 
 def two_party_schmidt_weights(x0: float, x1: float, x2: float) -> tuple[float, float]:
     """Schmidt weights (descending) of sqrt(x0)|00> + sqrt(x1)|10> +
-    sqrt(x2)|01>."""
-    if min(x0, x1, x2) < -1e-12 or abs(x0 + x1 + x2 - 1.0) > 1e-9:
+    sqrt(x2)|01>.  Weights that are negative, do not sum to one or are not
+    finite raise :class:`InvalidInputError`; a NaN fails both tests."""
+    if not (min(x0, x1, x2) >= -1e-12 and abs(x0 + x1 + x2 - 1.0) <= 1e-9):
         raise InvalidInputError("weights must be nonnegative and sum to one")
     disc = math.sqrt(max(0.0, 1.0 - 4.0 * x1 * x2))
     return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
@@ -346,8 +340,7 @@ def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     graph has no proven bound; for the standard W state the cited
     separable-operations value 5/6 is reported as a reference.
     """
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     if state.n < 2 or state.n > 4 or state.max_component() == 0.0:
         return None
     work_state, work_graph = (state, graph) if state.n == 4 else _pad_to_four(state, graph)

@@ -197,11 +197,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_io_args(p, state=True):
-    if state:
-        p.add_argument("--state", required=True, help='preset "W4", inline JSON, or @file')
-        p.add_argument("--graph", help='preset name, inline JSON, or @file')
-        p.add_argument("--preset", help="graph preset name (alias for --graph NAME)")
+def _add_io_args(p):
+    p.add_argument("--state", required=True, help='preset "W4", inline JSON, or @file')
+    p.add_argument("--graph", help='preset name, inline JSON, or @file')
+    p.add_argument("--preset", help="graph preset name (alias for --graph NAME)")
     p.add_argument("--out", help="write output here instead of stdout")
 
 

@@ -147,10 +147,6 @@ class WState:
     def max_component(self) -> float:
         return max(self.components)
 
-    def dominant_party(self) -> str:
-        """Label of the maximal component; ties go to the lowest index."""
-        return self.labels[self.components.index(max(self.components))]
-
     def to_json(self) -> dict:
         return {"components": list(self.components), "labels": list(self.labels)}
 
@@ -263,15 +259,13 @@ class ConfigGraph:
             raise InvalidPartyError(f"unknown node {label!r}") from None
 
     def induced(self, keep: Iterable[str]) -> "ConfigGraph":
+        """The subgraph on the nodes in ``keep`` and the edges between them."""
         keep_set = set(keep)
         unknown = keep_set - set(self.labels)
         if unknown:
             raise InvalidPartyError(f"unknown nodes {sorted(unknown)}")
         labels = tuple(l for l in self.labels if l in keep_set)
-        sub = object.__new__(ConfigGraph)  # a subgraph of a valid graph needs no checks
-        object.__setattr__(sub, "labels", labels)
-        object.__setattr__(sub, "edges", _restrict_edges(self.edges, labels))
-        return sub
+        return ConfigGraph(labels, _restrict_edges(self.edges, labels))
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "edges": sorted(list(e) for e in self.edges)}
@@ -283,6 +277,18 @@ class ConfigGraph:
         if "preset" in data:
             return graph_catalog(data["preset"], data.get("n"))
         return cls(data["labels"], data.get("edges", ()))
+
+
+def _same_parties(state: WState, graph: ConfigGraph) -> None:
+    """The one rule that a state and its graph hold the same parties."""
+    if set(state.labels) != set(graph.labels):
+        raise InvalidInputError("state parties and graph nodes differ")
+
+
+def _require_weight(state: WState) -> None:
+    """The one rule that a state carries weight on some party."""
+    if state.max_component() <= 0.0:
+        raise PreconditionError("the state carries no weight on any party")
 
 
 def remove_nodes(g: ConfigGraph, s: Iterable[str]) -> ConfigGraph:
@@ -321,8 +327,17 @@ class LocalMeasurement:
         sc = sum(b * b + c for _, b, c in self.outcomes) - 1.0
         return sa, sb, sc
 
-    def is_complete(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return all(abs(r) <= tol for r in self.completeness_residuals())
+    def is_complete(self) -> bool:
+        """Whether every completeness residual is within ``COMPLETENESS_TOL``."""
+        return all(abs(r) <= COMPLETENESS_TOL for r in self.completeness_residuals())
+
+    def require_complete(self) -> None:
+        """Raise :class:`InvalidMeasurementError` unless :meth:`is_complete`."""
+        if not self.is_complete():
+            raise InvalidMeasurementError(
+                f"measurement on {self.party!r} is not complete: residuals "
+                f"{self.completeness_residuals()}"
+            )
 
     @classmethod
     def diagonal(cls, party: str, weights: Iterable[Sequence[float]]) -> "LocalMeasurement":
@@ -330,9 +345,9 @@ class LocalMeasurement:
         return cls(party, [(a, 0.0, c) for a, c in weights])
 
     @classmethod
-    def identity_split(cls, party: str, k: int = 2) -> "LocalMeasurement":
-        """k outcomes each proportional to the identity."""
-        return cls.diagonal(party, [(1.0 / k, 1.0 / k)] * k)
+    def identity_split(cls, party: str) -> "LocalMeasurement":
+        """Two outcomes, each half the identity: it changes no state."""
+        return cls.diagonal(party, [(0.5, 0.5)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +459,7 @@ def apply_measurement(state: WState, m: LocalMeasurement) -> list[tuple[float, W
     Outcomes with probability below ``NULL_OUTCOME_PROB`` are reported with
     ``None`` in place of a state.  Probabilities always sum to one.
     """
-    if not m.is_complete():
-        raise InvalidMeasurementError(
-            f"measurement on {m.party!r} is not complete: residuals "
-            f"{m.completeness_residuals()}"
-        )
+    m.require_complete()
     k = state.index(m.party)
     x0 = state.x0
     results: list[tuple[float, WState | None]] = []
@@ -535,9 +546,9 @@ def graph_catalog(name: str, n: int | None = None) -> ConfigGraph:
 
     Fixed-size presets: wedge, triangle, I, I', I'', II, III-a/b/c, IV, V,
     VI.  Parametric presets: pairs(n) with n even (disjoint pairs on nodes
-    "1".."n") and complete(n).
+    "1".."n") and complete(n), n a Python or numpy integer, not a bool.
     """
-    if n is not None and not isinstance(n, int):
+    if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
         raise InvalidInputError(f"preset size {n!r} is not an integer")
     key = str(name)
     key = _PRESET_ALIASES.get(key, _PRESET_ALIASES.get(key.lower(), key))

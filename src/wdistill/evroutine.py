@@ -27,7 +27,6 @@ from .core import (
     FAILURE,
     ConfigGraph,
     InternalConsistencyError,
-    InvalidInputError,
     LocalMeasurement,
     MAX_EQUAL_RTOL,
     NULL_OUTCOME_PROB,
@@ -37,6 +36,8 @@ from .core import (
     WState,
     _adjacency,
     _members,
+    _require_weight,
+    _same_parties,
 )
 
 X0_TOL = 1e-12
@@ -198,8 +199,7 @@ def _check_ev_input(state: WState, graph: ConfigGraph) -> None:
     """The subroutine's domain: an x0 = 0 state on the graph's parties."""
     if state.x0 > X0_TOL:
         raise PreconditionError(f"equal-or-vanish needs x0 = 0, got {state.x0}")
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
 
 
 def ev_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
@@ -222,7 +222,9 @@ def ev_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
 
 def full_set_lambda(state: WState) -> float:
     """Closed form for the probability that no party gets removed:
-    N * prod(x_k, k != n1) / x_n1^(N-2)."""
+    N * prod(x_k, k != n1) / x_n1^(N-2).  A state with no weight on any
+    party raises :class:`PreconditionError`."""
+    _require_weight(state)
     comps = state.components
     xmax = max(comps)
     imax = comps.index(xmax)

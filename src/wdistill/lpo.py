@@ -44,6 +44,7 @@ from .core import (
     _adjacency,
     _integer,
     _members,
+    _same_parties,
     component_update,
 )
 from .evroutine import X0_TOL, _check_ev_input, _decide, _select, _step, enumerate_ev, ev_measurement
@@ -223,8 +224,7 @@ def _phase1_walk(comps, live) -> list:
 def phase1_distribution(state: WState, graph: ConfigGraph) -> OutcomeDistribution:
     """Iterate x0-removal until every branch lands on an x0 = 0 state or a
     product state.  Residual terminals keep the pruned graph."""
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     out = []
     for key, p in _phase1_walk(state.components, (1 << state.n) - 1):
         if key is not FAILURE:
@@ -364,10 +364,7 @@ def _subgraph_key(labels, adj) -> str:
 def _induced(adj, live) -> tuple[int, ...]:
     """The neighbour masks of the subgraph on the positions set in
     ``live``, renumbered in order: each live bit is mapped to its rank
-    once, and each kept mask is rebuilt from its live neighbour bits.
-    The full mask gives ``adj`` itself."""
-    if live == (1 << len(adj)) - 1:
-        return adj
+    once, and each kept mask is rebuilt from its live neighbour bits."""
     rank = {}  # live bit -> the bit of its rank
     r = 1
     rest = live
@@ -386,6 +383,21 @@ def _induced(adj, live) -> tuple[int, ...]:
             nbrs ^= b
         out.append(m)
     return tuple(out)
+
+
+def _cover(memo, adj) -> list:
+    """The children ``(live, masks)`` of the memo entry ``adj``, in walk
+    order, that are not a child of a child one party smaller.  Expanding
+    the cover, and each cover below it, meets every child."""
+    children = memo[adj][1]
+    full = (1 << len(adj)) - 1
+    reached = {  # each grandchild g, the child's one gone bit r put back
+        g & ((1 << r) - 1) | g >> r << (r + 1)
+        for child, sub_adj in children if child.bit_count() == len(adj) - 1
+        for r in [(child ^ full).bit_length() - 1]
+        for g, _ in memo[sub_adj][1]
+    }
+    return [entry for entry in children if entry[0] not in reached]
 
 
 class PhaseThreeSolver:
@@ -526,8 +538,7 @@ class PhaseThreeSolver:
         """Overall success probability of the protocol on (state, graph):
         one recursion on a branch's weights and live mask, through phase I
         and the equal-or-vanish walk to the standard W terminals."""
-        if set(state.labels) != set(graph.labels):
-            raise InvalidInputError("state parties and graph nodes differ")
+        _same_parties(state, graph)
         labels = state.labels
         adj = _adjacency(labels, graph.edges)
         index = self._index(labels, adj)
@@ -553,40 +564,25 @@ class PhaseThreeSolver:
         and below it the children of its shape, relabelled.  Each subset is
         listed once, children first.
 
-        A shape met again is expanded only through its cover: the children
-        that are not a child of a child one party smaller.  Expanding those
-        meets every child, and on a dense graph they are few, where
-        expanding all children would revisit about 3^n / 2 subsets.  A
-        shape met once is expanded through all of its children, as on a
-        sparse graph the cover costs more to build than it saves there."""
+        Every shape is expanded through its :func:`_cover`, built once per
+        shape: on a dense graph the cover is a few children, where
+        expanding all of them would revisit about 3^n / 2 subsets.  The
+        subsets met in one expansion are kept in ``seen``, so that none is
+        expanded twice from the same start."""
         met: dict = {}
-        shapes_met: set = set()
         covers: dict = {}     # masks -> their cover
 
-        def cover(adj):
-            children = self._memo[adj][1]
-            reached = {  # each grandchild g, the child's one gone bit r put back
-                g & ((1 << r) - 1) | g >> r << (r + 1)
-                for child, sub_adj in children if child.bit_count() == len(adj) - 1
-                for r in [(child ^ ((1 << len(adj)) - 1)).bit_length() - 1]
-                for g, _ in self._memo[sub_adj][1]
-            }
-            return [entry for entry in children if entry[0] not in reached]
-
         def expand(labels, adj, seen):
-            report, children = self._memo[adj]
-            if adj in shapes_met:
-                if adj not in covers:
-                    covers[adj] = cover(adj)
-                children = covers[adj]
-            shapes_met.add(adj)
-            for child, sub_adj in children:
+            cover = covers.get(adj)
+            if cover is None:
+                cover = covers[adj] = _cover(self._memo, adj)
+            for child, sub_adj in cover:
                 sub = _members(labels, child)
                 if sub not in seen:
                     seen.add(sub)
                     if (sub, sub_adj) not in met:
                         expand(sub, sub_adj, seen)
-            met[(labels, adj)] = replace(report, subgraph_key=_subgraph_key(labels, adj))
+            met[(labels, adj)] = replace(self._memo[adj][0], subgraph_key=_subgraph_key(labels, adj))
 
         asked = dict.fromkeys(
             (_members(labels, live), _induced(adj, live))
@@ -965,8 +961,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     :class:`DecisionNode`, or cuts the loop with a :class:`TruncationLeaf`
     at the cap.  The keys of ``table`` are the nodes of the finite loop
     graph that the unrolled tree repeats."""
-    if set(state.labels) != set(graph.labels):
-        raise InvalidInputError("state parties and graph nodes differ")
+    _same_parties(state, graph)
     labels = state.labels
     adj = _adjacency(labels, graph.edges)
     index = None if solver is None else solver._index(labels, adj)

@@ -24,7 +24,6 @@ from .core import (
     Epr,
     InternalConsistencyError,
     InvalidInputError,
-    InvalidMeasurementError,
     LocalMeasurement,
     NULL_OUTCOME_PROB,
     PreconditionError,
@@ -95,11 +94,7 @@ def statevector_oracle(
     Independent of the closed-form component update; the two must agree on
     every probability and component to ORACLE_MATCH_TOL.
     """
-    if not m.is_complete():
-        raise InvalidMeasurementError(
-            f"measurement on {m.party!r} is not complete: residuals "
-            f"{m.completeness_residuals()}"
-        )
+    m.require_complete()
     k = state.index(m.party)
     n = state.n
     vec = StateVector.from_wstate(state)

@@ -7,6 +7,7 @@ import pytest
 from wdistill import (
     ConfigGraph,
     GraphMatchError,
+    InvalidInputError,
     PreconditionError,
     WState,
     bound_config,
@@ -304,6 +305,16 @@ def test_bounds_reject_states_without_weight(bound, presets):
         g = graph_catalog(name)
         with pytest.raises(PreconditionError, match="no weight"):
             bound(WState([0.0] * g.n, g.labels), g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_schmidt_weights_reject_non_finite_weights(bad, position):
+    # (nan, 0.5, 0.5) and (0.0, nan, 1.0) once gave (0.5, 0.5)
+    for weights in ([0.0, 0.5, 0.5], [0.0, 0.0, 1.0]):
+        weights[position] = bad
+        with pytest.raises(InvalidInputError):
+            two_party_schmidt_weights(*weights)
 
 
 FOUR_NODE_PRESETS = ["I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]

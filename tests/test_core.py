@@ -14,10 +14,19 @@ from wdistill import (
     UnknownPresetError,
     WState,
     apply_measurement,
+    bound_config,
+    build_protocol_tree,
+    ev_distribution,
+    gamma,
     graph_catalog,
     kt_averages,
+    p_lpo,
+    phase1_distribution,
     remove_nodes,
+    resolve_bound,
     standard_w,
+    statevector_oracle,
+    tau,
 )
 from wdistill.mc import random_measurement, random_w_state
 
@@ -84,8 +93,21 @@ def test_measurement_update_worked_example():
 def test_incomplete_measurement_rejected():
     s = standard_w("AB")
     bad = LocalMeasurement("A", [(0.5, 0.0, 0.5), (0.4, 0.0, 0.5)])
-    with pytest.raises(InvalidMeasurementError):
-        apply_measurement(s, bad)
+    want = r"measurement on 'A' is not complete: residuals \(-0\.0999.*, 0\.0, 0\.0\)"
+    for update in (apply_measurement, statevector_oracle):
+        with pytest.raises(InvalidMeasurementError, match=want):
+            update(s, bad)
+
+
+def test_every_state_and_graph_entry_checks_the_parties_alike():
+    state, g = standard_w("ABCD"), ConfigGraph("ABCZ", [("A", "B")])
+    entries = [
+        phase1_distribution, p_lpo, ev_distribution, tau, gamma, bound_config, resolve_bound,
+        lambda s, g: build_protocol_tree(s, g, 1e-3, 3),
+    ]
+    for entry in entries:
+        with pytest.raises(InvalidInputError, match="^state parties and graph nodes differ$"):
+            entry(state, g)
 
 
 def test_unknown_party_rejected():
@@ -197,6 +219,14 @@ def test_graph_catalog_examples():
         graph_catalog("heptagon")
     with pytest.raises(InvalidInputError):
         graph_catalog("pairs", 5)
+
+
+def test_graph_catalog_sizes_are_python_or_numpy_integers():
+    assert graph_catalog("pairs", np.int64(6)) == graph_catalog("pairs", 6)
+    assert graph_catalog("complete", np.int32(5)) == graph_catalog("complete", 5)
+    for bad in (True, 6.0):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            graph_catalog("pairs", bad)
 
 
 def test_graph_validation():

@@ -144,6 +144,13 @@ def test_full_set_lambda_closed_form_random():
         )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_set_lambda_rejects_a_state_without_weight(n):
+    # the closed form divides by the dominant weight
+    with pytest.raises(PreconditionError, match="no weight"):
+        full_set_lambda(WState([0.0] * n))
+
+
 def test_ev_distribution_total_probability():
     rng = np.random.default_rng(3)
     graphs = [graph_catalog(n) for n in ("wedge", "triangle", "I", "II", "IV", "VI")]

@@ -416,6 +416,40 @@ def test_shape_memo_matches_label_keyed_reference(shared):
     assert len(fast._memo) < len(want)
 
 
+REAL_COVER = lpo_mod._cover
+
+
+def cover_without_smaller_children(memo, adj):
+    """A planted fault: :func:`wdistill.lpo._cover` without the children
+    one party smaller."""
+    return [entry for entry in REAL_COVER(memo, adj) if entry[0].bit_count() < len(adj) - 1]
+
+
+def cover_without_last_entry(memo, adj):
+    """A planted fault: :func:`wdistill.lpo._cover` without its last entry."""
+    return REAL_COVER(memo, adj)[:-1]
+
+
+def audit_mismatch():
+    """The first graph of :func:`equivalence_graphs` whose audit trail at
+    the standard W state differs from :class:`LabelKeyedSolver`'s, or None."""
+    for g in equivalence_graphs():
+        fast, slow = PhaseThreeSolver(), LabelKeyedSolver()
+        w = standard_w(g.labels)
+        fast.p_lpo(w, g)
+        slow.p_lpo(w, g)
+        if [r.to_json() for r in fast.reports()] != [r.to_json() for r in slow.reports()]:
+            return g
+    return None
+
+
+@pytest.mark.parametrize("fault", [cover_without_smaller_children, cover_without_last_entry])
+def test_the_audit_check_catches_a_planted_cover_fault(monkeypatch, fault):
+    assert audit_mismatch() is None
+    monkeypatch.setattr(lpo_mod, "_cover", fault)
+    assert audit_mismatch() is not None
+
+
 def test_complete_ten_top_node_coefficients_are_exact(solver):
     g = graph_catalog("complete", 10)
     rep = p3(g.labels, g, solver)
