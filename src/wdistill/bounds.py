@@ -16,6 +16,7 @@ from .core import (
     ConfigGraph,
     GraphMatchError,
     InvalidInputError,
+    MAX_EQUAL_RTOL,
     PreconditionError,
     WState,
     _require_weight,
@@ -196,7 +197,7 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
             neighbors = [l for l in graph.labels if graph.has_edge(center, l)]
             others = sorted(neighbors, key=state.component, reverse=True)
         xa = state.component(center)
-        applicable = xa >= state.max_component() * (1.0 - 1e-12)
+        applicable = xa >= state.max_component() * (1.0 - MAX_EQUAL_RTOL)
         roles = {"A": center}
         for name, l in zip("BCD", others):
             roles[name] = l

@@ -21,8 +21,7 @@ enter only where a report or a state is handed out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -403,11 +402,14 @@ def _cover(memo, adj) -> list:
 class PhaseThreeSolver:
     """Memoized recursion over party subsets.
 
-    Inside the recursion a subgraph is its neighbour masks, which fix it
-    up to relabelling, and values depend on nothing else: the walks work
-    on positions, and the peel-off and :func:`_select` ties go to the
-    lowest one.  So the memo is keyed by the masks, and every relabelled
-    copy of one shape is solved once.  Each entry holds the report, which
+    Inside the recursion a subgraph is its neighbour masks in label order,
+    and values depend on nothing else: the walks work on positions, and
+    the peel-off and :func:`_select` ties go to the lowest one.  So the
+    memo is keyed by the masks, and subgraphs whose masks are equal share
+    one solve.  The same graph with its parties in another order may have
+    other masks and, from five parties on, another value: the lowest
+    position decides which least-connected party is peeled off (see
+    :meth:`p3_diagnostic`).  Each entry holds the report, which
     names no labels, and its children, the subsets whose values it reads,
     each as its live mask over the entry's positions and its own masks.
     The labelled index files the report of each subset asked for under its
@@ -524,11 +526,13 @@ class PhaseThreeSolver:
 
     def p3_diagnostic(self, labels, edges) -> dict[str, float]:
         """Value obtained for every minimal-degree choice of the peel-off
-        party, bypassing the lowest-index tie-break."""
+        party, bypassing the lowest-index tie-break: each choice is solved
+        with that party named first.  Only the shape memo fills, so
+        :meth:`reports` does not change."""
         labels = tuple(labels)
         deg = [nbrs.bit_count() for nbrs in _adjacency(labels, edges)]
         return {
-            k: PhaseThreeSolver().p3((k,) + tuple(l for l in labels if l != k), edges).value
+            k: self._solve(_adjacency((k, *(l for l in labels if l != k)), edges))[0].value
             for k, d in zip(labels, deg) if d == min(deg)
         }
 
@@ -730,10 +734,12 @@ class ProtocolTree:
     :class:`TruncationLeaf` wherever a loop was cut.  A tree from
     :func:`ev_tree` stops at standard W states instead, so its leaves are
     :class:`~wdistill.core.StandardW` and ``FAILURE``.  Equal subtrees are
-    one shared object, so the nodes form a DAG.  Every method below is a
-    loop over :attr:`nodes`, so none recurses however deep the tree is;
-    :meth:`node_count` still counts the unrolled tree.  Values are summed
-    children first; whatever moves from the root down, the leaf
+    one shared object, so the nodes form a DAG.  :attr:`nodes` is its
+    table: the distinct decision nodes, each after all of its children
+    (the root last), in the order :func:`_unroll` made them.  Every method
+    below is a loop over that table, so none recurses however deep the
+    tree is; :meth:`node_count` still counts the unrolled tree.  Values
+    are summed children first; whatever moves from the root down, the leaf
     probabilities, the truncation mass and :func:`wdistill.mc.simulate`'s
     trial counts, is one :meth:`_flow` over the table, parents first.
     """
@@ -741,22 +747,7 @@ class ProtocolTree:
     root: object
     epsilon: float | None
     loop_cap: int
-
-    @cached_property
-    def nodes(self) -> tuple[DecisionNode, ...]:
-        """The distinct decision nodes below the root, each one after all
-        of its children (the root last)."""
-        # in a DAG a node is finished before its other stack entries pop
-        done: dict[DecisionNode, None] = {}
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                done[node] = None
-            elif isinstance(node, DecisionNode) and node not in done:
-                stack.append((node, True))
-                stack.extend((child, False) for _, child in reversed(node.children))
-        return tuple(done)
+    nodes: tuple[DecisionNode, ...] = field(repr=False, compare=False)
 
     def analytic_value(self, credit_truncation: bool = True) -> float:
         """Success probability of the tree.  With truncation credit each
@@ -960,7 +951,9 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
     it: a cycle only wraps the step's children into a
     :class:`DecisionNode`, or cuts the loop with a :class:`TruncationLeaf`
     at the cap.  The keys of ``table`` are the nodes of the finite loop
-    graph that the unrolled tree repeats."""
+    graph that the unrolled tree repeats.  Each node is made after all of
+    its children, so the decision nodes of ``shared``, in the order they
+    were made, are the tree's node table."""
     _same_parties(state, graph)
     labels = state.labels
     adj = _adjacency(labels, graph.edges)
@@ -1040,7 +1033,8 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         return node
 
     root = build(state.components, (1 << len(labels)) - 1, 0)
-    return ProtocolTree(root, epsilon, loop_cap)
+    nodes = tuple(node for node in shared.values() if isinstance(node, DecisionNode))
+    return ProtocolTree(root, epsilon, loop_cap, nodes)
 
 
 # ---------------------------------------------------------------------------

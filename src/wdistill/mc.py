@@ -37,7 +37,7 @@ from .core import (
 from .lpo import ProtocolTree, TruncationLeaf
 
 MAX_ORACLE_PARTIES = 12
-ORACLE_MATCH_TOL = 1e-10
+ORACLE_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -64,9 +64,6 @@ class StateVector:
             amps[1 << (n - 1 - i)] = math.sqrt(c)
         return cls(amps, state.labels)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def to_wstate(self) -> WState:
         """Project back to component form, checking the support stayed on
         Hamming weight <= 1."""
@@ -92,7 +89,7 @@ def statevector_oracle(
     """Measurement outcomes computed on the dense 2^N amplitude vector.
 
     Independent of the closed-form component update; the two must agree on
-    every probability and component to ORACLE_MATCH_TOL.
+    every probability and component to ORACLE_TOL.
     """
     m.require_complete()
     k = state.index(m.party)

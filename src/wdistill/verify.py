@@ -23,17 +23,18 @@ from . import bounds as bounds_mod
 from . import mc as mc_mod
 from .core import ConfigGraph, WState, graph_catalog, standard_w
 from .lpo import (
+    PAW_EDGES,
     PhaseThreeSolver,
     build_protocol_tree,
     p_fl,
     paw_closed_form,
 )
+from .mc import ORACLE_TOL
 
 SQRT3 = math.sqrt(3.0)
 
 VALUE_TOL = 1e-8
 ALPHA_TOL_ACCEPT = 1e-6
-ORACLE_TOL = 1e-10
 FUZZ_TOL = 1e-10
 
 
@@ -153,7 +154,7 @@ def closed_forms(quick: bool = False, seed: int = 1) -> CriterionResult:
     c.check("three-edge three-party formula", worst_t <= VALUE_TOL, f"worst {worst_t:.2e}")
 
     # the printed paw-graph polynomial pins edges AB, AC, AD, BD
-    paw = ConfigGraph(("A", "B", "C", "D"), [("A", "B"), ("A", "C"), ("A", "D"), ("B", "D")])
+    paw = ConfigGraph(("A", "B", "C", "D"), PAW_EDGES)
     worst = 0.0
     for _ in range(count):
         st = sorted_state(4, paw.labels)

@@ -22,6 +22,7 @@ from wdistill import (
     WState,
     apply_measurement,
     build_protocol_tree,
+    ev_tree,
     f_alpha,
     g6_weak_improvement,
     graph_catalog,
@@ -32,16 +33,17 @@ from wdistill import (
     phase1_distribution,
     phase1_measurement,
     phase1_success_probability,
+    random_w_state,
     simulate,
     standard_w,
     statevector_oracle,
 )
 from wdistill.core import _adjacency, _members, _restrict_edges
 from wdistill.evroutine import X0_TOL, enumerate_ev
-from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, TruncationLeaf, _peel_step
+from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
 
-from test_walk_oracle import reference_peel_walk
+from test_walk_oracle import TREE_CAPS, TREE_EPSILON, named_graph, reference_peel_walk, tree_states
 
 SQRT3 = math.sqrt(3.0)
 FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
@@ -496,6 +498,38 @@ def test_p3_five_node_tie_break_can_matter():
     assert solver.p3(labels, edges).value == pytest.approx(diag["A"], abs=1e-10)
 
 
+@pytest.mark.parametrize("labels,edges", [
+    (tuple(graph_catalog("III-a").labels), graph_catalog("III-a").edges),
+    (tuple("ABCDE"), frozenset({("A", "D"), ("B", "E"), ("D", "E"), ("C", "D")})),
+], ids=["III-a", "five-party"])
+def test_p3_diagnostic_solves_in_the_shape_memo(labels, edges):
+    # each choice is the value of a fresh solver with that party named
+    # first, and the audit trail of the queries before does not change
+    solver = PhaseThreeSolver()
+    assert solver.p3_diagnostic(labels, edges) and solver.reports() == []
+    g = ConfigGraph(labels, edges)
+    solver.p_lpo(standard_w(labels), g)
+    before = json.dumps([r.to_json() for r in solver.reports()])
+    diag = solver.p3_diagnostic(labels, edges)
+    assert json.dumps([r.to_json() for r in solver.reports()]) == before
+    for k, value in diag.items():
+        assert value == PhaseThreeSolver().p3((k, *(l for l in labels if l != k)), edges).value, k
+
+
+def test_p_lpo_at_w_depends_on_how_parties_are_named():
+    # a 3-path plus a disjoint edge: the lowest-named least-connected
+    # party is on the edge in one naming and an end of the path in the
+    # other, and the peel-off takes the lowest-named one
+    w = standard_w("ABCDE")
+    on_edge = ConfigGraph("ABCDE", [("A", "B"), ("C", "D"), ("D", "E")])
+    on_path = ConfigGraph("ABCDE", [("A", "B"), ("B", "C"), ("D", "E")])
+    assert repr(p_lpo(w, on_edge)) == "0.5666666666666667"
+    assert repr(p_lpo(w, on_path)) == "0.5867593829772402"
+    for g in (on_edge, on_path):
+        values = set(PhaseThreeSolver().p3_diagnostic(g.labels, g.edges).values())
+        assert values == {0.5666666666666667, 0.5867593829772402}
+
+
 # ---------------------------------------------------------------------------
 # whole-protocol values
 
@@ -761,15 +795,59 @@ def test_tree_branches_match_the_oracle_on_every_fixed_preset(solver, name, x0):
     assert_tree_matches_the_oracle(tree, g)
 
 
-def decision_nodes(tree):
-    """The distinct DecisionNode objects reachable from the root."""
-    found, stack = {}, [tree.root]
+def reference_nodes(root):
+    """The distinct decision nodes below ``root``, each one after all of
+    its children (the root last), by a depth-first walk over the DAG."""
+    # in a DAG a node is finished before its other stack entries pop
+    done: dict[DecisionNode, None] = {}
+    stack = [(root, False)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, DecisionNode) and id(node) not in found:
-            found[id(node)] = node
-            stack.extend(child for _, child in node.children)
-    return list(found.values())
+        node, expanded = stack.pop()
+        if expanded:
+            done[node] = None
+        elif isinstance(node, DecisionNode) and node not in done:
+            stack.append((node, True))
+            stack.extend((child, False) for _, child in reversed(node.children))
+    return tuple(done)
+
+
+def table_trees():
+    """The trees whose node tables are checked: the ``TREE_CAPS`` graphs at
+    the standard W state and at their pinned x0 > 0 state, the EV trees of
+    the fixed presets at random x0 = 0 states, and IV at loop cap 1000."""
+    for name, cap in TREE_CAPS.items():
+        g = named_graph(name)
+        for tag in ("W", "x0"):
+            yield f"{name} {tag}", build_protocol_tree(tree_states(name)[tag], g, TREE_EPSILON, cap)
+    rng = np.random.default_rng(22)
+    for name in FIXED_PRESETS:
+        g = graph_catalog(name)
+        for i in range(5):
+            state = WState(random_w_state(rng, g.n, x0_zero=True).components, g.labels)
+            yield f"ev {name} {i}", ev_tree(state, g)
+    g = graph_catalog("IV")
+    yield "IV cap 1000", build_protocol_tree(standard_w(g.labels), g, loop_cap=MAX_LOOP_CAP)
+
+
+def node_table_mismatch():
+    """The first tree of :func:`table_trees` whose ``nodes`` are not the
+    nodes of :func:`reference_nodes`, the same objects in the same order,
+    or None."""
+    for what, tree in table_trees():
+        if tree.nodes != reference_nodes(tree.root):  # decision nodes compare by identity
+            return what
+    return None
+
+
+def reversed_table_tree(root, epsilon, loop_cap, nodes):
+    """A planted fault: a builder that hands its tree the table reversed."""
+    return ProtocolTree(root, epsilon, loop_cap, nodes[::-1])
+
+
+def test_the_node_table_is_the_reference_walk(monkeypatch):
+    assert node_table_mismatch() is None
+    monkeypatch.setattr(lpo_mod, "ProtocolTree", reversed_table_tree)
+    assert node_table_mismatch() is not None
 
 
 def unshared_value(node, credit_truncation):
@@ -807,7 +885,7 @@ def unrolled_truncation_mass(node, pathp):
 def test_tree_builds_each_distinct_subtree_once(solver):
     g = graph_catalog("complete", 5)
     tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=3, solver=solver)
-    assert len(decision_nodes(tree)) <= 250
+    assert len(reference_nodes(tree.root)) <= 250
     assert tree.node_count() == 5_569
     for credit in (True, False):
         assert tree.analytic_value(credit) == unshared_value(tree.root, credit)
@@ -833,7 +911,7 @@ def test_shared_tree_matches_the_oracle_at_a_large_loop_cap(solver):
     g = graph_catalog("complete", 5)
     tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=10, solver=solver)
     assert tree.node_count() == 173_121
-    assert len(decision_nodes(tree)) == 593
+    assert len(reference_nodes(tree.root)) == 593
     assert_tree_matches_the_oracle(tree, g)
 
 

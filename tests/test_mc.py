@@ -43,7 +43,7 @@ def solver():
 def test_statevector_round_trip():
     s = WState([0.3, 0.3, 0.2])
     vec = StateVector.from_wstate(s)
-    assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(vec.amplitudes) == pytest.approx(1.0, abs=1e-12)
     back = vec.to_wstate()
     assert back.components == pytest.approx(s.components, abs=1e-14)
     assert back.x0 == pytest.approx(s.x0, abs=1e-14)
@@ -153,7 +153,7 @@ def diamond_tree():
     left = DecisionNode(w, m, "ev", ((0.5, shared), (0.5, Epr(("A", "B")))))
     right = DecisionNode(w, m, "ev", ((0.25, shared), (0.75, Epr(("C", "D")))))
     root = DecisionNode(w, m, "ev", ((0.5, left), (0.5, right)))
-    return ProtocolTree(root, 1e-3, 1)
+    return ProtocolTree(root, 1e-3, 1, (shared, left, right, root))
 
 
 def test_a_node_with_two_parents_receives_the_summed_count():
@@ -330,7 +330,7 @@ def test_sim_result_json_is_strict_when_a_certain_leaf_deviates():
     w = standard_w("AB")
     m = LocalMeasurement.diagonal("A", [(1.0, 1.0), (0.0, 0.0)])
     root = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "B"))), (1e-3, FAILURE)))
-    res = simulate(ProtocolTree(root, 1e-3, 1), 100_000, seed=5)
+    res = simulate(ProtocolTree(root, 1e-3, 1, (root,)), 100_000, seed=5)
     payload = json.loads(res.to_json(), parse_constant=reject_constant)
     epr = next(t for t in payload["terminals"] if t["probability"] == 1.0)
     assert epr["empirical"] < 1.0
