@@ -89,7 +89,7 @@ def _four_party_preset(graph: ConfigGraph) -> str | None:
     or None (other sizes and the empty graph)."""
     if graph.n != 4:
         return None
-    return _FOUR_PARTY_PRESETS.get(tuple(sorted(graph.degree(l) for l in graph.labels)))
+    return _FOUR_PARTY_PRESETS.get(graph._degree_sequence)
 
 
 def tau(state: WState, graph: ConfigGraph) -> BoundReport:
@@ -342,7 +342,7 @@ def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     separable-operations value 5/6 is reported as a reference.
     """
     _same_parties(state, graph)
-    if state.n < 2 or state.n > 4 or state.max_component() == 0.0:
+    if state.n > 4 or state.max_component() == 0.0:
         return None
     work_state, work_graph = (state, graph) if state.n == 4 else _pad_to_four(state, graph)
     kind = _four_party_preset(work_graph)

@@ -197,10 +197,15 @@ class ConfigGraph:
     or integers, which become strings; anything else raises
     :class:`InvalidInputError`.
 
-    The neighbour masks of :func:`_adjacency` and the position of each
-    label are worked out on first use and kept on the instance.  They are
-    not fields, so equality, hashing, ``repr`` and :meth:`to_json` see only
-    the labels and edges."""
+    The neighbour masks of :func:`_adjacency`, the position of each label,
+    the sorted degree sequence and the values of the graph alone that other
+    modules keep in :attr:`_kept` (the baseline ``p_fl``, which is the value
+    at the standard W state and so does not depend on any state) are worked
+    out on first use and kept on the instance.  They are not fields, so
+    equality, hashing, ``repr`` and :meth:`to_json` see only the labels and
+    edges.  Each depends on the labels and edges alone, so on a graph shared
+    between callers each kept value is written once, and a write that races
+    it stores the same value."""
 
     labels: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
@@ -234,6 +239,17 @@ class ConfigGraph:
     def _positions(self) -> dict[str, int]:
         """The position of each label in :attr:`labels`."""
         return {l: i for i, l in enumerate(self.labels)}
+
+    @cached_property
+    def _degree_sequence(self) -> tuple[int, ...]:
+        """The popcounts of :attr:`_masks`, in ascending order."""
+        return tuple(sorted(m.bit_count() for m in self._masks))
+
+    @cached_property
+    def _kept(self) -> dict[str, float]:
+        """Values of this graph alone, by name, that other modules work out
+        once and keep here (``p_fl``)."""
+        return {}
 
     @property
     def n(self) -> int:

@@ -640,17 +640,24 @@ def p_lpo(state: WState, graph: ConfigGraph, solver: PhaseThreeSolver | None = N
 
 
 def p_fl(graph: ConfigGraph) -> float:
-    """Success probability of the subset-averaging baseline protocol.
+    """Success probability of the subset-averaging baseline protocol at the
+    standard W state: a value of the graph alone, whatever state a query
+    holds.
 
     Complete induced subgraphs succeed outright, three-party non-complete
     subgraphs with an edge reach 2/3, and everything larger averages over
     single-party removals.  A subset is a mask of live positions over the
-    graph's own neighbour masks, and each one is valued once per call; the
-    loops visit only its set bits, the lowest first.  Each average is
-    summed from int 0 in that order, one addition at a time.
+    graph's own neighbour masks, and each one is valued once; the loops
+    visit only its set bits, the lowest first.  Each average is summed from
+    int 0 in that order, one addition at a time.  The result is kept on the
+    graph instance, so later calls on the same graph return it.
     """
     if graph.n < 2:
         raise PreconditionError("need at least two nodes")
+    kept = graph._kept
+    hit = kept.get("p_fl")
+    if hit is not None:
+        return hit
     adj = graph._masks
     memo: dict[int, float] = {}
 
@@ -686,7 +693,8 @@ def p_fl(graph: ConfigGraph) -> float:
         memo[live] = out
         return out
 
-    return value((1 << graph.n) - 1)
+    out = kept["p_fl"] = value((1 << graph.n) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from wdistill import (
     two_party_schmidt_weights,
     w_target_bound,
 )
-from wdistill.bounds import SEP_REFERENCES, _four_party_preset
+from wdistill.bounds import _FOUR_PARTY_PRESETS, SEP_REFERENCES, _four_party_preset
 from wdistill.lpo import PhaseThreeSolver
 
 
@@ -320,9 +320,16 @@ def test_schmidt_weights_reject_non_finite_weights(bad, position):
 FOUR_NODE_PRESETS = ["I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
 
 
-def test_four_party_classifier_agrees_with_brute_force_isomorphism():
-    # all 64 labelled graphs on A..D, each matched against every
-    # relabelling of every four-node catalog preset
+def degree_scan_preset(g):
+    """The preset named by the sorted degrees counted off the edge list."""
+    return _FOUR_PARTY_PRESETS.get(tuple(sorted(sum(l in e for e in g.edges) for l in g.labels)))
+
+
+def four_party_mismatch():
+    """The first graph, over all 64 edge sets on A..D in all 24 label
+    orders, that :func:`_four_party_preset` names other than both the
+    degree scan and every relabelling of every four-node catalog preset
+    do, or None."""
     labels = "ABCD"
     pairs = list(itertools.combinations(labels, 2))
     relabelled = {}
@@ -333,6 +340,21 @@ def test_four_party_classifier_agrees_with_brute_force_isomorphism():
             relabelled.setdefault(frozenset(tuple(sorted(rename[v] for v in e)) for e in edges), name)
     assert len(relabelled) == 63  # every labelled graph but the empty one
     for mask in range(64):
-        g = ConfigGraph(labels, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
-        assert _four_party_preset(g) == relabelled.get(g.edges)
+        edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+        for order in itertools.permutations(labels):
+            g = ConfigGraph(order, edges)
+            if not _four_party_preset(g) == degree_scan_preset(g) == relabelled.get(g.edges):
+                return g
+    return None
+
+
+def test_four_party_classifier_agrees_with_brute_force_isomorphism():
+    assert four_party_mismatch() is None
     assert _four_party_preset(graph_catalog("triangle")) is None
+
+
+def test_four_party_classifier_check_catches_an_unsorted_degree_sequence(monkeypatch):
+    # a planted fault: the degrees in label order, not sorted
+    unsorted = property(lambda g: tuple(m.bit_count() for m in g._masks))
+    monkeypatch.setattr(ConfigGraph, "_degree_sequence", unsorted)
+    assert four_party_mismatch() is not None

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wdistill import (
     gamma,
     graph_catalog,
     kt_averages,
+    p_fl,
     p_lpo,
     phase1_distribution,
     remove_nodes,
@@ -267,6 +269,7 @@ def test_neighbors_and_degree_match_an_edge_scan(g):
     for label in g.labels:
         assert g.neighbors(label) == scanned_neighbors(g, label)
         assert g.degree(label) == len(scanned_neighbors(g, label))
+    assert g._degree_sequence == tuple(sorted(len(scanned_neighbors(g, l)) for l in g.labels))
     for bad in ("nobody", 1, None, ["A"]):
         with pytest.raises(InvalidPartyError):
             g.neighbors(bad)
@@ -284,16 +287,45 @@ def test_neighbor_sets_are_copies():
 
 
 def test_cached_masks_leave_equality_hash_and_json_unchanged():
+    # the masks, the degree sequence and the kept p_fl are not fields
     g = graph_catalog("VI")
     fresh = ConfigGraph(g.labels, g.edges)
     before = (repr(g), g.to_json())
     [g.degree(l) for l in g.labels]
+    assert g._degree_sequence == (1, 2, 2, 3)
+    p_fl(g)
+    assert "p_fl" in g._kept
     sub = g.induced("ABD")
     sub.neighbors("A")
     assert g == fresh and hash(g) == hash(fresh)
     assert (repr(g), g.to_json()) == before
     assert sub == ConfigGraph("ABD", [("A", "B"), ("A", "D")])
     assert hash(sub) == hash(ConfigGraph("ABD", [("A", "B"), ("A", "D")]))
+    for copy in (pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(fresh))):
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert (repr(copy), copy.to_json()) == before
+        assert repr(p_fl(copy)) == repr(p_fl(ConfigGraph(g.labels, g.edges)))
+
+
+def test_derived_graphs_start_with_no_kept_values():
+    from wdistill.bounds import _pad_to_four
+
+    vi, wedge = graph_catalog("VI"), graph_catalog("wedge")
+    for g in (vi, wedge):
+        p_fl(g)
+        g._degree_sequence
+    derived = [
+        vi.induced("ABCD"),
+        vi.induced("ABD"),
+        remove_nodes(vi, ()),
+        remove_nodes(vi, "C"),
+        ConfigGraph.from_json(vi.to_json()),
+        ConfigGraph.from_json({"preset": "VI"}),
+        _pad_to_four(standard_w(wedge.labels), wedge)[1],
+    ]
+    for d in derived:
+        assert set(vars(d)) == {"labels", "edges"}, d
+        assert d._kept == {}, d
 
 
 @pytest.mark.parametrize("bad", [{"x": 1}, None, 1.5, True, ("A",)], ids=repr)

@@ -657,6 +657,47 @@ def test_p_fl_matches_the_graph_object_reference():
         assert repr(p_fl(g)) == repr(p_fl_reference(g)), g
 
 
+def kept_p_fl_graphs():
+    """The presets, ``complete``/``cycle``/``path`` with 3 to 12 parties and
+    ``pairs`` with 4 to 16, as new graph objects, ordered by size so that
+    graphs of one size but different values are asked one after another."""
+    graphs = [graph_catalog(name) for name in FIXED_PRESETS]
+    graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(3, 13)]
+    graphs += [graph_catalog("pairs", n) for n in range(4, 17, 2)]
+    return sorted(graphs, key=lambda g: g.n)
+
+
+def kept_p_fl_mismatch(want):
+    """The first graph of :func:`kept_p_fl_graphs` whose ``p_fl``, asked
+    twice over the whole list, differs in repr from ``want``, or None."""
+    graphs = kept_p_fl_graphs()
+    for _ in range(2):
+        for g in graphs:
+            if repr(p_fl(g)) != want[g]:
+                return g
+    return None
+
+
+def share_p_fl_across_graphs(monkeypatch):
+    """A planted fault: a ``p_fl`` store shared by every graph of one size."""
+    by_size = {}
+    monkeypatch.setattr(ConfigGraph, "_kept", property(lambda g: by_size.setdefault(g.n, {})))
+
+
+def test_p_fl_kept_on_a_graph_equals_the_value_on_a_fresh_graph(monkeypatch):
+    want = {g: repr(p_fl(ConfigGraph(g.labels, g.edges))) for g in kept_p_fl_graphs()}
+    assert kept_p_fl_mismatch(want) is None
+    share_p_fl_across_graphs(monkeypatch)
+    assert kept_p_fl_mismatch(want) is not None
+
+
+def test_p_fl_rejects_a_one_node_graph_on_every_call():
+    for g in (ConfigGraph("A"), ConfigGraph(())):
+        for _ in range(3):
+            with pytest.raises(PreconditionError):
+                p_fl(g)
+
+
 def test_p_fl_examples():
     assert p_fl(graph_catalog("complete", 4)) == 1.0
     assert p_fl(graph_catalog("complete", 6)) == 1.0
