@@ -319,17 +319,22 @@ def pairs_comparison(n_pairs: int) -> tuple[float, float]:
 
 
 def _pad_to_four(state: WState, graph: ConfigGraph) -> tuple[WState, ConfigGraph]:
+    """``state`` and ``graph`` with zero-weight spectators added up to four
+    parties.  The padded graph depends only on the graph and the state's
+    label order, so it is built once per order and kept on the graph."""
     missing = 4 - state.n
-    extra = []
-    i = 0
-    while len(extra) < missing:
-        cand = f"_z{i}"
-        if cand not in state.labels:
-            extra.append(cand)
-        i += 1
-    labels = state.labels + tuple(extra)
-    comps = state.components + (0.0,) * missing
-    return WState(comps, labels), ConfigGraph(labels, graph.edges)
+    key = ("padded", state.labels)
+    padded = graph._kept.get(key)
+    if padded is None:
+        extra = []
+        i = 0
+        while len(extra) < missing:
+            cand = f"_z{i}"
+            if cand not in state.labels:
+                extra.append(cand)
+            i += 1
+        padded = graph._kept[key] = ConfigGraph(state.labels + tuple(extra), graph.edges)
+    return WState(state.components + (0.0,) * missing, padded.labels), padded
 
 
 def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:

@@ -200,8 +200,9 @@ class ConfigGraph:
     The neighbour masks of :func:`_adjacency`, the position of each label,
     the sorted degree sequence and the values of the graph alone that other
     modules keep in :attr:`_kept` (the baseline ``p_fl``, which is the value
-    at the standard W state and so does not depend on any state) are worked
-    out on first use and kept on the instance.  They are not fields, so
+    at the standard W state and so does not depend on any state, and the
+    graphs the bound lookup pads to four parties, one per label order) are
+    worked out on first use and kept on the instance.  They are not fields, so
     equality, hashing, ``repr`` and :meth:`to_json` see only the labels and
     edges.  Each depends on the labels and edges alone, so on a graph shared
     between callers each kept value is written once, and a write that races
@@ -246,10 +247,18 @@ class ConfigGraph:
         return tuple(sorted(m.bit_count() for m in self._masks))
 
     @cached_property
-    def _kept(self) -> dict[str, float]:
+    def _kept(self) -> dict:
         """Values of this graph alone, by name, that other modules work out
-        once and keep here (``p_fl``)."""
+        once and keep here (``p_fl``, and the padded graphs of
+        ``bounds._pad_to_four`` under ``("padded", labels)``)."""
         return {}
+
+    def __repr__(self) -> str:
+        # the edges in sorted order: a set's order depends on the order it
+        # was filled in, and a pickled copy refills it, so equal graphs
+        # would otherwise print differently
+        edges = "frozenset({" + ", ".join(map(repr, sorted(self.edges))) + "})" if self.edges else "frozenset()"
+        return f"ConfigGraph(labels={self.labels!r}, edges={edges})"
 
     @property
     def n(self) -> int:

@@ -14,11 +14,14 @@ The walks run on position bitmasks.  A walk reads one neighbour mask per
 party position, from :func:`~wdistill.core._adjacency`, and carries the
 set of parties still in play as a live mask beside a component tuple
 indexed by position.  :func:`_select` finds the mask of maximal live
-parties and :func:`_decide` answers from it and mask tests with a
-position, which :func:`_step` takes; the peel-off walk of
+parties and the mask of isolated ones (live, with no live neighbour) in
+one loop over the positions, and :func:`_decide` answers from the two
+masks with a position, which :func:`_step` takes.  The peel-off walk of
 :mod:`wdistill.lpo` passes :func:`_decide` its own mask of maximal
-parties.  :func:`enumerate_ev` keys its terminals by live mask, which
-:func:`ev_distribution` names.
+parties and carries the isolated mask along: an equalize step leaves it
+as it is, and :func:`_without` removes a party and tests only that
+party's live neighbours.  :func:`enumerate_ev` keys its terminals by
+live mask, which :func:`ev_distribution` names.
 """
 
 from __future__ import annotations
@@ -45,38 +48,44 @@ X0_TOL = 1e-12
 
 def _select(comps, adj, live):
     """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
-    on the live parties within ``MAX_EQUAL_RTOL`` of the largest weight.
+    on the live parties within ``MAX_EQUAL_RTOL`` of the largest weight and
+    the live parties with no live neighbour, both masks built in one loop
+    over the positions.
 
     ``comps`` holds one weight per position, 0.0 at every position outside
     the ``live`` mask, and ``adj`` the neighbour masks of
     :func:`~wdistill.core._adjacency`.
     """
     floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
-    maxmask = 0
+    maxmask = isolated = 0
     bit = 1
+    i = 0
     for c in comps:
         if c >= floor:
             maxmask |= bit
+        if not adj[i] & live:
+            isolated |= bit
         bit <<= 1
-    return _decide(maxmask & live, adj, live)
+        i += 1
+    return _decide(maxmask & live, adj, live, isolated & live)
 
 
-def _decide(maxmask, adj, live):
+def _decide(maxmask, adj, live, isolated):
     """The action of :func:`_select`, given the mask of maximal live
-    parties, as (tag, position).
+    parties and the mask of live parties with no live neighbour, as
+    (tag, position).
 
-    Order of the rules matters: isolated parties (no live neighbour) are
-    dealt with before the all-maximal terminal check, and the measuring
-    party is the lowest-position non-maximal party next to a maximal one,
-    falling back to the lowest-position non-maximal party.  The weights
-    themselves are not read, so any walk that can say which parties are
-    maximal shares the rule.
+    Order of the rules matters: isolated parties are dealt with before the
+    all-maximal terminal check, the lowest position first, and the
+    measuring party is the lowest-position non-maximal party next to a
+    maximal one, falling back to the lowest-position non-maximal party.
+    The weights themselves are not read, so any walk that can say which
+    parties are maximal shares the rule, and a walk that changes ``live``
+    one party at a time can carry ``isolated`` along with
+    :func:`_without` instead of scanning every position at each node.
     """
-    bit = 1
-    for nbrs in adj:
-        if not nbrs & live and live & bit:
-            return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
-        bit <<= 1
+    if isolated:
+        return ("fail2", None) if live.bit_count() == 2 else ("isolate", (isolated & -isolated).bit_length() - 1)
     if maxmask == live:
         return "terminal", None
     lagging = live & ~maxmask
@@ -88,6 +97,35 @@ def _decide(maxmask, adj, live):
             return "measure", i
         rest ^= bit
     return "measure", (lagging & -lagging).bit_length() - 1
+
+
+def _isolated(adj, live):
+    """The mask of live parties with no live neighbour."""
+    isolated = 0
+    rest = live
+    while rest:
+        bit = rest & -rest
+        if not adj[bit.bit_length() - 1] & live:
+            isolated |= bit
+        rest ^= bit
+    return isolated
+
+
+def _without(adj, live, isolated, j):
+    """The live mask without position j, and its :func:`_isolated` mask
+    from ``isolated``, the one of ``live``: j leaves it, and of the
+    others only j's live neighbours can have lost their last live
+    neighbour, so only they are tested."""
+    bit = 1 << j
+    live ^= bit
+    isolated &= ~bit
+    nbrs = adj[j] & live
+    while nbrs:
+        b = nbrs & -nbrs
+        if not adj[b.bit_length() - 1] & live:
+            isolated |= b
+        nbrs ^= b
+    return live, isolated
 
 
 def ev_measurement(state: WState, k: str) -> LocalMeasurement:

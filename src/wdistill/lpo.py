@@ -46,7 +46,17 @@ from .core import (
     _same_parties,
     component_update,
 )
-from .evroutine import X0_TOL, _check_ev_input, _decide, _select, _step, enumerate_ev, ev_measurement
+from .evroutine import (
+    X0_TOL,
+    _check_ev_input,
+    _decide,
+    _isolated,
+    _select,
+    _step,
+    _without,
+    enumerate_ev,
+    ev_measurement,
+)
 
 LIMIT_EDGE = 1e-6              # argmax this close to 1 counts as a limit
 MAX_LOOP_CAP = 1_000           # loops a protocol tree runs on one W subset
@@ -156,7 +166,11 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
     one: j moves to level L - 1 and ``low`` rises by one.  Vanishing
     removes j and raises v, and isolating removes the party; if no
     maximal party is left, the empty leading levels go and ``low`` rises
-    by their number.  Empty trailing levels are dropped.
+    by their number.  Empty trailing levels are dropped.  The walk also
+    carries ``isolated``, the live parties with no live neighbour, which
+    :func:`_decide` reads: equalizing keeps it, and a removal updates it
+    with :func:`_without`, which tests only the removed party's
+    neighbours.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -164,10 +178,10 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
     others = full & ~(1 << k)
     out = [(others, 0, 1)]
 
-    def walk(levels, live, low, v):
+    def walk(levels, live, isolated, low, v):
         if live.bit_count() < 2:
             return
-        tag, j = _decide(levels[0], adj, live)
+        tag, j = _decide(levels[0], adj, live, isolated)
         if tag == "terminal":
             out.append((live, low, v))
         if tag in ("terminal", "fail2"):
@@ -187,13 +201,13 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
             raised = (*rest[:at - 1], rest[at - 1] | bit, *rest[at:])
             while not raised[-1]:
                 raised = raised[:-1]
-            walk(raised, live, low + 1, v)  # equalize
+            walk(raised, live, isolated, low + 1, v)  # equalize
             v += 1  # vanish
         while not rest[-1]:
             rest = rest[:-1]
-        walk(rest, live ^ bit, low, v)
+        walk(rest, *_without(adj, live, isolated, j), low, v)
 
-    walk((1 << k, others), full, 0, 0)
+    walk((1 << k, others), full, _isolated(adj, full), 0, 0)
     return out
 
 
@@ -412,6 +426,11 @@ class PhaseThreeSolver:
     :meth:`p3_diagnostic`).  Each entry holds the report, which
     names no labels, and its children, the subsets whose values it reads,
     each as its live mask over the entry's positions and its own masks.
+    A report depends only on the cycle function's terms, on whether the
+    node can loop and on its size, so :meth:`_optimize` runs once per
+    distinct ``(terms, has_loop, n)`` and shapes that meet the same key
+    share its report.  The size is in the key because loop-free shapes of
+    different sizes can have equal terms but not an equal ``loop_order``.
     The labelled index files the report of each subset asked for under its
     root, the labels and masks a query started from, by its live mask.
     Labels name a report only where it is handed out: in :meth:`p3`, and
@@ -423,6 +442,7 @@ class PhaseThreeSolver:
 
     def __init__(self):
         self._memo: dict = {}       # masks -> (report, children)
+        self._optimized: dict = {}  # (terms, has_loop, n) -> report
         self._labelled: dict = {}   # (labels, masks) of a root -> {live mask: report}
 
     # -- recursion -----------------------------------------------------
@@ -455,7 +475,11 @@ class PhaseThreeSolver:
             n = len(adj)
             if n > 2 and any(adj):
                 terms, children = self._cycle_terms(adj)
-                self._memo[adj] = self._optimize(adj, terms), children
+                key = (tuple(terms), all(adj), n)
+                report = self._optimized.get(key)
+                if report is None:
+                    report = self._optimized[key] = self._optimize(adj, terms)
+                self._memo[adj] = report, children
             else:  # no peel-off: two joined parties succeed, anything else fails
                 c = 1.0 if any(adj) else 0.0
                 report = OptimizationReport(c, 0.0, False, ((c, 0, 0),), "", False, max(1, n - 1))

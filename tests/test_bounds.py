@@ -17,6 +17,7 @@ from wdistill import (
     p_lpo,
     pair_distillation_bound,
     pairs_comparison,
+    random_w_state,
     resolve_bound,
     standard_w,
     tau,
@@ -24,7 +25,7 @@ from wdistill import (
     two_party_schmidt_weights,
     w_target_bound,
 )
-from wdistill.bounds import _FOUR_PARTY_PRESETS, SEP_REFERENCES, _four_party_preset
+from wdistill.bounds import _FOUR_PARTY_PRESETS, SEP_REFERENCES, _four_party_preset, _pad_to_four
 from wdistill.lpo import PhaseThreeSolver
 
 
@@ -267,6 +268,23 @@ def test_resolve_bound_pads_small_systems(solver):
     rep = resolve_bound(WState([0.5, 0.3, 0.2], tri.labels), tri)
     assert rep.bound_name == "II"
     assert rep.value == pytest.approx(0.88, abs=1e-10)
+
+
+def test_the_padded_graph_is_kept_per_label_order():
+    # a two- or three-party graph keeps one padded graph per state label
+    # order, and bounds read through it equal those on a fresh graph
+    rng = np.random.default_rng(24)
+    for name in ("wedge", "triangle"):
+        g = graph_catalog(name)
+        for labels in (g.labels, g.labels[::-1]):
+            padded = set()
+            for _ in range(5):
+                state = WState(random_w_state(rng, g.n).components, labels)
+                fresh = ConfigGraph(g.labels, g.edges)
+                assert repr(resolve_bound(state, g)) == repr(resolve_bound(state, fresh))
+                padded.add(id(_pad_to_four(state, g)[1]))
+            assert len(padded) == 1
+        assert sorted(g._kept) == sorted(("padded", l) for l in (g.labels, g.labels[::-1]))
 
 
 def test_resolve_bound_paw_reference_constant():

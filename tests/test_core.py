@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 
@@ -305,6 +306,17 @@ def test_cached_masks_leave_equality_hash_and_json_unchanged():
         assert copy == fresh and hash(copy) == hash(fresh)
         assert (repr(copy), copy.to_json()) == before
         assert repr(p_fl(copy)) == repr(p_fl(ConfigGraph(g.labels, g.edges)))
+
+
+def test_equal_graphs_print_alike_whatever_order_their_edges_came_in():
+    # a set's order depends on the order it was filled in; every order of
+    # the edges of the paw and the 4-clique must give one repr
+    for name in ("VI", "V"):
+        g = graph_catalog(name)
+        reprs = {repr(ConfigGraph(g.labels, order)) for order in itertools.permutations(sorted(g.edges))}
+        reprs.add(repr(pickle.loads(pickle.dumps(g))))
+        assert reprs == {repr(g)}, name
+    assert repr(ConfigGraph("AB")) == "ConfigGraph(labels=('A', 'B'), edges=frozenset())"
 
 
 def test_derived_graphs_start_with_no_kept_values():

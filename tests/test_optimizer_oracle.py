@@ -10,6 +10,13 @@ roots with ``polyroots``, and sum the objective's terms with the built-in
 ``sum`` over arrays.  The engine's direct numpy calls must give
 repr-identical reports and objective values, so both run in one process
 on the same numpy.
+
+The solver optimizes each distinct ``(terms, has_loop, n)`` once and
+shares the report between the shapes that meet it.  Every optimized memo
+entry must be repr-equal to a fresh :meth:`~wdistill.lpo.PhaseThreeSolver._optimize`
+on its own masks, and a planted table keyed by the terms alone, which
+hands a loop-free shape the ``loop_order`` of another size, must fail
+that check.
 """
 
 import math
@@ -20,7 +27,7 @@ import numpy.polynomial.polyutils
 import pytest
 from numpy.polynomial import polynomial as nppoly
 
-from wdistill import PhaseThreeSolver, graph_catalog, standard_w
+from wdistill import ConfigGraph, PhaseThreeSolver, graph_catalog, standard_w
 from wdistill.core import InternalConsistencyError, _adjacency
 from wdistill.lpo import LIMIT_EDGE, OptimizationReport, _objective_value
 
@@ -108,6 +115,27 @@ def mismatches(solver):
     return bad
 
 
+def fresh_mismatches(solver):
+    """The optimized memo entries of ``solver`` whose report is not
+    repr-equal to a fresh ``_optimize`` on the entry's masks and terms."""
+    fresh = PhaseThreeSolver()
+    return [
+        adj for adj, (report, _) in solver._memo.items()
+        if len(adj) > 2 and any(adj) and repr(report) != repr(fresh._optimize(adj, report.terms))
+    ]
+
+
+class TermsKeyedTable(dict):
+    """A planted fault: an optimizer table that files each report under
+    the terms alone, so that shapes of other sizes share it."""
+
+    def get(self, key, default=None):
+        return super().get(key[0], default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
 def oracle_graphs():
     graphs = [graph_catalog(name) for name in FIXED_PRESETS]
     graphs += [family_graph(f, n) for f in ("complete", "cycle", "path") for n in range(5, 11)]
@@ -144,6 +172,44 @@ def test_every_memo_entry_matches_the_reference_optimizer():
         solver.p_lpo(standard_w(g.labels), g)
     assert sum(len(adj) > 2 and any(adj) for adj in solver._memo) > 150
     assert mismatches(solver) == []
+
+
+def test_every_memo_entry_is_a_fresh_optimization():
+    solver = PhaseThreeSolver()
+    for g in oracle_graphs():
+        solver.p_lpo(standard_w(g.labels), g)
+    assert fresh_mismatches(solver) == []
+
+
+def test_each_distinct_cycle_function_is_optimized_once(monkeypatch):
+    keys = []
+    optimize = PhaseThreeSolver._optimize
+
+    def counting(self, adj, terms):
+        keys.append((tuple(terms), all(adj), len(adj)))
+        return optimize(self, adj, terms)
+
+    monkeypatch.setattr(PhaseThreeSolver, "_optimize", counting)
+    g = family_graph("cycle", 8)
+    solver = PhaseThreeSolver()
+    solver.p_lpo(standard_w(g.labels), g)
+    optimized = [adj for adj in solver._memo if len(adj) > 2 and any(adj)]
+    assert len(keys) == len(set(keys)) == 22 < len(optimized)
+
+
+def test_a_table_keyed_by_terms_alone_fails_the_fresh_check():
+    # a 4-clique and two isolated parties: the whole graph and its subset
+    # A, B, E (one edge, one isolated party) both have the terms
+    # 2/3 (1 - a) + 2/3 a and no loop, at n = 6 and n = 3
+    g = ConfigGraph(tuple("ABCDEF"), [(a, b) for a in "ABCD" for b in "ABCD" if a < b])
+    terms = ((2 / 3, 0, 1), (2 / 3, 1, 0))
+    for planted in (False, True):
+        solver = PhaseThreeSolver()
+        if planted:
+            solver._optimized = TermsKeyedTable()
+        reports = [solver.p3(labels, g.edges) for labels in (g.labels, ("A", "B", "E"))]
+        assert [(r.terms, r.has_loop) for r in reports] == [(terms, False)] * 2
+        assert bool(fresh_mismatches(solver)) is planted
 
 
 def test_random_term_sets_match_the_reference_optimizer():

@@ -21,8 +21,18 @@ position, infinite for a removed party, before the walk kept one mask of
 live parties per exponent level; the level walk must return the same
 lists.  :func:`wdistill.lpo._induced` must renumber every subset as
 :func:`~wdistill.core._adjacency` does on its labels and restricted edges.
+
+``scan_decide`` is :func:`wdistill.evroutine._decide` as it was before
+the walks carried the mask of isolated parties: it scans every position
+for a live party with no live neighbour at each node.  The
+``exponent_peel_walk`` reference calls it, so the level walk, which
+carries the mask and updates it with :func:`~wdistill.evroutine._without`,
+is checked against the scanning rule.  The four-argument rule must answer
+as ``scan_decide`` does, and the update must equal a fresh scan.
+
 A planted fault in each, a selection rule that measures the highest
-lagging position and an ``_induced`` that ranks bits from the top, must
+lagging position, an isolated-mask update that never adds a newly
+isolated neighbour and an ``_induced`` that ranks bits from the top, must
 be caught by these checks.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
@@ -49,7 +59,7 @@ from wdistill import (
 )
 from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
 from wdistill import lpo as lpo_mod
-from wdistill.evroutine import _decide, _select, enumerate_ev
+from wdistill.evroutine import _decide, _isolated, _select, _without, enumerate_ev
 from wdistill.lpo import PhaseThreeSolver, _induced, _peel_party, _peel_walk
 from wdistill.mc import random_w_state
 
@@ -234,7 +244,36 @@ def coded_peel_walk(adj):
 
 
 # ---------------------------------------------------------------------------
-# the walk on one exponent per position
+# the scanning selection rule and the walk on one exponent per position
+
+
+def scan_decide(maxmask, adj, live):
+    """The action of :func:`_select`, given the mask of maximal live
+    parties, as (tag, position).
+
+    Order of the rules matters: isolated parties (no live neighbour) are
+    dealt with before the all-maximal terminal check, and the measuring
+    party is the lowest-position non-maximal party next to a maximal one,
+    falling back to the lowest-position non-maximal party.  The weights
+    themselves are not read, so any walk that can say which parties are
+    maximal shares the rule.
+    """
+    bit = 1
+    for nbrs in adj:
+        if not nbrs & live and live & bit:
+            return ("fail2", None) if live.bit_count() == 2 else ("isolate", bit.bit_length() - 1)
+        bit <<= 1
+    if maxmask == live:
+        return "terminal", None
+    lagging = live & ~maxmask
+    rest = lagging
+    while rest:
+        bit = rest & -rest
+        i = bit.bit_length() - 1
+        if adj[i] & maxmask:
+            return "measure", i
+        rest ^= bit
+    return "measure", (lagging & -lagging).bit_length() - 1
 
 
 def exponent_peel_walk(adj) -> list[tuple[int, int, int]]:
@@ -248,7 +287,7 @@ def exponent_peel_walk(adj) -> list[tuple[int, int, int]]:
     party j raises every other e by one, vanishing removes j and raises
     v, and isolating removes the party (after the last maximal one the
     rest are maximal at e + 1).  The maximal parties are the live ones at
-    the least exponent, the mask :func:`_decide` acts on, so no alpha is
+    the least exponent, the mask ``scan_decide`` acts on, so no alpha is
     needed; a removed party's exponent is infinite.
     """
     n = len(adj)
@@ -266,7 +305,7 @@ def exponent_peel_walk(adj) -> list[tuple[int, int, int]]:
             if e == low:
                 maxmask |= bit
             bit <<= 1
-        tag, j = _decide(maxmask, adj, live)
+        tag, j = scan_decide(maxmask, adj, live)
         if tag == "terminal":
             out.append((live, low, v))
         if tag in ("terminal", "fail2"):
@@ -282,13 +321,20 @@ def exponent_peel_walk(adj) -> list[tuple[int, int, int]]:
     return out
 
 
-def highest_lagging_decide(maxmask, adj, live):
+def highest_lagging_decide(maxmask, adj, live, isolated):
     """A planted fault: :func:`_decide`, but a measuring step picks the
     highest lagging position."""
-    tag, j = _decide(maxmask, adj, live)
+    tag, j = _decide(maxmask, adj, live, isolated)
     if tag == "measure":
         j = (live & ~maxmask).bit_length() - 1
     return tag, j
+
+
+def never_adds_isolated(adj, live, isolated, j):
+    """A planted fault: :func:`_without`, but a neighbour of j left with
+    no live neighbour is never added to the isolated mask."""
+    bit = 1 << j
+    return live & ~bit, isolated & ~bit
 
 
 def top_ranked_induced(adj, live):
@@ -409,6 +455,32 @@ def random_select_input(rng):
     return tuple(comps), tuple(adj), live
 
 
+def test_decide_matches_the_scanning_decide():
+    rng = np.random.default_rng(24)
+    tags = set()
+    for _ in range(20_000):
+        comps, adj, live = random_select_input(rng)
+        floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
+        maxmask = sum(1 << i for i, c in enumerate(comps) if c >= floor) & live
+        got = _decide(maxmask, adj, live, _isolated(adj, live))
+        assert got == scan_decide(maxmask, adj, live), (maxmask, adj, live)
+        tags.add(got[0])
+    assert tags == {"fail2", "isolate", "terminal", "measure"}
+
+
+def test_the_isolated_update_matches_a_fresh_scan():
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 4, 5, 6, 7, 7]:
+        adj = random_masks(rng, n)
+        for live in range(1 << n):
+            isolated = _isolated(adj, live)
+            assert isolated == sum(1 << i for i in range(n) if live >> i & 1 and not adj[i] & live), (adj, live)
+            for j in range(n):
+                if live >> j & 1:
+                    rest = live & ~(1 << j)
+                    assert _without(adj, live, isolated, j) == (rest, _isolated(adj, rest)), (adj, live, j)
+
+
 def test_select_matches_the_single_loop_select():
     rng = np.random.default_rng(7)
     tags = set()
@@ -467,11 +539,24 @@ def random_masks(rng, n):
     return tuple(adj)
 
 
-def test_peel_walk_matches_the_exponent_walk_on_random_graphs():
+def exponent_walk_mismatch():
+    """The first of 2,000 seeded random graphs on 6 to 9 parties on which
+    :func:`_peel_walk` and ``exponent_peel_walk`` differ, or None."""
     rng = np.random.default_rng(20)
     for _ in range(2_000):
         adj = random_masks(rng, int(rng.integers(6, 10)))
-        assert _peel_walk(adj) == exponent_peel_walk(adj), adj
+        if lpo_mod._peel_walk(adj) != exponent_peel_walk(adj):
+            return adj
+    return None
+
+
+def test_peel_walk_matches_the_exponent_walk_on_random_graphs():
+    assert exponent_walk_mismatch() is None
+
+
+def test_the_exponent_walk_catches_a_planted_isolated_update_fault(monkeypatch):
+    monkeypatch.setattr(lpo_mod, "_without", never_adds_isolated)
+    assert exponent_walk_mismatch() is not None
 
 
 @pytest.mark.parametrize("name", ["cycle:12", "pairs:14"])
