@@ -19,8 +19,10 @@ from .core import (
     MAX_EQUAL_RTOL,
     PreconditionError,
     WState,
+    _FIXED_PRESETS,
     _require_weight,
     _same_parties,
+    graph_catalog,
 )
 
 
@@ -56,30 +58,20 @@ class BoundReport:
 
 def _by_component(state: WState, candidates) -> str:
     """Candidate with the largest component, lowest index on ties."""
-    best = None
-    for l in state.labels:  # label order encodes the index tie-break
-        if l in candidates:
-            if best is None or state.component(l) > state.component(best):
-                best = l
-    return best
+    # label order encodes the index tie-break: max keeps the first of equal keys
+    return max((l for l in state.labels if l in candidates), key=state.component)
 
 
 # ---------------------------------------------------------------------------
 # four-party configurations
 
-# Every four-node graph with an edge, up to relabelling, has its own sorted
-# degree sequence, so the sequence names its catalog preset.
+# The classes are the four-party presets of core._FIXED_PRESETS, their one
+# definition.  Every four-node graph with an edge, up to relabelling, has its
+# own sorted degree sequence, so the sequence names its class.
 _FOUR_PARTY_PRESETS = {
-    (0, 0, 1, 1): "I",
-    (0, 1, 1, 2): "I'",
-    (1, 1, 1, 3): "I''",
-    (0, 2, 2, 2): "II",
-    (1, 1, 1, 1): "III-a",
-    (1, 1, 2, 2): "III-b",
-    (2, 2, 2, 2): "III-c",
-    (2, 2, 3, 3): "IV",
-    (3, 3, 3, 3): "V",
-    (1, 2, 2, 3): "VI",
+    graph_catalog(name)._degree_sequence: name
+    for name, (size, _) in _FIXED_PRESETS.items()
+    if size == 4
 }
 _UNCONNECTED_PAIRS = ("III-a", "III-b", "III-c")  # every node has an unconnected partner
 

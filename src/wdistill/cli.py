@@ -22,7 +22,7 @@ from .core import (
     standard_w,
 )
 from .lpo import PhaseThreeSolver, build_protocol_tree, p_fl
-from .mc import monotone_fuzz, simulate
+from .mc import FUZZ_GRAPHS, monotone_fuzz, simulate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -147,7 +147,7 @@ def cmd_fuzz(args) -> int:
     code = _write_out(json.dumps(payload, sort_keys=True), args.out)
     if code != EXIT_OK:
         return code
-    return EXIT_OK if worst <= 1e-10 else EXIT_FAIL
+    return EXIT_OK if worst <= verify_mod.FUZZ_TOL else EXIT_FAIL
 
 
 def cmd_figure(args) -> int:
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("fuzz", help="random search for monotone violations")
-    p.add_argument("--function", choices=("kt_i", "kt_0", "tau", "gamma"), required=True)
+    p.add_argument("--function", choices=tuple(FUZZ_GRAPHS), required=True)
     p.add_argument("--states", type=int, default=1000)
     p.add_argument("--measurements", type=int, default=10)
     p.add_argument("--weak-radius", type=float, default=0.05)

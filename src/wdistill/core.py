@@ -550,28 +550,22 @@ _FIXED_PRESETS: dict[str, tuple[int, tuple[tuple[str, str], ...]]] = {
     "VI": (4, (("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"))),
 }
 
-_PRESET_ALIASES = {
-    "I′": "I'",
-    "I″": "I''",
-    "i": "I",
-    "i'": "I'",
-    "i''": "I''",
-    "ii": "II",
-    "iii-a": "III-a",
-    "iii-b": "III-b",
-    "iii-c": "III-c",
-    "iv": "IV",
-    "v": "V",
-    "vi": "VI",
+# each four-party class answers to its lowercase spelling too
+_PRESET_ALIASES = {"I′": "I'", "I″": "I''"} | {
+    name.lower(): name for name, (size, _) in _FIXED_PRESETS.items() if size == 4
 }
 
 
 def graph_catalog(name: str, n: int | None = None) -> ConfigGraph:
     """Named configuration-graph presets.
 
-    Fixed-size presets: wedge, triangle, I, I', I'', II, III-a/b/c, IV, V,
-    VI.  Parametric presets: pairs(n) with n even (disjoint pairs on nodes
-    "1".."n") and complete(n), n a Python or numpy integer, not a bool.
+    Fixed-size presets, from ``_FIXED_PRESETS``: wedge, triangle and the
+    four-party classes I, I', I'', II, III-a/b/c, IV, V, VI, which also
+    answer to their lowercase spellings (iv, iii-c) and to I′ and I″.  The
+    table is the one definition of the classes; ``bounds`` derives its
+    class lookup from it.  Parametric presets: pairs(n) with n even
+    (disjoint pairs on nodes "1".."n") and complete(n), n a Python or
+    numpy integer, not a bool.
     """
     if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
         raise InvalidInputError(f"preset size {n!r} is not an integer")

@@ -305,7 +305,9 @@ _SCALAR_CHECKS = {
     "tau": _monotone_violation(lambda s, g: bounds_mod.tau(s, g)),
     "gamma": _monotone_violation(lambda s, g: bounds_mod.gamma(s, g)),
 }
-# the native configuration each monotone is fuzzed on
+# the native configuration each monotone is fuzzed on, by monotone id: the
+# one list of ids, which the command line's --function choices and the
+# acceptance criteria iterate in this order
 FUZZ_GRAPHS = {"kt_i": None, "kt_0": None, "tau": "III-c", "gamma": "IV"}
 FUZZ_PARTIES = 4
 SCALAR_CHECK_STATES = 2     # leading states whose pairs rerun on the object path
@@ -494,10 +496,12 @@ def monotone_fuzz(
     """Largest average increase of the requested monotone over random
     states and random weak complete measurements.
 
-    function_id is one of "kt_i", "kt_0", "tau", "gamma".  A correct
-    monotone never rises on average, so anything above rounding noise is a
-    violation.  The tau and gamma checks reassign party roles on every
-    outcome and run on their native four-party configurations.
+    function_id is a key of FUZZ_GRAPHS: "kt_i", "kt_0", "tau" or
+    "gamma".  n_states, n_measurements and seed are Python or numpy
+    integers, not bools.  A correct monotone never rises on average, so
+    anything above rounding noise is a violation.  The tau and gamma
+    checks reassign party roles on every outcome and run on their native
+    four-party configurations.
 
     All states and measurements are drawn at once and evaluated as numpy
     arrays: the component update, the kt averages and tau and gamma with
@@ -508,6 +512,9 @@ def monotone_fuzz(
     least the largest disagreement between the paths on a checked pair if
     that exceeds PATH_AGREEMENT_TOL, so a fault on either side shows.
     """
+    n_states = _integer("n_states", n_states)
+    n_measurements = _integer("n_measurements", n_measurements)
+    seed = _integer("seed", seed)
     if not 0.0 <= weak_radius <= 0.1:
         raise PreconditionError("weak_radius must lie between 0 and 0.1")
     if seed < 0:

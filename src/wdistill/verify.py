@@ -24,14 +24,13 @@ from . import mc as mc_mod
 from .core import ConfigGraph, WState, graph_catalog, standard_w
 from .lpo import (
     PAW_EDGES,
+    SQRT3,
     PhaseThreeSolver,
     build_protocol_tree,
     p_fl,
     paw_closed_form,
 )
-from .mc import ORACLE_TOL
-
-SQRT3 = math.sqrt(3.0)
+from .mc import FUZZ_GRAPHS, ORACLE_TOL
 
 VALUE_TOL = 1e-8
 ALPHA_TOL_ACCEPT = 1e-6
@@ -234,7 +233,7 @@ def monotone_fuzz_all(quick: bool = False, seed: int = 3) -> list[CriterionResul
     n_states = 300 if quick else 10_000
     n_meas = 5 if quick else 10
     out = []
-    for i, fid in enumerate(("kt_i", "kt_0", "tau", "gamma")):
+    for i, fid in enumerate(FUZZ_GRAPHS):
         t0 = time.perf_counter()
         c = _Checker()
         worst = mc_mod.monotone_fuzz(fid, n_states, n_meas, weak_radius=0.05, seed=seed + i)

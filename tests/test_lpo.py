@@ -43,10 +43,17 @@ from wdistill.evroutine import X0_TOL, enumerate_ev
 from wdistill.lpo import MAX_LOOP_CAP, DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf, _peel_step
 from wdistill.verify import ORACLE_TOL
 
-from test_walk_oracle import TREE_CAPS, TREE_EPSILON, named_graph, reference_peel_walk, tree_states
+from test_walk_oracle import (
+    FIXED_PRESETS,
+    TREE_CAPS,
+    TREE_EPSILON,
+    family_graph,
+    named_graph,
+    reference_peel_walk,
+    tree_states,
+)
 
 SQRT3 = math.sqrt(3.0)
-FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
 
 
 @pytest.fixture(scope="module")
@@ -287,15 +294,6 @@ def test_p3_argmax_is_a_critical_point():
             slope = (rep.objective(a + h) - rep.objective(a - h)) / (2 * h)
             assert abs(slope) <= 1e-9, (rep.subgraph_key, a, slope)
     assert interior > 0
-
-
-def family_graph(family, n):
-    labels = tuple("ABCDEFGHIJKL"[:n])
-    if family == "cycle":
-        return ConfigGraph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-    if family == "path":
-        return ConfigGraph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
-    return graph_catalog(family, n)
 
 
 def test_walked_cycle_function_equals_f_alpha():

@@ -376,6 +376,23 @@ def test_monotone_fuzz_validates_inputs():
         monotone_fuzz("nope", 10, 1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": True}, {"seed": 1.5}, {"seed": "3"}, {"n_states": 2.5}, {"n_measurements": True}],
+    ids=["bool-seed", "fractional-seed", "string-seed", "fractional-states", "bool-measurements"],
+)
+def test_monotone_fuzz_rejects_counts_and_seeds_that_are_not_integers(kwargs):
+    (name,) = kwargs
+    args = {"n_states": 10, "n_measurements": 2, "seed": 0} | kwargs
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        monotone_fuzz("tau", **args)
+
+
+def test_monotone_fuzz_takes_numpy_integers_as_python_ints():
+    want = monotone_fuzz("gamma", 5, 3, seed=4)
+    assert repr(monotone_fuzz("gamma", np.int64(5), np.int32(3), seed=np.uint8(4))) == repr(want)
+
+
 FUZZ_IDS = ("kt_i", "kt_0", "tau", "gamma")
 
 

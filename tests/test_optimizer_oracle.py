@@ -20,6 +20,7 @@ that check.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial
@@ -99,7 +100,10 @@ def reference_optimize(adj, terms) -> OptimizationReport:
 
 
 def fields(report, f_polynomial):
-    return repr((report.value, report.argmax_alpha, report.attained_at_limit, report.terms, f_polynomial))
+    return repr((
+        report.value, report.argmax_alpha, report.attained_at_limit, report.terms, f_polynomial,
+        report.has_loop, report.loop_order,
+    ))
 
 
 def mismatches(solver):
@@ -172,6 +176,22 @@ def test_every_memo_entry_matches_the_reference_optimizer():
         solver.p_lpo(standard_w(g.labels), g)
     assert sum(len(adj) > 2 and any(adj) for adj in solver._memo) > 150
     assert mismatches(solver) == []
+
+
+def test_a_wrong_loop_order_fails_the_reference_check(monkeypatch):
+    # a planted fault: the report keeps its value and argmax but names the
+    # wrong loop order, which OptimizationReport.objective divides by
+    optimize = PhaseThreeSolver._optimize
+
+    def off_by_one(self, adj, terms):
+        report = optimize(self, adj, terms)
+        return replace(report, loop_order=report.loop_order + 1)
+
+    monkeypatch.setattr(PhaseThreeSolver, "_optimize", off_by_one)
+    solver = PhaseThreeSolver()
+    for g in oracle_graphs():
+        solver.p_lpo(standard_w(g.labels), g)
+    assert mismatches(solver)
 
 
 def test_every_memo_entry_is_a_fresh_optimization():

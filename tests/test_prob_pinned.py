@@ -18,8 +18,9 @@ import pytest
 from wdistill import graph_catalog
 from wdistill.cli import main
 
+from test_walk_oracle import FIXED_PRESETS
+
 DATA = Path(__file__).parent / "data" / "prob_pinned.json"
-FIXED_PRESETS = ["wedge", "triangle", "I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI"]
 FLOAT_TOL = 1e-12
 
 
