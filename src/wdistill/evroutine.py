@@ -13,15 +13,29 @@ that builder's node table, stopped at standard W states
 The walks run on position bitmasks.  A walk reads one neighbour mask per
 party position, from :func:`~wdistill.core._adjacency`, and carries the
 set of parties still in play as a live mask beside a component tuple
-indexed by position.  :func:`_select` finds the mask of maximal live
-parties and the mask of isolated ones (live, with no live neighbour) in
-one loop over the positions, and :func:`_decide` answers from the two
-masks with a position, which :func:`_step` takes.  The peel-off walk of
+indexed by position.  :func:`_scan` finds the mask of maximal live
+parties, the mask of those exactly at the largest weight and the mask of
+isolated ones (live, with no live neighbour) in one loop over the
+positions, and :func:`_decide` answers from the maximal and isolated
+masks with a position, which :func:`_step` takes; :func:`_select` is the
+two in a row.  A measure step's outcome probabilities come from
+:func:`_measure_outcomes` alone.  The peel-off walk of
 :mod:`wdistill.lpo` passes :func:`_decide` its own mask of maximal
 parties and carries the isolated mask along: an equalize step leaves it
 as it is, and :func:`_without` removes a party and tests only that
 party's live neighbours.  :func:`enumerate_ev` keys its terminals by
 live mask, which :func:`ev_distribution` names.
+
+:func:`enumerate_ev` ends its walk at the last lagging party.  When a
+node measures the one live party below the maximum and every other live
+party sits exactly at the largest weight, both outcomes rescale the
+weights by one common factor, which maps equal floats to equal floats:
+the equal outcome is the terminal on every live party and the vanish
+outcome the terminal on the others, or failure when fewer than two are
+left, read off the masks without building either child.  Only a vanish
+outcome that leaves a party with no live neighbour is built and walked.
+A near tie, within ``MAX_EQUAL_RTOL`` but not exact, may round apart
+once rescaled, so it takes the full step.
 """
 
 from __future__ import annotations
@@ -46,28 +60,38 @@ from .core import (
 X0_TOL = 1e-12
 
 
-def _select(comps, adj, live):
-    """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
-    on the live parties within ``MAX_EQUAL_RTOL`` of the largest weight and
-    the live parties with no live neighbour, both masks built in one loop
-    over the positions.
+def _scan(comps, adj, live):
+    """The largest weight ``top`` and three masks of live parties, built
+    in one loop over the positions: those within ``MAX_EQUAL_RTOL`` of
+    ``top`` (maximal), those exactly at ``top`` (tied) and those with no
+    live neighbour (isolated).
 
     ``comps`` holds one weight per position, 0.0 at every position outside
     the ``live`` mask, and ``adj`` the neighbour masks of
     :func:`~wdistill.core._adjacency`.
     """
-    floor = max(comps) * (1.0 - MAX_EQUAL_RTOL)
-    maxmask = isolated = 0
+    top = max(comps)
+    floor = top * (1.0 - MAX_EQUAL_RTOL)
+    maxmask = tied = isolated = 0
     bit = 1
     i = 0
     for c in comps:
         if c >= floor:
             maxmask |= bit
+            if c == top:
+                tied |= bit
         if not adj[i] & live:
             isolated |= bit
         bit <<= 1
         i += 1
-    return _decide(maxmask & live, adj, live, isolated & live)
+    return top, maxmask & live, tied & live, isolated & live
+
+
+def _select(comps, adj, live):
+    """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
+    on the maximal and isolated masks of :func:`_scan`."""
+    _, maxmask, _, isolated = _scan(comps, adj, live)
+    return _decide(maxmask, adj, live, isolated)
 
 
 def _decide(maxmask, adj, live, isolated):
@@ -148,15 +172,36 @@ def ev_measurement(state: WState, k: str) -> LocalMeasurement:
 # party weights are tracked.
 
 
+def _measure_outcomes(xk, top):
+    """The measure step of a party of weight ``xk`` against the largest
+    weight ``top``: the ratio a = xk / top and the probabilities of the
+    equal and vanish outcomes, each 0.0 where it is rarer than
+    NULL_OUTCOME_PROB and dropped."""
+    a = xk / top
+    pe = a * (1.0 - xk) + xk
+    pv = (1.0 - a) * (1.0 - xk)
+    return a, pe if pe >= NULL_OUTCOME_PROB else 0.0, pv if pv >= NULL_OUTCOME_PROB else 0.0
+
+
+def _vanished(comps, k):
+    """The weights after party k vanishes: the others divided by
+    1 - x_k, and 0.0 at k."""
+    keep = 1.0 - comps[k]
+    new = [c / keep for c in comps]
+    new[k] = 0.0
+    return tuple(new)
+
+
 def _step(comps, live, tag, k):
     """Children of an isolate or measure step by position ``k``, as
     ``(p, comps, live)``, and the failure mass.
 
     Isolating party k keeps the others entangled with probability 1 - x_k
     and fails otherwise.  Measuring k either lifts x_k to the current
-    maximum ('equal', which keeps ``live``) or removes k ('vanish').  A
-    removed party's weight becomes 0.0.  Outcomes rarer than
-    NULL_OUTCOME_PROB are dropped.
+    maximum ('equal', which keeps ``live``) or removes k ('vanish'), with
+    the probabilities of :func:`_measure_outcomes`.  A removed party's
+    weight becomes 0.0.  Outcomes rarer than NULL_OUTCOME_PROB are
+    dropped.
     """
     xk = comps[k]
     rest = live & ~(1 << k)
@@ -164,22 +209,16 @@ def _step(comps, live, tag, k):
     if tag == "isolate":
         p = 1.0 - xk
         if p >= NULL_OUTCOME_PROB:
-            new = [c / p for c in comps]
-            new[k] = 0.0
-            children.append((p, tuple(new), rest))
+            children.append((p, _vanished(comps, k), rest))
         return children, xk if xk >= NULL_OUTCOME_PROB else 0.0
     imax = comps.index(max(comps))
-    a = xk / comps[imax]
-    pe = a * (1.0 - xk) + xk
-    if pe >= NULL_OUTCOME_PROB:
+    a, pe, pv = _measure_outcomes(xk, comps[imax])
+    if pe:
         new = [a * c / pe for c in comps]
         new[k] = new[imax]  # force the intended exact tie
         children.append((pe, tuple(new), live))
-    pv = (1.0 - a) * (1.0 - xk)
-    if pv >= NULL_OUTCOME_PROB:
-        new = [c / (1.0 - xk) for c in comps]
-        new[k] = 0.0
-        children.append((pv, tuple(new), rest))
+    if pv:
+        children.append((pv, _vanished(comps, k), rest))
     return children, 0.0
 
 
@@ -190,9 +229,21 @@ def enumerate_ev(comps, adj, live) -> dict:
     Returns a map from terminal to probability; terminals are either a
     live mask (a standard W state on those positions) or the FAILURE
     sentinel.  Raw-tuple variant of :func:`ev_distribution`, which names
-    the masks; its rules :func:`_select` and :func:`_step` are shared with
-    the protocol-tree builder, whose walk stopped at standard W states is
+    the masks; its rules, :func:`_scan` and :func:`_decide` (which
+    :func:`_select` combines) and :func:`_step`, are shared with the
+    protocol-tree builder, whose walk stopped at standard W states is
     :func:`wdistill.lpo.ev_tree`.
+
+    A node that measures its last lagging party while every maximal party
+    sits exactly at the largest weight ends the walk there.  Each outcome
+    rescales every weight by one factor, which keeps exact ties exact, so
+    the equal outcome is the terminal on ``live`` and the vanish outcome
+    the terminal on the rest, or FAILURE when fewer than two are left.
+    Both are added to the map as their visits would add them, with the
+    same products in the same order, so the map and its key order are
+    those of the full walk; only a vanish outcome that leaves a party
+    with no live neighbour is built and walked.  A near tie may round
+    apart once rescaled, so its node takes the full step.
     """
     acc: dict = {}
     depth_cap = 2 * live.bit_count()
@@ -203,12 +254,28 @@ def enumerate_ev(comps, adj, live) -> dict:
         if live.bit_count() < 2:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
             return
-        tag, k = _select(comps, adj, live)
+        top, maxmask, tied, isolated = _scan(comps, adj, live)
+        tag, k = _decide(maxmask, adj, live, isolated)
         if tag == "fail2":
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
             return
         if tag == "terminal":
             acc[live] = acc.get(live, 0.0) + pathp
+            return
+        if tag == "measure" and tied == maxmask and live ^ maxmask == 1 << k:
+            _, pe, pv = _measure_outcomes(comps[k], top)
+            if (pe or pv) and depth + 1 > depth_cap:
+                raise InternalConsistencyError("equal-or-vanish recursion too deep")
+            if pe:
+                acc[live] = acc.get(live, 0.0) + pathp * pe
+            if pv:
+                rest, alone = _without(adj, live, isolated, k)
+                if rest.bit_count() < 2:
+                    acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * pv
+                elif alone:
+                    visit(_vanished(comps, k), rest, pathp * pv, depth + 1)
+                else:
+                    acc[rest] = acc.get(rest, 0.0) + pathp * pv
             return
         children, fail = _step(comps, live, tag, k)
         for p, sub, sublive in children:

@@ -218,7 +218,8 @@ def _phase1_walk(comps, live) -> list:
     entries: dict = {}
 
     def visit(comps, live, pathp):
-        if live.bit_count() < 2 or sum(1 for c in comps if c > 0.0) <= 1:
+        # walk weights are finite and >= 0, so each one that is not 0.0 carries weight
+        if live.bit_count() < 2 or len(comps) - comps.count(0.0) <= 1:
             entries[FAILURE] = entries.get(FAILURE, 0.0) + pathp
             return
         total = sum(comps)
@@ -565,10 +566,15 @@ class PhaseThreeSolver:
     def p_lpo(self, state: WState, graph: ConfigGraph) -> float:
         """Overall success probability of the protocol on (state, graph):
         one recursion on a branch's weights and live mask, through phase I
-        and the equal-or-vanish walk to the standard W terminals."""
-        _same_parties(state, graph)
+        and the equal-or-vanish walk to the standard W terminals.  A state
+        that names the parties in the graph's order reads the graph's kept
+        masks; any other order has its own masks built."""
         labels = state.labels
-        adj = _adjacency(labels, graph.edges)
+        if labels == graph.labels:
+            adj = graph._masks
+        else:
+            _same_parties(state, graph)
+            adj = _adjacency(labels, graph.edges)
         index = self._index(labels, adj)
 
         def value(comps, live) -> float:

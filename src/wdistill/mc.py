@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,10 +499,10 @@ def monotone_fuzz(
 
     function_id is a key of FUZZ_GRAPHS: "kt_i", "kt_0", "tau" or
     "gamma".  n_states, n_measurements and seed are Python or numpy
-    integers, not bools.  A correct monotone never rises on average, so
-    anything above rounding noise is a violation.  The tau and gamma
-    checks reassign party roles on every outcome and run on their native
-    four-party configurations.
+    integers, not bools, and weak_radius is a real number from 0 to 0.1.
+    A correct monotone never rises on average, so anything above rounding
+    noise is a violation.  The tau and gamma checks reassign party roles
+    on every outcome and run on their native four-party configurations.
 
     All states and measurements are drawn at once and evaluated as numpy
     arrays: the component update, the kt averages and tau and gamma with
@@ -515,6 +516,8 @@ def monotone_fuzz(
     n_states = _integer("n_states", n_states)
     n_measurements = _integer("n_measurements", n_measurements)
     seed = _integer("seed", seed)
+    if not isinstance(weak_radius, numbers.Real):
+        raise PreconditionError(f"weak_radius must be a number, not {weak_radius!r}")
     if not 0.0 <= weak_radius <= 0.1:
         raise PreconditionError("weak_radius must lie between 0 and 0.1")
     if seed < 0:

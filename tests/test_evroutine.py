@@ -106,6 +106,27 @@ def test_ev_distribution_standard_w_is_deterministic():
         assert d.probability(StandardW(g.labels)) == pytest.approx(1.0)
 
 
+W3 = "OutcomeDistribution(entries=((StandardW(parties=('A', 'B', 'C')), 1.0),))"
+W4 = "OutcomeDistribution(entries=((StandardW(parties=('A', 'B', 'C', 'D')), 1.0),))"
+HALF_W3 = "OutcomeDistribution(entries=((StandardW(parties=('A', 'B', 'C')), 0.75), (Failure(), 0.25)))"
+PINNED_STANDARD_W = {
+    "wedge": W3,
+    "triangle": W3,
+    "I": "OutcomeDistribution(entries=((StandardW(parties=('A', 'B')), 0.5), (Failure(), 0.5)))",
+    "I'": HALF_W3,
+    "I''": W4,
+    "II": HALF_W3,
+    **dict.fromkeys(("III-a", "III-b", "III-c", "IV", "V", "VI"), W4),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_STANDARD_W))
+def test_ev_distribution_at_the_standard_w_state_prints_as_pinned(name):
+    # a root terminal adds to the 0.0 accumulator: 1.0, never the int 1
+    g = graph_catalog(name)
+    assert repr(ev_distribution(standard_w(g.labels), g)) == PINNED_STANDARD_W[name]
+
+
 def test_ev_distribution_worked_example():
     s = WState([0.5, 0.3, 0.2])
     d = ev_distribution(s, graph_catalog("triangle"))

@@ -365,9 +365,15 @@ def test_monotone_fuzz_detects_a_broken_monotone(monkeypatch):
     assert monotone_fuzz("tau", 50, 4, weak_radius=0.05, seed=3) > 1e-6
 
 
+@pytest.mark.parametrize("radius", ["0.05", None, [0.05]], ids=["string", "none", "list"])
+def test_monotone_fuzz_rejects_a_weak_radius_that_is_not_a_number(radius):
+    with pytest.raises(PreconditionError, match="weak_radius must be a number"):
+        monotone_fuzz("tau", 10, 1, weak_radius=radius)
+
+
 def test_monotone_fuzz_validates_inputs():
     for radius in (0.5, -0.5, -1e-9, math.nan, math.inf, -math.inf):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^weak_radius must lie between 0 and 0.1$"):
             monotone_fuzz("tau", 10, 1, weak_radius=radius)
     with pytest.raises(PreconditionError):
         monotone_fuzz("kt_i", 10, 1, seed=-1)

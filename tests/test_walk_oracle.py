@@ -30,10 +30,16 @@ carries the mask and updates it with :func:`~wdistill.evroutine._without`,
 is checked against the scanning rule.  The four-argument rule must answer
 as ``scan_decide`` does, and the update must equal a fresh scan.
 
+The equal-or-vanish walk is also checked against the label walk on
+near-tie states, whose maximal parties lie below the largest weight by
+up to twice ``MAX_EQUAL_RTOL``: there the walk may end at the last
+lagging party only when every maximal party is exactly tied.
+
 A planted fault in each, a selection rule that measures the highest
 lagging position, an isolated-mask update that never adds a newly
-isolated neighbour and an ``_induced`` that ranks bits from the top, must
-be caught by these checks.
+isolated neighbour, an ``_induced`` that ranks bits from the top and a
+scan that reports every maximal party as exactly tied, must be caught by
+these checks.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -58,8 +64,9 @@ from wdistill import (
     standard_w,
 )
 from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
+from wdistill import evroutine as ev_mod
 from wdistill import lpo as lpo_mod
-from wdistill.evroutine import _decide, _isolated, _select, _without, enumerate_ev
+from wdistill.evroutine import _decide, _isolated, _scan, _select, _without, enumerate_ev
 from wdistill.lpo import PhaseThreeSolver, _induced, _peel_party, _peel_walk
 from wdistill.mc import random_w_state
 
@@ -337,6 +344,14 @@ def never_adds_isolated(adj, live, isolated, j):
     return live & ~bit, isolated & ~bit
 
 
+def untied_scan(comps, adj, live):
+    """A planted fault: :func:`_scan` reporting every maximal party as
+    exactly tied, so that :func:`enumerate_ev` ends the walk at a last
+    lagging party without its exact-tie guard."""
+    top, maxmask, _, isolated = _scan(comps, adj, live)
+    return top, maxmask, maxmask, isolated
+
+
 def top_ranked_induced(adj, live):
     """A planted fault: :func:`_induced` with the live bits ranked from the
     highest position down."""
@@ -453,6 +468,69 @@ def random_select_input(rng):
         if live >> i & 1 and rng.random() < 0.4:
             comps[i] = top * (1.0 - float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0])) * MAX_EQUAL_RTOL)
     return tuple(comps), tuple(adj), live
+
+
+NEAR_TIES = (0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0)   # in units of MAX_EQUAL_RTOL
+
+
+def connected(adj):
+    """Whether the graph of the neighbour masks ``adj`` is connected."""
+    reached = frontier = 1
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = adj[bit.bit_length() - 1] & ~reached
+        reached |= new
+        frontier |= new
+    return reached == (1 << len(adj)) - 1
+
+
+def near_tie_inputs(seed, count):
+    """Seeded x0 = 0 states on random graphs with n = 3 to 7, shaped like
+    ``random_select_input``: about half of the parties lie below the
+    largest weight by a multiple of MAX_EQUAL_RTOL from NEAR_TIES, so
+    that the walks meet last lagging parties beside exact ties, near ties
+    on both sides of the tolerance and distinct weights.  Weights are
+    normalized to sum 1, which keeps exact ties exact."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        adj = random_masks(rng, n)
+        comps = [float(rng.random()) for _ in range(n)]
+        top = max(comps)
+        for i in range(n):
+            if rng.random() < 0.5:
+                comps[i] = top * (1.0 - float(rng.choice(NEAR_TIES)) * MAX_EQUAL_RTOL)
+        total = sum(comps)
+        yield tuple(c / total for c in comps), adj
+
+
+def near_tie_mismatch(count=4_000):
+    """The first near-tie input on which :func:`enumerate_ev` and
+    ``reference_enumerate_ev`` differ, key order included, or None; also
+    how many of the graphs met were connected and how many were not."""
+    shapes = {True: 0, False: 0}
+    for comps, adj in near_tie_inputs(26, count):
+        n = len(adj)
+        labels = tuple("ABCDEFG"[:n])
+        edges = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1}
+        walked = enumerate_ev(comps, adj, (1 << n) - 1)
+        got = [(term if term is FAILURE else _members(labels, term), p) for term, p in walked.items()]
+        if got != list(reference_enumerate_ev(comps, labels, edges).items()):
+            return (comps, adj), shapes
+        shapes[connected(adj)] += 1
+    return None, shapes
+
+
+def test_enumerate_ev_matches_the_label_walk_on_near_ties():
+    mismatch, shapes = near_tie_mismatch()
+    assert mismatch is None, mismatch
+    assert min(shapes.values()) > 500, shapes
+
+
+def test_the_near_tie_check_catches_a_shortcut_without_its_tie_guard(monkeypatch):
+    monkeypatch.setattr(ev_mod, "_scan", untied_scan)
+    assert near_tie_mismatch()[0] is not None
 
 
 def test_decide_matches_the_scanning_decide():
