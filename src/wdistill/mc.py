@@ -1,7 +1,9 @@
 """Amplitude-level oracle, stochastic tree execution and monotone fuzzing.
 
 The oracle re-applies measurements on the full 2^N state vector, which is
-the independent check on the component-update rule everything else trusts.
+the independent check on the component-update rule everything else trusts;
+the vector is real, and one matrix product applies every outcome of a
+measurement at once.
 Simulation flows trial counts through a protocol tree's node table,
 splitting them multinomially at every branch, which samples the same
 distribution as per-trial walks but draws once per distinct node.
@@ -43,45 +45,69 @@ SUPPORT_TOL = 1e-9
 RNG_ALGORITHM = "numpy-pcg64"
 
 
+@functools.lru_cache(maxsize=None)
+def _support(n: int) -> np.ndarray:
+    """Read-only basis indices of the Hamming weight <= 1 support: 0, then
+    each party's single excitation 2^(N-1-i) in label order."""
+    support = np.concatenate(([0], 1 << np.arange(n - 1, -1, -1)))
+    support.flags.writeable = False
+    return support
+
+
+def _support_weights(amps: np.ndarray, n: int) -> np.ndarray:
+    """Party weights of normalized real amplitude vectors (..., 2^N), read
+    as the squared amplitudes of the single excitations.
+
+    The one support/read rule of :class:`StateVector` and
+    :func:`statevector_oracle`: an amplitude outside the Hamming weight
+    <= 1 support above SUPPORT_TOL raises InternalConsistencyError.
+    """
+    support = _support(n)
+    stray = np.abs(amps)
+    stray[..., support] = 0.0
+    worst = stray.max(initial=0.0)
+    if worst > SUPPORT_TOL:
+        raise InternalConsistencyError(f"amplitude {worst} outside the weight <= 1 support")
+    weights = amps[..., support[1:]]
+    return weights * weights
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Dense amplitude vector for up to MAX_ORACLE_PARTIES qubits.
+    """Dense real amplitude vector for up to MAX_ORACLE_PARTIES qubits.
 
     Party i occupies bit (N-1-i), so basis index 0 is the all-zero state
-    and index 2^(N-1-i) flips exactly party i.
+    and index 2^(N-1-i) flips exactly party i.  A W-class state and every
+    upper-triangular Kraus update of it have real amplitudes, so the
+    vector is real (float64 from :meth:`from_wstate`).  Amplitudes that
+    are not a real vector of length 2^len(labels) raise PreconditionError.
     """
 
     amplitudes: np.ndarray
     labels: tuple[str, ...]
+
+    def __post_init__(self):
+        shape = np.shape(self.amplitudes)
+        if shape != (1 << len(self.labels),) or not np.isrealobj(self.amplitudes):
+            raise PreconditionError(
+                f"{len(self.labels)} parties need a real vector of 2^{len(self.labels)} "
+                f"amplitudes, not {np.asarray(self.amplitudes).dtype} of shape {shape}"
+            )
 
     @classmethod
     def from_wstate(cls, state: WState) -> "StateVector":
         n = state.n
         if n > MAX_ORACLE_PARTIES:
             raise PreconditionError(f"oracle supports at most {MAX_ORACLE_PARTIES} parties")
-        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps = np.zeros(1 << n)
         amps[0] = math.sqrt(state.x0)
-        for i, c in enumerate(state.components):
-            amps[1 << (n - 1 - i)] = math.sqrt(c)
+        amps[_support(n)[1:]] = np.sqrt(state.components)
         return cls(amps, state.labels)
 
     def to_wstate(self) -> WState:
         """Project back to component form, checking the support stayed on
         Hamming weight <= 1."""
-        n = len(self.labels)
-        weight_ok = np.zeros(len(self.amplitudes), dtype=bool)
-        weight_ok[0] = True
-        for i in range(n):
-            weight_ok[1 << i] = True
-        stray = np.abs(self.amplitudes[~weight_ok]).max(initial=0.0)
-        if stray > SUPPORT_TOL:
-            raise InternalConsistencyError(
-                f"amplitude {stray} outside the weight <= 1 support"
-            )
-        comps = tuple(
-            float(abs(self.amplitudes[1 << (n - 1 - i)]) ** 2) for i in range(n)
-        )
-        return WState(comps, self.labels)
+        return WState(_support_weights(self.amplitudes, len(self.labels)).tolist(), self.labels)
 
 
 def statevector_oracle(
@@ -90,28 +116,39 @@ def statevector_oracle(
     """Measurement outcomes computed on the dense 2^N amplitude vector.
 
     Independent of the closed-form component update; the two must agree on
-    every probability and component to ORACLE_TOL.
+    every probability and component to ORACLE_TOL.  All outcomes are
+    computed in one pass: the outcomes' Kraus matrices
+    [[sqrt(a), b], [0, sqrt(c)]], stacked, act on the measuring party's
+    axis of the real vector in one matrix product; each probability is
+    the squared norm of its unnormalized post-state; and the weights of
+    every outcome at or above NULL_OUTCOME_PROB are read at once from the
+    normalized post-states under the one support rule of
+    :class:`StateVector`.  An outcome below NULL_OUTCOME_PROB is reported
+    as ``(p, None)``.
     """
     m.require_complete()
     k = state.index(m.party)
     n = state.n
     vec = StateVector.from_wstate(state)
-    bit = n - 1 - k
-    block = 1 << bit
-    shaped = vec.amplitudes.reshape(-1, 2, block)
-    results: list[tuple[float, WState | None]] = []
-    for a, b, c in m.outcomes:
-        out = np.empty_like(shaped)
-        out[:, 0, :] = math.sqrt(a) * shaped[:, 0, :] + b * shaped[:, 1, :]
-        out[:, 1, :] = math.sqrt(c) * shaped[:, 1, :]
-        flat = out.reshape(-1)
-        p = float(np.vdot(flat, flat).real)
-        if p < NULL_OUTCOME_PROB:
-            results.append((p, None))
-            continue
-        post = StateVector(flat / math.sqrt(p), state.labels)
-        results.append((p, post.to_wstate()))
-    return results
+    kraus = np.array([[[math.sqrt(a), b], [0.0, math.sqrt(c)]] for a, b, c in m.outcomes])
+    # the party's axis moves to the front, so one product applies every
+    # outcome (stacked over the 2^k blocks before the party, it would be
+    # one small product per block); einsum keeps it out of BLAS, whose
+    # work buffers raise the peak memory of a run
+    blocks = 1 << k
+    axis = vec.amplitudes.reshape(blocks, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    out = np.einsum("kij,jm->kim", kraus, axis).reshape(len(kraus), 2, blocks, -1)
+    out = out.swapaxes(1, 2).reshape(len(kraus), -1)
+    probs = np.einsum("ij,ij->i", out, out)
+    live = probs >= NULL_OUTCOME_PROB
+    # an outcome below NULL_OUTCOME_PROB has no normalized post-state: its
+    # row is divided by infinity to zero and its weights are never read
+    post = out / np.sqrt(np.where(live, probs, np.inf))[:, None]
+    weights = _support_weights(post, n).tolist()
+    return [
+        (p, WState(w, state.labels) if alive else None)
+        for p, alive, w in zip(probs.tolist(), live.tolist(), weights)
+    ]
 
 
 # ---------------------------------------------------------------------------

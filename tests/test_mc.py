@@ -24,7 +24,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill import core, mc
+from wdistill import core, mc, verify
 from wdistill.core import NULL_OUTCOME_PROB
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
 
@@ -80,10 +80,118 @@ def test_oracle_agrees_with_component_update():
     assert worst <= 1e-10
 
 
+def complex_oracle(state, m):
+    """The dense oracle one outcome at a time on a complex128 vector: the
+    reference for the real-valued pass of ``statevector_oracle``."""
+    m.require_complete()
+    k = state.index(m.party)
+    n = state.n
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[0] = math.sqrt(state.x0)
+    for i, c in enumerate(state.components):
+        amps[1 << (n - 1 - i)] = math.sqrt(c)
+    shaped = amps.reshape(-1, 2, 1 << (n - 1 - k))
+    weight_ok = np.zeros(1 << n, dtype=bool)
+    weight_ok[0] = True
+    for i in range(n):
+        weight_ok[1 << i] = True
+    results = []
+    for a, b, c in m.outcomes:
+        out = np.empty_like(shaped)
+        out[:, 0, :] = math.sqrt(a) * shaped[:, 0, :] + b * shaped[:, 1, :]
+        out[:, 1, :] = math.sqrt(c) * shaped[:, 1, :]
+        flat = out.reshape(-1)
+        p = float(np.vdot(flat, flat).real)
+        if p < NULL_OUTCOME_PROB:
+            results.append((p, None))
+            continue
+        post = flat / math.sqrt(p)
+        assert np.abs(post[~weight_ok]).max(initial=0.0) <= mc.SUPPORT_TOL
+        comps = tuple(float(abs(post[1 << (n - 1 - i)]) ** 2) for i in range(n))
+        results.append((p, WState(comps, state.labels)))
+    return results
+
+
+def oracle_reference_pairs():
+    """Seeded (state, measurement) pairs with n = 2..12: random measurements
+    on states with and without x0, and a diagonal measurement whose second
+    outcome projects a party of weight 0, so it has probability 0."""
+    rng = np.random.default_rng(27)
+    pairs = []
+    for n in range(2, 13):
+        for j in range(24):
+            s = random_w_state(rng, n, x0_zero=j % 2 == 1)
+            pairs.append((s, random_measurement(rng, s.labels[int(rng.integers(n))])))
+        for x0_zero in (False, True):
+            comps = list(random_w_state(rng, n, x0_zero=x0_zero).components)
+            k = int(rng.integers(n))
+            comps[(k + 1) % n] += comps[k]
+            comps[k] = 0.0
+            s = WState(comps)
+            pairs.append((s, LocalMeasurement.diagonal(s.labels[k], [(1.0, 0.5), (0.0, 0.5)])))
+    return pairs
+
+
+def test_oracle_matches_the_complex_per_outcome_reference():
+    outcomes = nulls = 0
+    for s, m in oracle_reference_pairs():
+        got, ref = statevector_oracle(s, m), complex_oracle(s, m)
+        assert [post is None for _, post in got] == [post is None for _, post in ref]
+        for (p, a), (q, b) in zip(got, ref):
+            outcomes += 1
+            assert abs(p - q) <= 1e-15
+            if a is None:
+                nulls += 1
+                continue
+            assert a.labels == b.labels
+            assert max(abs(u - v) for u, v in zip(a.components, b.components)) <= 1e-15
+    assert outcomes == 2 * 11 * 26
+    assert nulls >= 22
+
+
 def test_oracle_party_limit():
-    s = WState([1.0 / 14] * 14)
-    with pytest.raises(PreconditionError):
+    s = WState([1.0 / 12] * 12)
+    assert len(statevector_oracle(s, LocalMeasurement.identity_split(s.labels[-1]))) == 2
+    s = WState([1.0 / 13] * 13)
+    with pytest.raises(PreconditionError, match="at most 12 parties"):
         statevector_oracle(s, LocalMeasurement.identity_split(s.labels[0]))
+
+
+@pytest.mark.parametrize(
+    "amplitudes, labels",
+    [
+        (np.zeros(4), ("A", "B", "C")),
+        (np.eye(8)[1], ("A", "B")),
+        (np.eye(4, dtype=np.complex128)[1], ("A", "B")),
+    ],
+)
+def test_statevector_rejects_amplitudes_that_do_not_fit_its_parties(amplitudes, labels):
+    with pytest.raises(PreconditionError, match="real vector of 2\\^"):
+        StateVector(amplitudes, labels)
+
+
+def test_a_stray_amplitude_of_weight_two_fails_the_support_check():
+    clean = StateVector.from_wstate(WState([0.3, 0.3, 0.2])).amplitudes
+    below, above = clean.copy(), clean.copy()
+    below[0b011] = 0.1 * mc.SUPPORT_TOL
+    above[0b011] = 10.0 * mc.SUPPORT_TOL
+    StateVector(below, ("A", "B", "C")).to_wstate()
+    assert mc._support_weights(np.stack([clean, below]), 3).shape == (2, 3)
+    with pytest.raises(core.InternalConsistencyError, match="outside the weight <= 1 support"):
+        StateVector(above, ("A", "B", "C")).to_wstate()
+    with pytest.raises(core.InternalConsistencyError, match="outside the weight <= 1 support"):
+        mc._support_weights(np.stack([clean, above]), 3)
+
+
+def test_criterion_3_catches_a_component_update_that_drops_its_b_term(monkeypatch):
+    assert verify.oracle_equivalence(quick=True).passed
+    update = core.component_update
+    # the b term moves into c, so the outcome probabilities still sum to one
+    monkeypatch.setattr(
+        core, "component_update",
+        lambda comps, x0, k, a, b, c: update(comps, x0, k, a, 0.0, c + b * b),
+    )
+    assert not verify.oracle_equivalence(quick=True).passed
 
 
 def test_random_measurements_are_complete():
