@@ -56,10 +56,15 @@ class BoundReport:
         }
 
 
-def _by_component(state: WState, candidates) -> str:
-    """Candidate with the largest component, lowest index on ties."""
-    # label order encodes the index tie-break: max keeps the first of equal keys
-    return max((l for l in state.labels if l in candidates), key=state.component)
+def _weights(state: WState) -> dict:
+    """The state's weights by label, read once per bound."""
+    return dict(zip(state.labels, state.components))
+
+
+def _by_component(x: dict, candidates) -> str:
+    """Candidate with the largest weight in ``x``, lowest index on ties."""
+    # candidates come in label order: max keeps the first of equal keys
+    return max(candidates, key=x.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +103,21 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
     if _four_party_preset(graph) not in _UNCONNECTED_PAIRS:
         raise GraphMatchError("graph is not an unconnected-pairs configuration")
     _require_weight(state)
-    n1 = _by_component(state, set(state.labels))
-    unconnected = set(graph.labels) - {n1} - graph.neighbors(n1)
-    n1p = _by_component(state, unconnected)
-    rest = [l for l in state.labels if l not in (n1, n1p)]
-    p, pp = rest
-    xn1 = state.component(n1)
-    xn1p = state.component(n1p)
-    xp = state.component(p)
-    xpp = state.component(pp)
+    return _tau(state, graph)
+
+
+def _tau(state: WState, graph: ConfigGraph) -> BoundReport:
+    """:func:`tau` on inputs that have passed its checks."""
+    x = _weights(state)
+    labels = state.labels
+    n1 = _by_component(x, labels)
+    nbrs = graph.neighbors(n1)
+    n1p = _by_component(x, [l for l in labels if l != n1 and l not in nbrs])
+    p, pp = (l for l in labels if l not in (n1, n1p))
+    xn1 = x[n1]
+    xn1p = x[n1p]
+    xp = x[p]
+    xpp = x[pp]
     value = 2.0 * xp + 2.0 * xpp - 2.0 * xp * xpp / xn1 + (2.0 / 3.0) * xp * xpp * xn1p / (xn1 * xn1)
     roles = {"n1": n1, "n1'": n1p, "p": p, "p'": pp}
     return BoundReport("tau", value, roles, True)
@@ -127,17 +138,23 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     if _four_party_preset(graph) != "IV":
         raise GraphMatchError("graph is not the five-edge configuration")
     _require_weight(state)
-    n1 = _by_component(state, set(state.labels))
+    return _gamma(state, graph)
+
+
+def _gamma(state: WState, graph: ConfigGraph) -> BoundReport:
+    """:func:`gamma` on inputs that have passed its checks."""
+    x = _weights(state)
+    labels = state.labels
+    n1 = _by_component(x, labels)
     d1 = graph.degree(n1)
-    complementary = {l for l in graph.labels if l != n1 and graph.degree(l) != d1}
-    n1p = _by_component(state, complementary)
-    rest = [l for l in state.labels if l not in (n1, n1p)]
+    n1p = _by_component(x, [l for l in labels if l != n1 and graph.degree(l) != d1])
+    rest = [l for l in labels if l not in (n1, n1p)]
     e2 = next(l for l in rest if graph.degree(l) == 2)
     e3 = next(l for l in rest if graph.degree(l) == 3)
-    xn1 = state.component(n1)
-    xn1p = state.component(n1p)
-    xe2 = state.component(e2)
-    xe3 = state.component(e3)
+    xn1 = x[n1]
+    xn1p = x[n1p]
+    xe2 = x[e2]
+    xe3 = x[e3]
     if d1 == 3:
         value = (
             2.0 * xe3
@@ -177,18 +194,24 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
     if kind not in _STAR_TRIANGLE_COMPLETE:
         raise GraphMatchError("graph is outside the star/triangle/complete families")
     _require_weight(state)
+    return _bound_config(state, graph, kind)
 
+
+def _bound_config(state: WState, graph: ConfigGraph, kind: str) -> BoundReport:
+    """:func:`bound_config` on inputs that have passed its checks, with
+    ``kind`` the graph's four-party class."""
+    x = _weights(state)
     if kind in ("I", "I'", "I''"):
         if kind == "I":
             u, v = next(iter(graph.edges))
-            center = u if state.component(u) >= state.component(v) else v
+            center = u if x[u] >= x[v] else v
             others = [v if center == u else u]
         else:
             center = max(graph.labels, key=graph.degree)
             # in label order: the sort is stable, so tied components keep it
             neighbors = [l for l in graph.labels if graph.has_edge(center, l)]
-            others = sorted(neighbors, key=state.component, reverse=True)
-        xa = state.component(center)
+            others = sorted(neighbors, key=x.__getitem__, reverse=True)
+        xa = x[center]
         applicable = xa >= state.max_component() * (1.0 - MAX_EQUAL_RTOL)
         roles = {"A": center}
         for name, l in zip("BCD", others):
@@ -196,28 +219,28 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
         if not applicable:
             return BoundReport(kind, 2.0 * xa, roles, False)
         if kind == "I":
-            value = 2.0 * state.component(others[0])
+            value = 2.0 * x[others[0]]
         elif kind == "I'":
-            xb, xc = (state.component(l) for l in others)
+            xb, xc = (x[l] for l in others)
             value = 2.0 * xa - 2.0 * (xa - xb) * (xa - xc) / xa
         else:
-            xb, xc, xd = (state.component(l) for l in others)
+            xb, xc, xd = (x[l] for l in others)
             value = 2.0 * xa - 2.0 * (xa - xb) * (xa - xc) * (xa - xd) / (xa * xa)
         return BoundReport(kind, value, roles, True)
 
     if kind == "II":
         spectator = next(l for l in graph.labels if graph.degree(l) == 0)
         members = sorted(
-            (l for l in graph.labels if l != spectator), key=state.component, reverse=True
+            (l for l in graph.labels if l != spectator), key=x.__getitem__, reverse=True
         )
-        xa, xb, xc = (state.component(l) for l in members)
-        xd = state.component(spectator)
+        xa, xb, xc = (x[l] for l in members)
+        xd = x[spectator]
         value = 1.0 - state.x0 - xd - ((xa - xb) * (xa - xc) / xa if xa > 0.0 else 0.0)
         roles = {"A": members[0], "B": members[1], "C": members[2], "D": spectator}
         return BoundReport("II", value, roles, True)
 
-    members = sorted(graph.labels, key=state.component, reverse=True)
-    xa, xb, xc, xd = (state.component(l) for l in members)
+    members = sorted(graph.labels, key=x.__getitem__, reverse=True)
+    xa, xb, xc, xd = (x[l] for l in members)
     value = 1.0 - state.x0 - (xa - xb) * (xa - xc) * (xa - xd) / (xa * xa)
     roles = dict(zip("ABCD", members))
     return BoundReport("V", value, roles, True)
@@ -342,13 +365,15 @@ def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     if state.n > 4 or state.max_component() == 0.0:
         return None
     work_state, work_graph = (state, graph) if state.n == 4 else _pad_to_four(state, graph)
+    # the checks of tau, gamma and bound_config hold from here: the parties
+    # match, the class is read once and the state carries weight
     kind = _four_party_preset(work_graph)
     if kind in _UNCONNECTED_PAIRS:
-        return tau(work_state, work_graph)
+        return _tau(work_state, work_graph)
     if kind == "IV":
-        return gamma(work_state, work_graph)
+        return _gamma(work_state, work_graph)
     if kind in _STAR_TRIANGLE_COMPLETE:
-        return bound_config(work_state, work_graph)
+        return _bound_config(work_state, work_graph, kind)
     if kind == "VI":
         uniform = all(abs(c - 0.25) < 1e-9 for c in work_state.components)
         if uniform and abs(work_state.x0) < 1e-9:

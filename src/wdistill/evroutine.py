@@ -19,7 +19,8 @@ isolated ones (live, with no live neighbour) in one loop over the
 positions, and :func:`_decide` answers from the maximal and isolated
 masks with a position, which :func:`_step` takes; :func:`_select` is the
 two in a row.  A measure step's outcome probabilities come from
-:func:`_measure_outcomes` alone.  The peel-off walk of
+:func:`_measure_outcomes` alone, and an isolate step's from
+:func:`_isolate_outcomes`.  The peel-off walk of
 :mod:`wdistill.lpo` passes :func:`_decide` its own mask of maximal
 parties and carries the isolated mask along: an equalize step leaves it
 as it is, and :func:`_without` removes a party and tests only that
@@ -36,6 +37,14 @@ left, read off the masks without building either child.  Only a vanish
 outcome that leaves a party with no live neighbour is built and walked.
 A near tie, within ``MAX_EQUAL_RTOL`` but not exact, may round apart
 once rescaled, so it takes the full step.
+
+An isolate step is read off the masks as well.  The isolated party k has
+no live neighbour, so its child keeps every other party's neighbours: it
+lives on ``live`` without k, with the isolated mask without k.  That child
+is failure when two parties are left and one is isolated, and the
+terminal on the others when none is isolated and all of them were
+exactly tied, since the common division by 1 - x_k keeps exact ties
+exact.  Only in the other cases is the child built and walked.
 """
 
 from __future__ import annotations
@@ -183,6 +192,14 @@ def _measure_outcomes(xk, top):
     return a, pe if pe >= NULL_OUTCOME_PROB else 0.0, pv if pv >= NULL_OUTCOME_PROB else 0.0
 
 
+def _isolate_outcomes(xk):
+    """The isolate step of a party of weight ``xk``: the probability
+    1 - x_k that the others stay entangled and the failure mass x_k, each
+    0.0 where it is rarer than NULL_OUTCOME_PROB and dropped."""
+    p = 1.0 - xk
+    return p if p >= NULL_OUTCOME_PROB else 0.0, xk if xk >= NULL_OUTCOME_PROB else 0.0
+
+
 def _vanished(comps, k):
     """The weights after party k vanishes: the others divided by
     1 - x_k, and 0.0 at k."""
@@ -192,26 +209,26 @@ def _vanished(comps, k):
     return tuple(new)
 
 
-def _step(comps, live, tag, k):
+def _step(comps, live, tag, k, imax):
     """Children of an isolate or measure step by position ``k``, as
-    ``(p, comps, live)``, and the failure mass.
+    ``(p, comps, live)``, and the failure mass; ``imax`` is the lowest
+    position of the largest weight.
 
     Isolating party k keeps the others entangled with probability 1 - x_k
-    and fails otherwise.  Measuring k either lifts x_k to the current
-    maximum ('equal', which keeps ``live``) or removes k ('vanish'), with
-    the probabilities of :func:`_measure_outcomes`.  A removed party's
-    weight becomes 0.0.  Outcomes rarer than NULL_OUTCOME_PROB are
-    dropped.
+    and fails otherwise, as :func:`_isolate_outcomes` gives them.
+    Measuring k either lifts x_k to the current maximum ('equal', which
+    keeps ``live``) or removes k ('vanish'), with the probabilities of
+    :func:`_measure_outcomes`.  A removed party's weight becomes 0.0.
+    Outcomes rarer than NULL_OUTCOME_PROB are dropped.
     """
     xk = comps[k]
     rest = live & ~(1 << k)
     children = []
     if tag == "isolate":
-        p = 1.0 - xk
-        if p >= NULL_OUTCOME_PROB:
+        p, fail = _isolate_outcomes(xk)
+        if p:
             children.append((p, _vanished(comps, k), rest))
-        return children, xk if xk >= NULL_OUTCOME_PROB else 0.0
-    imax = comps.index(max(comps))
+        return children, fail
     a, pe, pv = _measure_outcomes(xk, comps[imax])
     if pe:
         new = [a * c / pe for c in comps]
@@ -244,6 +261,13 @@ def enumerate_ev(comps, adj, live) -> dict:
     those of the full walk; only a vanish outcome that leaves a party
     with no live neighbour is built and walked.  A near tie may round
     apart once rescaled, so its node takes the full step.
+
+    An isolate step adds its child's mass the same way when the masks
+    decide the child: failure when two parties are left and one is
+    isolated, the terminal on the others when none is isolated and all
+    are exactly tied.  The failure mass of the step follows, as after the
+    child's visit, and the depth check still raises for a child that is
+    not built.
     """
     acc: dict = {}
     depth_cap = 2 * live.bit_count()
@@ -262,7 +286,25 @@ def enumerate_ev(comps, adj, live) -> dict:
         if tag == "terminal":
             acc[live] = acc.get(live, 0.0) + pathp
             return
-        if tag == "measure" and tied == maxmask and live ^ maxmask == 1 << k:
+        if tag == "isolate":
+            # k has no live neighbour, so removing it isolates no one else;
+            # an isolate step has at least three live parties
+            p, fail = _isolate_outcomes(comps[k])
+            if p:
+                if depth + 1 > depth_cap:
+                    raise InternalConsistencyError("equal-or-vanish recursion too deep")
+                rest = live ^ (1 << k)
+                alone = isolated ^ (1 << k)
+                if alone and rest.bit_count() == 2:
+                    acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * p
+                elif not alone and not rest & ~tied:
+                    acc[rest] = acc.get(rest, 0.0) + pathp * p
+                else:
+                    visit(_vanished(comps, k), rest, pathp * p, depth + 1)
+            if fail:
+                acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
+            return
+        if tied == maxmask and live ^ maxmask == 1 << k:
             _, pe, pv = _measure_outcomes(comps[k], top)
             if (pe or pv) and depth + 1 > depth_cap:
                 raise InternalConsistencyError("equal-or-vanish recursion too deep")
@@ -277,11 +319,9 @@ def enumerate_ev(comps, adj, live) -> dict:
                 else:
                     acc[rest] = acc.get(rest, 0.0) + pathp * pv
             return
-        children, fail = _step(comps, live, tag, k)
+        children, _ = _step(comps, live, tag, k, (tied & -tied).bit_length() - 1)
         for p, sub, sublive in children:
             visit(sub, sublive, pathp * p, depth + 1)
-        if fail:
-            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
     visit(tuple(comps), live, 1.0, 0)
     return acc

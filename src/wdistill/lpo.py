@@ -1027,7 +1027,7 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
             m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
             return _StateStep(held, None, st, m, "phase3", steps, report=report, alpha=alpha)
 
-        steps, fail = _step(comps, held, tag, k)
+        steps, fail = _step(comps, held, tag, k, comps.index(max(comps)))
         if tag == "isolate":
             m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
             return _StateStep(held, None, st, m, "isolate", steps, fail)

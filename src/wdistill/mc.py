@@ -72,7 +72,7 @@ def _support_weights(amps: np.ndarray, n: int) -> np.ndarray:
     return weights * weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Dense real amplitude vector for up to MAX_ORACLE_PARTIES qubits.
 
@@ -81,10 +81,19 @@ class StateVector:
     upper-triangular Kraus update of it have real amplitudes, so the
     vector is real (float64 from :meth:`from_wstate`).  Amplitudes that
     are not a real vector of length 2^len(labels) raise PreconditionError.
+    Two vectors are equal when their labels and amplitudes are; the
+    amplitude array is mutable, so a vector is not hashable.
     """
 
     amplitudes: np.ndarray
     labels: tuple[str, ...]
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.amplitudes, other.amplitudes)
 
     def __post_init__(self):
         shape = np.shape(self.amplitudes)

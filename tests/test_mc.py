@@ -170,6 +170,16 @@ def test_statevector_rejects_amplitudes_that_do_not_fit_its_parties(amplitudes, 
         StateVector(amplitudes, labels)
 
 
+def test_statevectors_compare_by_labels_and_amplitudes():
+    vec = StateVector.from_wstate(WState([0.3, 0.3, 0.2]))
+    assert vec == StateVector.from_wstate(WState([0.3, 0.3, 0.2]))
+    assert vec != StateVector.from_wstate(WState([0.3, 0.2, 0.3]))
+    assert vec != StateVector(vec.amplitudes, ("A", "B", "D"))
+    assert vec != vec.to_wstate()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(vec)
+
+
 def test_a_stray_amplitude_of_weight_two_fails_the_support_check():
     clean = StateVector.from_wstate(WState([0.3, 0.3, 0.2])).amplitudes
     below, above = clean.copy(), clean.copy()

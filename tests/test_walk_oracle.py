@@ -33,13 +33,14 @@ as ``scan_decide`` does, and the update must equal a fresh scan.
 The equal-or-vanish walk is also checked against the label walk on
 near-tie states, whose maximal parties lie below the largest weight by
 up to twice ``MAX_EQUAL_RTOL``: there the walk may end at the last
-lagging party only when every maximal party is exactly tied.
+lagging party, or resolve an isolate step as the terminal on the others,
+only when the parties concerned are exactly tied.
 
 A planted fault in each, a selection rule that measures the highest
 lagging position, an isolated-mask update that never adds a newly
-isolated neighbour, an ``_induced`` that ranks bits from the top and a
-scan that reports every maximal party as exactly tied, must be caught by
-these checks.
+isolated neighbour, an ``_induced`` that ranks bits from the top, a scan
+that reports every maximal party as exactly tied and one that does so
+only at nodes with an isolated party, must be caught by these checks.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -352,6 +353,17 @@ def untied_scan(comps, adj, live):
     return top, maxmask, maxmask, isolated
 
 
+def maximal_isolate_scan(comps, adj, live):
+    """A planted fault: :func:`_scan` reporting every maximal party as
+    exactly tied at a node with an isolated party, so that
+    :func:`enumerate_ev` ends an isolate step at the terminal on the
+    others when they are only within MAX_EQUAL_RTOL of the largest weight;
+    the measure steps, which run only at nodes without one, keep their
+    guard."""
+    top, maxmask, tied, isolated = _scan(comps, adj, live)
+    return top, maxmask, maxmask if isolated else tied, isolated
+
+
 def top_ranked_induced(adj, live):
     """A planted fault: :func:`_induced` with the live bits ranked from the
     highest position down."""
@@ -530,6 +542,11 @@ def test_enumerate_ev_matches_the_label_walk_on_near_ties():
 
 def test_the_near_tie_check_catches_a_shortcut_without_its_tie_guard(monkeypatch):
     monkeypatch.setattr(ev_mod, "_scan", untied_scan)
+    assert near_tie_mismatch()[0] is not None
+
+
+def test_the_near_tie_check_catches_an_isolate_shortcut_on_maximal_parties(monkeypatch):
+    monkeypatch.setattr(ev_mod, "_scan", maximal_isolate_scan)
     assert near_tie_mismatch()[0] is not None
 
 
