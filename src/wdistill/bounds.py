@@ -298,7 +298,8 @@ def tau6(state: WState) -> float:
     tau is the four-party monotone on the pairs (3,4), (5,6).  This is the
     sum over the equal-or-vanish terminals of their weight times the
     standard-W value on the surviving pairs (1, 2/3 or 8/15 for one, two
-    or three pairs), so it is 8/15 at the uniform state.
+    or three pairs), so it is 8/15 at the uniform state.  At x3 = 0 only
+    the first pair holds weight, and the value is 2 x2.
     """
     if state.n != 6:
         raise PreconditionError("needs exactly six parties")
@@ -308,6 +309,9 @@ def tau6(state: WState) -> float:
     if any(x[i] < x[i + 1] for i in range(5)):
         raise PreconditionError("components must be sorted in descending order")
     x1, x2, x3, x4, x5, x6 = x
+    if x3 == 0.0:
+        # each term divided by x3 carries x4 <= x3, so only 2 x2 is left
+        return 2.0 * x2
     return (
         2.0 * (x2 + x4 + x6 - x2 * x4 / x1 - x2 * x6 / x1 - x4 * x6 / x3)
         + 2.0 * x2 * x4 * x6 / (x1 * x3)

@@ -14,37 +14,32 @@ The walks run on position bitmasks.  A walk reads one neighbour mask per
 party position, from :func:`~wdistill.core._adjacency`, and carries the
 set of parties still in play as a live mask beside a component tuple
 indexed by position.  :func:`_scan` finds the mask of maximal live
-parties, the mask of those exactly at the largest weight and the mask of
-isolated ones (live, with no live neighbour) in one loop over the
-positions, and :func:`_decide` answers from the maximal and isolated
-masks with a position, which :func:`_step` takes; :func:`_select` is the
-two in a row.  A measure step's outcome probabilities come from
-:func:`_measure_outcomes` alone, and an isolate step's from
-:func:`_isolate_outcomes`.  The peel-off walk of
-:mod:`wdistill.lpo` passes :func:`_decide` its own mask of maximal
-parties and carries the isolated mask along: an equalize step leaves it
-as it is, and :func:`_without` removes a party and tests only that
-party's live neighbours.  :func:`enumerate_ev` keys its terminals by
-live mask, which :func:`ev_distribution` names.
+parties and the mask of those exactly at the largest weight in one loop
+over the weights, and :func:`_decide` answers from the maximal mask and
+the mask of isolated parties (live, with no live neighbour) with a
+position, which :func:`_step` takes; :func:`_select` is the two in a
+row, with the isolated mask from :func:`_isolated`.  A measure step's
+outcome probabilities come from :func:`_measure_outcomes` alone, and an
+isolate step's from :func:`_isolate_outcomes`.
 
-:func:`enumerate_ev` ends its walk at the last lagging party.  When a
-node measures the one live party below the maximum and every other live
-party sits exactly at the largest weight, both outcomes rescale the
-weights by one common factor, which maps equal floats to equal floats:
-the equal outcome is the terminal on every live party and the vanish
-outcome the terminal on the others, or failure when fewer than two are
-left, read off the masks without building either child.  Only a vanish
-outcome that leaves a party with no live neighbour is built and walked.
-A near tie, within ``MAX_EQUAL_RTOL`` but not exact, may round apart
-once rescaled, so it takes the full step.
+Both walks carry the isolated mask instead of scanning for it at each
+node: an equal child keeps it, and :func:`_without` gives a removal
+child its mask, testing only the removed party's live neighbours.  The
+peel-off walk of :mod:`wdistill.lpo` passes :func:`_decide` its own mask
+of maximal parties.  :func:`enumerate_ev` keys its terminals by live
+mask, which :func:`ev_distribution` names.
 
-An isolate step is read off the masks as well.  The isolated party k has
-no live neighbour, so its child keeps every other party's neighbours: it
-lives on ``live`` without k, with the isolated mask without k.  That child
-is failure when two parties are left and one is isolated, and the
-terminal on the others when none is isolated and all of them were
-exactly tied, since the common division by 1 - x_k keeps exact ties
-exact.  Only in the other cases is the child built and walked.
+:func:`enumerate_ev` settles the removal child of an isolate step, and
+of a measure step whose party is the only live one not exactly at the
+largest weight, by one rule read off the masks: failure when fewer than
+two parties are left, or two with one isolated; the terminal on the rest
+when none is isolated and all of them are exactly tied; otherwise the
+child is built and walked.  The measure step's equal outcome is then the
+terminal on every live party.  Each outcome rescales every weight by
+the same float operations (a removal divides each by 1 - x_k), which map
+equal floats to equal floats, so an exact tie stays exact in the child.
+A near tie, within ``MAX_EQUAL_RTOL`` but not exact, may round apart once
+rescaled, so it is not settled this way.
 """
 
 from __future__ import annotations
@@ -69,38 +64,35 @@ from .core import (
 X0_TOL = 1e-12
 
 
-def _scan(comps, adj, live):
-    """The largest weight ``top`` and three masks of live parties, built
-    in one loop over the positions: those within ``MAX_EQUAL_RTOL`` of
-    ``top`` (maximal), those exactly at ``top`` (tied) and those with no
-    live neighbour (isolated).
+def _scan(comps, live):
+    """The largest weight ``top`` and two masks of live parties, built in
+    one loop over the weights: those within ``MAX_EQUAL_RTOL`` of ``top``
+    (maximal) and those exactly at ``top`` (tied).
 
     ``comps`` holds one weight per position, 0.0 at every position outside
-    the ``live`` mask, and ``adj`` the neighbour masks of
-    :func:`~wdistill.core._adjacency`.
+    the ``live`` mask.  The mask of isolated parties is not found here:
+    :func:`enumerate_ev` carries it along its walk, and :func:`_select`
+    asks :func:`_isolated` for it.
     """
     top = max(comps)
     floor = top * (1.0 - MAX_EQUAL_RTOL)
-    maxmask = tied = isolated = 0
+    maxmask = tied = 0
     bit = 1
-    i = 0
     for c in comps:
         if c >= floor:
             maxmask |= bit
             if c == top:
                 tied |= bit
-        if not adj[i] & live:
-            isolated |= bit
         bit <<= 1
-        i += 1
-    return top, maxmask & live, tied & live, isolated & live
+    return top, maxmask & live, tied & live
 
 
 def _select(comps, adj, live):
     """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
-    on the maximal and isolated masks of :func:`_scan`."""
-    _, maxmask, _, isolated = _scan(comps, adj, live)
-    return _decide(maxmask, adj, live, isolated)
+    on the maximal mask of :func:`_scan` and the mask of
+    :func:`_isolated`."""
+    _, maxmask, _ = _scan(comps, live)
+    return _decide(maxmask, adj, live, _isolated(adj, live))
 
 
 def _decide(maxmask, adj, live, isolated):
@@ -251,34 +243,33 @@ def enumerate_ev(comps, adj, live) -> dict:
     protocol-tree builder, whose walk stopped at standard W states is
     :func:`wdistill.lpo.ev_tree`.
 
-    A node that measures its last lagging party while every maximal party
-    sits exactly at the largest weight ends the walk there.  Each outcome
-    rescales every weight by one factor, which keeps exact ties exact, so
-    the equal outcome is the terminal on ``live`` and the vanish outcome
-    the terminal on the rest, or FAILURE when fewer than two are left.
-    Both are added to the map as their visits would add them, with the
+    The walk carries the isolated mask: it starts from :func:`_isolated`
+    at the root, an equal child keeps it, and a removal child gets its
+    own from :func:`_without`.  The removal child of an isolate step, and
+    of a measure step whose party k is the only live party not exactly
+    tied, is settled by one rule: FAILURE when fewer than two parties are
+    left, or two with one isolated; the terminal on the rest when none is
+    isolated and all are exactly tied, since the common division by
+    1 - x_k keeps exact ties exact; otherwise the child is built and
+    walked.  Such a measure step's equal outcome is the terminal on
+    ``live``, and an isolate step's failure mass comes last.  The
+    masses are added as the children's visits would add them, with the
     same products in the same order, so the map and its key order are
-    those of the full walk; only a vanish outcome that leaves a party
-    with no live neighbour is built and walked.  A near tie may round
-    apart once rescaled, so its node takes the full step.
-
-    An isolate step adds its child's mass the same way when the masks
-    decide the child: failure when two parties are left and one is
-    isolated, the terminal on the others when none is isolated and all
-    are exactly tied.  The failure mass of the step follows, as after the
-    child's visit, and the depth check still raises for a child that is
-    not built.
+    those of the full walk, and the depth check raises before any child.
+    Any other measure step, with several lagging parties or with a
+    maximal party that is not exactly tied, takes :func:`_step`; it has
+    at least three live parties.  So every child the walk builds has at
+    least two, and only the root is tested for fewer.
     """
+    if live.bit_count() < 2:
+        return {FAILURE: 1.0}
     acc: dict = {}
     depth_cap = 2 * live.bit_count()
 
-    def visit(comps, live, pathp, depth):
+    def visit(comps, live, isolated, pathp, depth):
         if depth > depth_cap:
             raise InternalConsistencyError("equal-or-vanish recursion too deep")
-        if live.bit_count() < 2:
-            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
-            return
-        top, maxmask, tied, isolated = _scan(comps, adj, live)
+        top, maxmask, tied = _scan(comps, live)
         tag, k = _decide(maxmask, adj, live, isolated)
         if tag == "fail2":
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp
@@ -287,43 +278,34 @@ def enumerate_ev(comps, adj, live) -> dict:
             acc[live] = acc.get(live, 0.0) + pathp
             return
         if tag == "isolate":
-            # k has no live neighbour, so removing it isolates no one else;
-            # an isolate step has at least three live parties
-            p, fail = _isolate_outcomes(comps[k])
-            if p:
-                if depth + 1 > depth_cap:
-                    raise InternalConsistencyError("equal-or-vanish recursion too deep")
-                rest = live ^ (1 << k)
-                alone = isolated ^ (1 << k)
-                if alone and rest.bit_count() == 2:
-                    acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * p
-                elif not alone and not rest & ~tied:
-                    acc[rest] = acc.get(rest, 0.0) + pathp * p
-                else:
-                    visit(_vanished(comps, k), rest, pathp * p, depth + 1)
-            if fail:
-                acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
-            return
-        if tied == maxmask and live ^ maxmask == 1 << k:
+            pe = None
+            pv, fail = _isolate_outcomes(comps[k])
+        elif live & ~tied == 1 << k:
             _, pe, pv = _measure_outcomes(comps[k], top)
-            if (pe or pv) and depth + 1 > depth_cap:
-                raise InternalConsistencyError("equal-or-vanish recursion too deep")
-            if pe:
-                acc[live] = acc.get(live, 0.0) + pathp * pe
-            if pv:
-                rest, alone = _without(adj, live, isolated, k)
-                if rest.bit_count() < 2:
-                    acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * pv
-                elif alone:
-                    visit(_vanished(comps, k), rest, pathp * pv, depth + 1)
-                else:
-                    acc[rest] = acc.get(rest, 0.0) + pathp * pv
+            fail = None
+        else:
+            children, _ = _step(comps, live, tag, k, (tied & -tied).bit_length() - 1)
+            for p, sub, sublive in children:
+                kept = isolated if sublive == live else _without(adj, live, isolated, k)[1]
+                visit(sub, sublive, kept, pathp * p, depth + 1)
             return
-        children, _ = _step(comps, live, tag, k, (tied & -tied).bit_length() - 1)
-        for p, sub, sublive in children:
-            visit(sub, sublive, pathp * p, depth + 1)
+        if (pe or pv) and depth + 1 > depth_cap:
+            raise InternalConsistencyError("equal-or-vanish recursion too deep")
+        if pe:
+            acc[live] = acc.get(live, 0.0) + pathp * pe
+        if pv:
+            rest, alone = _without(adj, live, isolated, k)
+            left = rest.bit_count()
+            if left < 2 or left == 2 and alone:
+                acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * pv
+            elif not alone and not rest & ~tied:
+                acc[rest] = acc.get(rest, 0.0) + pathp * pv
+            else:
+                visit(_vanished(comps, k), rest, alone, pathp * pv, depth + 1)
+        if fail:
+            acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
-    visit(tuple(comps), live, 1.0, 0)
+    visit(tuple(comps), live, _isolated(adj, live), 1.0, 0)
     return acc
 
 

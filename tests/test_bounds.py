@@ -209,13 +209,25 @@ def test_tau6_requires_sorted_six_party_input():
 
 
 def test_tau6_two_empty_parties_reduce_to_the_four_party_value(solver):
+    # with 2, 3 or 4 trailing parties at weight 0 (x3 = 0 from 4 on, where
+    # tau6 is 2 x2), tau6 is the value of the protocol on the six parties
     g4 = graph_catalog("pairs", 4)
+    g6 = graph_catalog("pairs", 6)
     rng = np.random.default_rng(19)
     for _ in range(40):
         x4 = np.sort(rng.dirichlet(np.ones(4)))[::-1]
         s6 = WState(list(x4) + [0.0, 0.0])
         s4 = WState(x4, g4.labels)
         assert tau6(s6) == pytest.approx(p_lpo(s4, g4, solver), abs=1e-10)
+    for zeros in (2, 3, 4):
+        for _ in range(40):
+            x = np.sort(rng.dirichlet(np.ones(6 - zeros)))[::-1]
+            s6 = WState(list(x) + [0.0] * zeros, g6.labels)
+            assert tau6(s6) == pytest.approx(p_lpo(s6, g6, solver), abs=1e-10), (zeros, x)
+    for x, want in (([0.5, 0.5], 1.0), ([0.7, 0.3], 0.6)):
+        s6 = WState(x + [0.0] * 4, g6.labels)
+        assert tau6(s6) == pytest.approx(want, abs=1e-15)
+        assert p_lpo(s6, g6, solver) == pytest.approx(want, abs=1e-15)
 
 
 def test_tau6_equals_baseline_at_the_uniform_state(solver):

@@ -19,7 +19,7 @@ from wdistill import (
     statevector_oracle,
 )
 from wdistill.core import _adjacency, _members
-from wdistill.evroutine import _select, ev_order_sensitivity
+from wdistill.evroutine import _select, enumerate_ev, ev_order_sensitivity
 from wdistill.lpo import _peel_step, _peel_walk
 from wdistill.mc import random_w_state
 
@@ -54,6 +54,12 @@ def test_select_isolated_and_two_party_failure():
     assert select(standard_w("ABC"), g) == ("isolate", "A")
     g2 = ConfigGraph("AB", [])
     assert select(standard_w("AB"), g2) == ("fail2", None)
+
+
+def test_enumerate_ev_fails_below_two_live_parties():
+    adj = _adjacency(("A", "B", "C"), [("A", "B"), ("B", "C")])
+    for comps, live in (((0.0, 0.0, 0.0), 0), ((1.0, 0.0, 0.0), 0b001), ((0.0, 1.0, 0.0), 0b010)):
+        assert enumerate_ev(comps, adj, live) == {FAILURE: 1.0}
 
 
 def test_select_requires_x0_zero():

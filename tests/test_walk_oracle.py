@@ -32,15 +32,17 @@ as ``scan_decide`` does, and the update must equal a fresh scan.
 
 The equal-or-vanish walk is also checked against the label walk on
 near-tie states, whose maximal parties lie below the largest weight by
-up to twice ``MAX_EQUAL_RTOL``: there the walk may end at the last
-lagging party, or resolve an isolate step as the terminal on the others,
-only when the parties concerned are exactly tied.
+up to twice ``MAX_EQUAL_RTOL``: there the walk may settle the removal
+child of a last lagging party or of an isolate step as the terminal on
+the others only when they are exactly tied, and it carries the isolated
+mask with :func:`~wdistill.evroutine._without` as the peel-off walk does.
 
 A planted fault in each, a selection rule that measures the highest
 lagging position, an isolated-mask update that never adds a newly
-isolated neighbour, an ``_induced`` that ranks bits from the top, a scan
-that reports every maximal party as exactly tied and one that does so
-only at nodes with an isolated party, must be caught by these checks.
+isolated neighbour (in the peel-off walk and in the equal-or-vanish
+walk), an ``_induced`` that ranks bits from the top, a scan that reports
+every maximal party as exactly tied and one that does so only at nodes
+with an isolated party, must be caught by these checks.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -345,23 +347,35 @@ def never_adds_isolated(adj, live, isolated, j):
     return live & ~bit, isolated & ~bit
 
 
-def untied_scan(comps, adj, live):
+def untied_scan(comps, live):
     """A planted fault: :func:`_scan` reporting every maximal party as
-    exactly tied, so that :func:`enumerate_ev` ends the walk at a last
-    lagging party without its exact-tie guard."""
-    top, maxmask, _, isolated = _scan(comps, adj, live)
-    return top, maxmask, maxmask, isolated
+    exactly tied, so that :func:`enumerate_ev` settles the removal child
+    of a last lagging party, or of an isolate step, from the masks
+    without its exact-tie guard."""
+    top, maxmask, _ = _scan(comps, live)
+    return top, maxmask, maxmask
 
 
-def maximal_isolate_scan(comps, adj, live):
-    """A planted fault: :func:`_scan` reporting every maximal party as
-    exactly tied at a node with an isolated party, so that
-    :func:`enumerate_ev` ends an isolate step at the terminal on the
-    others when they are only within MAX_EQUAL_RTOL of the largest weight;
-    the measure steps, which run only at nodes without one, keep their
-    guard."""
-    top, maxmask, tied, isolated = _scan(comps, adj, live)
-    return top, maxmask, maxmask if isolated else tied, isolated
+def plant_maximal_isolate_scan(monkeypatch):
+    """Plants a fault: :func:`_scan` reporting every maximal party as
+    exactly tied at a node with an isolated party, which it reads with
+    :func:`_isolated` on the neighbour masks of the walk (caught from the
+    walk's call for its root mask), so that :func:`enumerate_ev` ends an
+    isolate step at the terminal on the others when they are only within
+    MAX_EQUAL_RTOL of the largest weight; the measure steps, which run
+    only at nodes without one, keep their guard."""
+    walk = {}
+
+    def isolated(adj, live):
+        walk["adj"] = adj
+        return _isolated(adj, live)
+
+    def maximal_isolate_scan(comps, live):
+        top, maxmask, tied = _scan(comps, live)
+        return top, maxmask, maxmask if _isolated(walk["adj"], live) else tied
+
+    monkeypatch.setattr(ev_mod, "_isolated", isolated)
+    monkeypatch.setattr(ev_mod, "_scan", maximal_isolate_scan)
 
 
 def top_ranked_induced(adj, live):
@@ -546,7 +560,12 @@ def test_the_near_tie_check_catches_a_shortcut_without_its_tie_guard(monkeypatch
 
 
 def test_the_near_tie_check_catches_an_isolate_shortcut_on_maximal_parties(monkeypatch):
-    monkeypatch.setattr(ev_mod, "_scan", maximal_isolate_scan)
+    plant_maximal_isolate_scan(monkeypatch)
+    assert near_tie_mismatch()[0] is not None
+
+
+def test_the_near_tie_check_catches_a_planted_isolated_update_fault(monkeypatch):
+    monkeypatch.setattr(ev_mod, "_without", never_adds_isolated)
     assert near_tie_mismatch()[0] is not None
 
 
