@@ -17,10 +17,12 @@ indexed by position.  :func:`_scan` finds the mask of maximal live
 parties and the mask of those exactly at the largest weight in one loop
 over the weights, and :func:`_decide` answers from the maximal mask and
 the mask of isolated parties (live, with no live neighbour) with a
-position, which :func:`_step` takes; :func:`_select` is the two in a
-row, with the isolated mask from :func:`_isolated`.  A measure step's
-outcome probabilities come from :func:`_measure_outcomes` alone, and an
-isolate step's from :func:`_isolate_outcomes`.
+position; :func:`_select` is the two in a row, with the isolated mask
+from :func:`_isolated`.  A measure step's outcome probabilities come from
+:func:`_measure_outcomes` alone, and an isolate step's from
+:func:`_isolate_outcomes`; the equal child's weights come from
+:func:`_equalized` and a removal child's from :func:`_vanished`, in both
+:func:`enumerate_ev` and the protocol-tree builder's :func:`_step`.
 
 Both walks carry the isolated mask instead of scanning for it at each
 node: an equal child keeps it, and :func:`_without` gives a removal
@@ -29,17 +31,17 @@ peel-off walk of :mod:`wdistill.lpo` passes :func:`_decide` its own mask
 of maximal parties.  :func:`enumerate_ev` keys its terminals by live
 mask, which :func:`ev_distribution` names.
 
-:func:`enumerate_ev` settles the removal child of an isolate step, and
-of a measure step whose party is the only live one not exactly at the
-largest weight, by one rule read off the masks: failure when fewer than
-two parties are left, or two with one isolated; the terminal on the rest
-when none is isolated and all of them are exactly tied; otherwise the
-child is built and walked.  The measure step's equal outcome is then the
-terminal on every live party.  Each outcome rescales every weight by
-the same float operations (a removal divides each by 1 - x_k), which map
-equal floats to equal floats, so an exact tie stays exact in the child.
-A near tie, within ``MAX_EQUAL_RTOL`` but not exact, may round apart once
-rescaled, so it is not settled this way.
+:func:`enumerate_ev` takes every isolate and measure step by one rule,
+and builds and walks only the children that the masks cannot settle.
+The equal child is the terminal on every live party when the measured
+party is the only live one not exactly at the largest weight.  A removal
+child is failure when fewer than two parties are left, and the terminal
+on the rest when none of them is isolated and all are exactly tied.
+Each outcome rescales every weight by the same float operations (a
+removal divides each by 1 - x_k), which map equal floats to equal
+floats, so an exact tie stays exact in the child.  A near tie, within
+``MAX_EQUAL_RTOL`` but not exact, may round apart once rescaled, so it is
+not settled this way.
 """
 
 from __future__ import annotations
@@ -201,17 +203,29 @@ def _vanished(comps, k):
     return tuple(new)
 
 
+def _equalized(comps, k, imax, a, pe):
+    """The weights after party k's equal outcome of probability ``pe`` at
+    the ratio ``a``: each rescaled by a / pe, and x_k set to the largest
+    one, at the lowest position ``imax``, so that the tie is exact."""
+    new = [a * c / pe for c in comps]
+    new[k] = new[imax]  # force the intended exact tie
+    return tuple(new)
+
+
 def _step(comps, live, tag, k, imax):
     """Children of an isolate or measure step by position ``k``, as
     ``(p, comps, live)``, and the failure mass; ``imax`` is the lowest
-    position of the largest weight.
+    position of the largest weight.  The protocol-tree builder of
+    :mod:`wdistill.lpo` takes its equal-or-vanish branches from here, with
+    the outcomes and weights of the walk in :func:`enumerate_ev`.
 
     Isolating party k keeps the others entangled with probability 1 - x_k
     and fails otherwise, as :func:`_isolate_outcomes` gives them.
     Measuring k either lifts x_k to the current maximum ('equal', which
-    keeps ``live``) or removes k ('vanish'), with the probabilities of
-    :func:`_measure_outcomes`.  A removed party's weight becomes 0.0.
-    Outcomes rarer than NULL_OUTCOME_PROB are dropped.
+    keeps ``live``, with the weights of :func:`_equalized`) or removes k
+    ('vanish'), with the probabilities of :func:`_measure_outcomes`.  A
+    removed party's weight becomes 0.0.  Outcomes rarer than
+    NULL_OUTCOME_PROB are dropped.
     """
     xk = comps[k]
     rest = live & ~(1 << k)
@@ -223,9 +237,7 @@ def _step(comps, live, tag, k, imax):
         return children, fail
     a, pe, pv = _measure_outcomes(xk, comps[imax])
     if pe:
-        new = [a * c / pe for c in comps]
-        new[k] = new[imax]  # force the intended exact tie
-        children.append((pe, tuple(new), live))
+        children.append((pe, _equalized(comps, k, imax, a, pe), live))
     if pv:
         children.append((pv, _vanished(comps, k), rest))
     return children, 0.0
@@ -238,28 +250,28 @@ def enumerate_ev(comps, adj, live) -> dict:
     Returns a map from terminal to probability; terminals are either a
     live mask (a standard W state on those positions) or the FAILURE
     sentinel.  Raw-tuple variant of :func:`ev_distribution`, which names
-    the masks; its rules, :func:`_scan` and :func:`_decide` (which
-    :func:`_select` combines) and :func:`_step`, are shared with the
-    protocol-tree builder, whose walk stopped at standard W states is
-    :func:`wdistill.lpo.ev_tree`.
+    the masks; its rules, :func:`_scan`, :func:`_decide` (which
+    :func:`_select` combines), the outcomes and :func:`_equalized` and
+    :func:`_vanished`, are shared with the protocol-tree builder, whose
+    walk stopped at standard W states is :func:`wdistill.lpo.ev_tree`.
 
     The walk carries the isolated mask: it starts from :func:`_isolated`
     at the root, an equal child keeps it, and a removal child gets its
-    own from :func:`_without`.  The removal child of an isolate step, and
-    of a measure step whose party k is the only live party not exactly
-    tied, is settled by one rule: FAILURE when fewer than two parties are
-    left, or two with one isolated; the terminal on the rest when none is
-    isolated and all are exactly tied, since the common division by
-    1 - x_k keeps exact ties exact; otherwise the child is built and
-    walked.  Such a measure step's equal outcome is the terminal on
-    ``live``, and an isolate step's failure mass comes last.  The
-    masses are added as the children's visits would add them, with the
-    same products in the same order, so the map and its key order are
-    those of the full walk, and the depth check raises before any child.
-    Any other measure step, with several lagging parties or with a
-    maximal party that is not exactly tied, takes :func:`_step`; it has
-    at least three live parties.  So every child the walk builds has at
-    least two, and only the root is tested for fewer.
+    own from :func:`_without`.  Every isolate or measure step of party k
+    takes one path.  Its outcomes come from :func:`_isolate_outcomes`,
+    with no equal outcome, or from :func:`_measure_outcomes`, with no
+    failure mass, and the depth check raises before any child.  The
+    equal child is the terminal on ``live`` when k is the only live
+    party not exactly tied, and is otherwise built by :func:`_equalized`
+    and walked.  The removal child is FAILURE when fewer than two
+    parties are left, the terminal on the rest when none is isolated and
+    all are exactly tied, since the common division by 1 - x_k keeps
+    exact ties exact, and is otherwise built by :func:`_vanished` and
+    walked.  An isolate step's failure mass comes last.  A settled child
+    adds the mass its visit would add, with the same products in the same
+    order, so the map and its key order are those of the full walk.
+    Every walked child has at least two live parties, so only the root is
+    tested for fewer.
     """
     if live.bit_count() < 2:
         return {FAILURE: 1.0}
@@ -267,8 +279,6 @@ def enumerate_ev(comps, adj, live) -> dict:
     depth_cap = 2 * live.bit_count()
 
     def visit(comps, live, isolated, pathp, depth):
-        if depth > depth_cap:
-            raise InternalConsistencyError("equal-or-vanish recursion too deep")
         top, maxmask, tied = _scan(comps, live)
         tag, k = _decide(maxmask, adj, live, isolated)
         if tag == "fail2":
@@ -278,25 +288,22 @@ def enumerate_ev(comps, adj, live) -> dict:
             acc[live] = acc.get(live, 0.0) + pathp
             return
         if tag == "isolate":
-            pe = None
+            a = pe = 0.0
             pv, fail = _isolate_outcomes(comps[k])
-        elif live & ~tied == 1 << k:
-            _, pe, pv = _measure_outcomes(comps[k], top)
-            fail = None
         else:
-            children, _ = _step(comps, live, tag, k, (tied & -tied).bit_length() - 1)
-            for p, sub, sublive in children:
-                kept = isolated if sublive == live else _without(adj, live, isolated, k)[1]
-                visit(sub, sublive, kept, pathp * p, depth + 1)
-            return
-        if (pe or pv) and depth + 1 > depth_cap:
+            a, pe, pv = _measure_outcomes(comps[k], top)
+            fail = 0.0
+        if (pe or pv) and depth >= depth_cap:
             raise InternalConsistencyError("equal-or-vanish recursion too deep")
         if pe:
-            acc[live] = acc.get(live, 0.0) + pathp * pe
+            if live & ~tied == 1 << k:
+                acc[live] = acc.get(live, 0.0) + pathp * pe
+            else:
+                equal = _equalized(comps, k, (tied & -tied).bit_length() - 1, a, pe)
+                visit(equal, live, isolated, pathp * pe, depth + 1)
         if pv:
             rest, alone = _without(adj, live, isolated, k)
-            left = rest.bit_count()
-            if left < 2 or left == 2 and alone:
+            if rest.bit_count() < 2:
                 acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * pv
             elif not alone and not rest & ~tied:
                 acc[rest] = acc.get(rest, 0.0) + pathp * pv

@@ -32,17 +32,24 @@ as ``scan_decide`` does, and the update must equal a fresh scan.
 
 The equal-or-vanish walk is also checked against the label walk on
 near-tie states, whose maximal parties lie below the largest weight by
-up to twice ``MAX_EQUAL_RTOL``: there the walk may settle the removal
-child of a last lagging party or of an isolate step as the terminal on
-the others only when they are exactly tied, and it carries the isolated
-mask with :func:`~wdistill.evroutine._without` as the peel-off walk does.
+up to twice ``MAX_EQUAL_RTOL``, on full live masks and on partial ones
+with the other weights at 0.0, as warm ``p_lpo`` walks them after phase
+I.  The walk takes every step by one rule: the equal child is the
+terminal on every live party only when the measured party is the only
+one not exactly tied, and the removal child is failure when fewer than
+two parties are left and the terminal on the rest only when none is
+isolated and all are exactly tied; any other child is walked.  It
+carries the isolated mask with :func:`~wdistill.evroutine._without` as
+the peel-off walk does.
 
 A planted fault in each, a selection rule that measures the highest
 lagging position, an isolated-mask update that never adds a newly
 isolated neighbour (in the peel-off walk and in the equal-or-vanish
 walk), an ``_induced`` that ranks bits from the top, a scan that reports
 every maximal party as exactly tied and one that does so only at nodes
-with an isolated party, must be caught by these checks.
+with an isolated party, must be caught by these checks.  An equal child
+whose tie is not forced keeps its party lagging, and the walk's depth
+check must stop it.
 
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
@@ -51,6 +58,7 @@ optimizer's roots).  Re-record (only when a value is meant to move) with
 ``PYTHONPATH=src python tests/test_walk_oracle.py``.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -66,7 +74,14 @@ from wdistill import (
     graph_catalog,
     standard_w,
 )
-from wdistill.core import MAX_EQUAL_RTOL, NULL_OUTCOME_PROB, _adjacency, _members, _restrict_edges
+from wdistill.core import (
+    MAX_EQUAL_RTOL,
+    NULL_OUTCOME_PROB,
+    InternalConsistencyError,
+    _adjacency,
+    _members,
+    _restrict_edges,
+)
 from wdistill import evroutine as ev_mod
 from wdistill import lpo as lpo_mod
 from wdistill.evroutine import _decide, _isolated, _scan, _select, _without, enumerate_ev
@@ -349,9 +364,10 @@ def never_adds_isolated(adj, live, isolated, j):
 
 def untied_scan(comps, live):
     """A planted fault: :func:`_scan` reporting every maximal party as
-    exactly tied, so that :func:`enumerate_ev` settles the removal child
-    of a last lagging party, or of an isolate step, from the masks
-    without its exact-tie guard."""
+    exactly tied, so that :func:`enumerate_ev` reads the equal child of a
+    last lagging party as the terminal on every live party, and the
+    removal child of any step as the terminal on the others, whenever
+    they are only within MAX_EQUAL_RTOL of the largest weight."""
     top, maxmask, _ = _scan(comps, live)
     return top, maxmask, maxmask
 
@@ -376,6 +392,13 @@ def plant_maximal_isolate_scan(monkeypatch):
 
     monkeypatch.setattr(ev_mod, "_isolated", isolated)
     monkeypatch.setattr(ev_mod, "_scan", maximal_isolate_scan)
+
+
+def skipped_tie_equalized(comps, k, imax, a, pe):
+    """A planted fault: :func:`wdistill.evroutine._equalized` without the
+    forced exact tie, so that party k stays lagging at the same ratio in
+    the equal child and the walk measures it again and again."""
+    return tuple(a * c / pe for c in comps)
 
 
 def top_ranked_induced(adj, live):
@@ -531,20 +554,41 @@ def near_tie_inputs(seed, count):
         yield tuple(c / total for c in comps), adj
 
 
+def partial_near_tie_inputs(seed, count):
+    """``near_tie_inputs`` on a seeded random live mask of at least two
+    parties, as ``(comps, adj, live)``: the weights outside the mask are
+    0.0 and the rest are normalized to sum 1 again, as on the walks that
+    warm ``p_lpo`` runs after phase I.  A draw of fewer than two parties
+    is skipped, so about four in five of the ``count`` inputs are kept."""
+    rng = np.random.default_rng(seed + 1)
+    for comps, adj in near_tie_inputs(seed, count):
+        live = int(rng.integers(1, 1 << len(adj)))
+        if live.bit_count() < 2:
+            continue
+        total = sum(c for i, c in enumerate(comps) if live >> i & 1)
+        yield tuple(c / total if live >> i & 1 else 0.0 for i, c in enumerate(comps)), adj, live
+
+
 def near_tie_mismatch(count=4_000):
     """The first near-tie input on which :func:`enumerate_ev` and
     ``reference_enumerate_ev`` differ, key order included, or None; also
-    how many of the graphs met were connected and how many were not."""
+    how many of the live subgraphs met were connected and how many were
+    not.  The inputs are ``count`` full masks of seed 26 and the partial
+    masks of seed 30; the reference walks the live labels, their weights
+    and their restricted edges."""
     shapes = {True: 0, False: 0}
-    for comps, adj in near_tie_inputs(26, count):
-        n = len(adj)
-        labels = tuple("ABCDEFG"[:n])
-        edges = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1}
-        walked = enumerate_ev(comps, adj, (1 << n) - 1)
-        got = [(term if term is FAILURE else _members(labels, term), p) for term, p in walked.items()]
-        if got != list(reference_enumerate_ev(comps, labels, edges).items()):
-            return (comps, adj), shapes
-        shapes[connected(adj)] += 1
+    full = ((comps, adj, (1 << len(adj)) - 1) for comps, adj in near_tie_inputs(26, count))
+    for comps, adj, live in itertools.chain(full, partial_near_tie_inputs(30, count)):
+        labels = _members("ABCDEFG", live)
+        n = len(labels)
+        sub = _induced(adj, live)
+        edges = {(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if sub[i] >> j & 1}
+        walked = enumerate_ev(comps, adj, live)
+        got = [(term if term is FAILURE else _members("ABCDEFG", term), p) for term, p in walked.items()]
+        want = reference_enumerate_ev(_members(comps, live), labels, edges)
+        if got != list(want.items()):
+            return (comps, adj, live), shapes
+        shapes[connected(sub)] += 1
     return None, shapes
 
 
@@ -567,6 +611,27 @@ def test_the_near_tie_check_catches_an_isolate_shortcut_on_maximal_parties(monke
 def test_the_near_tie_check_catches_a_planted_isolated_update_fault(monkeypatch):
     monkeypatch.setattr(ev_mod, "_without", never_adds_isolated)
     assert near_tie_mismatch()[0] is not None
+
+
+def depth_errors():
+    """How many of the wedge's ``ev_states`` make :func:`enumerate_ev`
+    raise, each with the depth check's message."""
+    g = ORACLE_GRAPHS["wedge"]
+    adj = _adjacency(g.labels, g.edges)
+    raised = 0
+    for comps in ev_states(g, sum(map(ord, "wedge"))):
+        try:
+            enumerate_ev(comps, adj, (1 << g.n) - 1)
+        except InternalConsistencyError as exc:
+            assert str(exc) == "equal-or-vanish recursion too deep"
+            raised += 1
+    return raised
+
+
+def test_the_depth_check_stops_an_equal_child_that_stays_lagging(monkeypatch):
+    assert depth_errors() == 0
+    monkeypatch.setattr(ev_mod, "_equalized", skipped_tie_equalized)
+    assert depth_errors() == 13   # of 15: the uniform state and one more never measure
 
 
 def test_decide_matches_the_scanning_decide():
