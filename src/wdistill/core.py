@@ -9,7 +9,6 @@ update, and everything else in the package is built on that update.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -591,19 +590,3 @@ def graph_catalog(name: str, n: int | None = None) -> ConfigGraph:
         return ConfigGraph(labels, edges)
     raise UnknownPresetError(f"unknown graph preset {name!r}")
 
-
-def _json_data(text_or_data):
-    if not isinstance(text_or_data, str):
-        return text_or_data
-    try:
-        return json.loads(text_or_data)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed JSON: {exc}") from None
-
-
-def state_from_json(text_or_data) -> WState:
-    return WState.from_json(_json_data(text_or_data))
-
-
-def graph_from_json(text_or_data) -> ConfigGraph:
-    return ConfigGraph.from_json(_json_data(text_or_data))

@@ -17,12 +17,12 @@ indexed by position.  :func:`_scan` finds the mask of maximal live
 parties and the mask of those exactly at the largest weight in one loop
 over the weights, and :func:`_decide` answers from the maximal mask and
 the mask of isolated parties (live, with no live neighbour) with a
-position; :func:`_select` is the two in a row, with the isolated mask
-from :func:`_isolated`.  A measure step's outcome probabilities come from
+position.  A measure step's outcome probabilities come from
 :func:`_measure_outcomes` alone, and an isolate step's from
 :func:`_isolate_outcomes`; the equal child's weights come from
 :func:`_equalized` and a removal child's from :func:`_vanished`, in both
-:func:`enumerate_ev` and the protocol-tree builder's :func:`_step`.
+:func:`enumerate_ev` and the protocol-tree builder, which calls these
+rules itself.
 
 Both walks carry the isolated mask instead of scanning for it at each
 node: an equal child keeps it, and :func:`_without` gives a removal
@@ -73,8 +73,8 @@ def _scan(comps, live):
 
     ``comps`` holds one weight per position, 0.0 at every position outside
     the ``live`` mask.  The mask of isolated parties is not found here:
-    :func:`enumerate_ev` carries it along its walk, and :func:`_select`
-    asks :func:`_isolated` for it.
+    :func:`enumerate_ev` carries it along its walk, and the protocol-tree
+    builder asks :func:`_isolated` for it.
     """
     top = max(comps)
     floor = top * (1.0 - MAX_EQUAL_RTOL)
@@ -89,16 +89,8 @@ def _scan(comps, live):
     return top, maxmask & live, tied & live
 
 
-def _select(comps, adj, live):
-    """Next action for an x0 = 0 node, as (tag, position): :func:`_decide`
-    on the maximal mask of :func:`_scan` and the mask of
-    :func:`_isolated`."""
-    _, maxmask, _ = _scan(comps, live)
-    return _decide(maxmask, adj, live, _isolated(adj, live))
-
-
 def _decide(maxmask, adj, live, isolated):
-    """The action of :func:`_select`, given the mask of maximal live
+    """Next action for an x0 = 0 node, given the mask of maximal live
     parties and the mask of live parties with no live neighbour, as
     (tag, position).
 
@@ -212,37 +204,6 @@ def _equalized(comps, k, imax, a, pe):
     return tuple(new)
 
 
-def _step(comps, live, tag, k, imax):
-    """Children of an isolate or measure step by position ``k``, as
-    ``(p, comps, live)``, and the failure mass; ``imax`` is the lowest
-    position of the largest weight.  The protocol-tree builder of
-    :mod:`wdistill.lpo` takes its equal-or-vanish branches from here, with
-    the outcomes and weights of the walk in :func:`enumerate_ev`.
-
-    Isolating party k keeps the others entangled with probability 1 - x_k
-    and fails otherwise, as :func:`_isolate_outcomes` gives them.
-    Measuring k either lifts x_k to the current maximum ('equal', which
-    keeps ``live``, with the weights of :func:`_equalized`) or removes k
-    ('vanish'), with the probabilities of :func:`_measure_outcomes`.  A
-    removed party's weight becomes 0.0.  Outcomes rarer than
-    NULL_OUTCOME_PROB are dropped.
-    """
-    xk = comps[k]
-    rest = live & ~(1 << k)
-    children = []
-    if tag == "isolate":
-        p, fail = _isolate_outcomes(xk)
-        if p:
-            children.append((p, _vanished(comps, k), rest))
-        return children, fail
-    a, pe, pv = _measure_outcomes(xk, comps[imax])
-    if pe:
-        children.append((pe, _equalized(comps, k, imax, a, pe), live))
-    if pv:
-        children.append((pv, _vanished(comps, k), rest))
-    return children, 0.0
-
-
 def enumerate_ev(comps, adj, live) -> dict:
     """Exhaustively walk the equal-or-vanish tree from the parties in the
     mask ``live``, over the neighbour masks ``adj``.
@@ -250,10 +211,10 @@ def enumerate_ev(comps, adj, live) -> dict:
     Returns a map from terminal to probability; terminals are either a
     live mask (a standard W state on those positions) or the FAILURE
     sentinel.  Raw-tuple variant of :func:`ev_distribution`, which names
-    the masks; its rules, :func:`_scan`, :func:`_decide` (which
-    :func:`_select` combines), the outcomes and :func:`_equalized` and
-    :func:`_vanished`, are shared with the protocol-tree builder, whose
-    walk stopped at standard W states is :func:`wdistill.lpo.ev_tree`.
+    the masks; its rules, :func:`_scan`, :func:`_decide`, the outcomes
+    and :func:`_equalized` and :func:`_vanished`, are shared with the
+    protocol-tree builder, whose walk stopped at standard W states is
+    :func:`wdistill.lpo.ev_tree`.
 
     The walk carries the isolated mask: it starts from :func:`_isolated`
     at the root, an equal child keeps it, and a removal child gets its
@@ -318,9 +279,17 @@ def enumerate_ev(comps, adj, live) -> dict:
 
 def _check_support(terminals, comps, adj):
     """Every W terminal mask must contain each initially-maximal position
-    or be disconnected from it."""
+    or be disconnected from it.
+
+    Only the positions within 0.9 MAX_EQUAL_RTOL of the largest weight are
+    checked.  A position at the edge of the tolerance can drift out of it
+    once the walk rescales the weights, since each step moves a weight's
+    ratio to the largest by a few ulps, and the walk then measures it.  A
+    walk takes at most 2n steps, so for any graph the engine can solve
+    the drift stays far below the 0.1 MAX_EQUAL_RTOL margin.
+    """
     xmax = max(comps)
-    maximal = [i for i, c in enumerate(comps) if c >= xmax * (1.0 - MAX_EQUAL_RTOL)]
+    maximal = [i for i, c in enumerate(comps) if c >= xmax * (1.0 - 0.9 * MAX_EQUAL_RTOL)]
     for term in terminals:
         if term is FAILURE:
             continue
@@ -374,7 +343,7 @@ def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:
     tie-break prefers the highest index instead of the lowest.
 
     Reversing the party order flips every lowest-index choice of
-    :func:`_select`, so this compares the enumeration on the state with
+    :func:`_decide`, so this compares the enumeration on the state with
     the enumeration on its reversal.  Diagnostic only: nothing in the
     protocol relies on the answer being zero, this just records how the
     enumeration responds to the one choice left open by the selection

@@ -50,9 +50,12 @@ from .evroutine import (
     X0_TOL,
     _check_ev_input,
     _decide,
+    _equalized,
+    _isolate_outcomes,
     _isolated,
-    _select,
-    _step,
+    _measure_outcomes,
+    _scan,
+    _vanished,
     _without,
     enumerate_ev,
     ev_measurement,
@@ -419,14 +422,15 @@ class PhaseThreeSolver:
 
     Inside the recursion a subgraph is its neighbour masks in label order,
     and values depend on nothing else: the walks work on positions, and
-    the peel-off and :func:`_select` ties go to the lowest one.  So the
-    memo is keyed by the masks, and subgraphs whose masks are equal share
-    one solve.  The same graph with its parties in another order may have
-    other masks and, from five parties on, another value: the lowest
-    position decides which least-connected party is peeled off (see
-    :meth:`p3_diagnostic`).  Each entry holds the report, which
-    names no labels, and its children, the subsets whose values it reads,
-    each as its live mask over the entry's positions and its own masks.
+    the peel-off and :func:`~wdistill.evroutine._decide` ties go to the
+    lowest one.  So the memo is keyed by the masks, and subgraphs whose
+    masks are equal share one solve.  The same graph with its parties in
+    another order may have other masks and, from five parties on, another
+    value: the lowest position decides which least-connected party is
+    peeled off (see :meth:`p3_diagnostic`).  Each entry holds the report,
+    which names no labels, and its children, the subsets whose values it
+    reads, each as its live mask over the entry's positions and its own
+    masks.
     A report depends only on the cycle function's terms, on whether the
     node can loop and on its size, so :meth:`_optimize` runs once per
     distinct ``(terms, has_loop, n)`` and shapes that meet the same key
@@ -519,15 +523,13 @@ class PhaseThreeSolver:
             # d/da (q / s) has the numerator q's - qs', q = f / (1 - a),
             # s = 1 + a + ... + a^(m-1)
             q = _power_coefficients([(c, e, v - 1) for c, e, v in terms])
+            # q's is never longer than qs': untrimmed, both have
+            # len(q) + m - 2 entries, and qs' ends in (m - 1) q[-1], which
+            # is 0 only when q is [0.0]
             left = _trim(np.convolve(_derivative(q), np.ones(m)))
-            right = _trim(np.convolve(q, np.arange(1.0, m)))
-            if len(left) > len(right):
-                left[:len(right)] -= right
-                slope = _trim(left)
-            else:
-                right = -right
-                right[:len(left)] += left
-                slope = _trim(right)
+            slope = -_trim(np.convolve(q, np.arange(1.0, m)))
+            slope[:len(left)] += left
+            slope = _trim(slope)
         else:
             slope = _derivative(_power_coefficients(terms))
         # the roots as numpy 2.x's polyroots finds them: real ones come
@@ -1013,7 +1015,8 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         if x0 > X0_TOL:
             return _StateStep(held, None, st, phase1_measurement(st), "phase1", _phase1_step(comps, held))
 
-        tag, k = _select(comps, adj, held)
+        top, maxmask, tied = _scan(comps, held)
+        tag, k = _decide(maxmask, adj, held, _isolated(adj, held))
         if tag == "fail2":
             return _StateStep(held, FAILURE)
         if tag == "terminal":
@@ -1027,11 +1030,19 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
             m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
             return _StateStep(held, None, st, m, "phase3", steps, report=report, alpha=alpha)
 
-        steps, fail = _step(comps, held, tag, k, comps.index(max(comps)))
+        rest = held & ~(1 << k)
         if tag == "isolate":
+            p, fail = _isolate_outcomes(comps[k])
+            steps = [(p, _vanished(comps, k), rest)] if p else []
             m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
             return _StateStep(held, None, st, m, "isolate", steps, fail)
-        return _StateStep(held, None, st, ev_measurement(st, labels[k]), "ev", steps, fail)
+        a, pe, pv = _measure_outcomes(comps[k], top)
+        steps = []
+        if pe:  # the lowest tied position holds the largest weight
+            steps.append((pe, _equalized(comps, k, (tied & -tied).bit_length() - 1, a, pe), held))
+        if pv:
+            steps.append((pv, _vanished(comps, k), rest))
+        return _StateStep(held, None, st, ev_measurement(st, labels[k]), "ev", steps)
 
     def build(comps, live: int, cycle: int):
         """The subtree for this state after ``cycle`` peel-offs on these

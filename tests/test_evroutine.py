@@ -19,7 +19,7 @@ from wdistill import (
     statevector_oracle,
 )
 from wdistill.core import _adjacency, _members
-from wdistill.evroutine import _select, enumerate_ev, ev_order_sensitivity
+from wdistill.evroutine import _decide, _isolated, _scan, enumerate_ev, ev_order_sensitivity
 from wdistill.lpo import _peel_step, _peel_walk
 from wdistill.mc import random_w_state
 
@@ -33,7 +33,8 @@ def y_alpha_state(alpha, heavy="D"):
 
 def select(state, graph):
     """The selection rule's action, its position mapped back to a label."""
-    tag, k = _select(state.components, _adjacency(state.labels, graph.edges), (1 << state.n) - 1)
+    adj, live = _adjacency(state.labels, graph.edges), (1 << state.n) - 1
+    tag, k = _decide(_scan(state.components, live)[1], adj, live, _isolated(adj, live))
     return tag, None if k is None else state.labels[k]
 
 

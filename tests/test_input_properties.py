@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdistill import DistillationError, graph_catalog
+from wdistill import ConfigGraph, DistillationError, WState, graph_catalog
 from wdistill.cli import _parse_graph, _parse_state, main
-from wdistill.core import graph_from_json, state_from_json
 
 TRIANGLE = graph_catalog("triangle")
 
@@ -52,16 +51,14 @@ def returns_or_rejects(parse, *args):
 @given(states)
 @settings(max_examples=300, deadline=None)
 def test_state_parsers_return_or_raise_distillation_error(value):
-    returns_or_rejects(state_from_json, value)
-    returns_or_rejects(state_from_json, json.dumps(value))
+    returns_or_rejects(WState.from_json, value)
     returns_or_rejects(_parse_state, json.dumps(value), TRIANGLE)
 
 
 @given(graphs)
 @settings(max_examples=300, deadline=None)
 def test_graph_parsers_return_or_raise_distillation_error(value):
-    returns_or_rejects(graph_from_json, value)
-    returns_or_rejects(graph_from_json, json.dumps(value))
+    returns_or_rejects(ConfigGraph.from_json, value)
     returns_or_rejects(_parse_graph, json.dumps(value), None)
 
 

@@ -1025,31 +1025,32 @@ def test_tree_takes_a_numpy_integer_loop_cap(solver):
 
 def test_tree_works_out_each_state_once_whatever_the_loop_cap(monkeypatch):
     # every cycle of a loop meets the same states, so a longer loop adds
-    # nodes but no per-state work: no more _select calls or WState builds
+    # nodes but no per-state work: no more _decide calls or WState builds;
+    # the solver is warm, so no peel-off walk decides anything
     g = graph_catalog("IV")
     w = standard_w(g.labels)
     solver = PhaseThreeSolver()
     build_protocol_tree(w, g, loop_cap=2, solver=solver)  # fills the solver's memo
-    calls = {"select": 0, "wstate": 0}
+    calls = {"decide": 0, "wstate": 0}
 
-    def counting_select(*args):
-        calls["select"] += 1
-        return select(*args)
+    def counting_decide(*args):
+        calls["decide"] += 1
+        return decide(*args)
 
     def counting_wstate(*args):
         calls["wstate"] += 1
         return WState(*args)
 
-    select = lpo_mod._select
-    monkeypatch.setattr(lpo_mod, "_select", counting_select)
+    decide = lpo_mod._decide
+    monkeypatch.setattr(lpo_mod, "_decide", counting_decide)
     monkeypatch.setattr(lpo_mod, "WState", counting_wstate)
     seen = {}
     for cap in (20, 200):
-        calls.update(select=0, wstate=0)
+        calls.update(decide=0, wstate=0)
         tree = build_protocol_tree(w, g, loop_cap=cap, solver=solver)
         seen[cap] = (dict(calls), tree.node_count())
     assert seen[20][0] == seen[200][0]
-    assert 0 < seen[20][0]["select"] and 0 < seen[20][0]["wstate"]
+    assert 0 < seen[20][0]["decide"] and 0 < seen[20][0]["wstate"]
     assert seen[20][1] < seen[200][1]
 
 

@@ -2,12 +2,14 @@
 replaced.
 
 ``reference_select``, ``reference_enumerate_ev`` and ``reference_peel_walk``
-are the earlier forms of :func:`wdistill.evroutine._select`,
-:func:`~wdistill.evroutine.enumerate_ev` and :func:`wdistill.lpo._peel_walk`:
-they pass a subset as its labels and its restricted edge set, and read
-degrees and neighbours off the edges at every node.  The engine's walks
-must return the same dicts and lists, key order included, once their
-live masks are read as labels.
+are the earlier forms of the selection rule, which is now
+:func:`wdistill.evroutine._decide` on the masks of
+:func:`~wdistill.evroutine._scan` and :func:`~wdistill.evroutine._isolated`,
+of :func:`~wdistill.evroutine.enumerate_ev` and of
+:func:`wdistill.lpo._peel_walk`: they pass a subset as its labels and its
+restricted edge set, and read degrees and neighbours off the edges at
+every node.  The engine's walks must return the same dicts and lists,
+key order included, once their live masks are read as labels.
 
 ``single_loop_select`` and ``coded_peel_walk`` are the mask forms that
 came before the selection rule was split into the maximal-party mask and
@@ -51,6 +53,13 @@ with an isolated party, must be caught by these checks.  An equal child
 whose tie is not forced keeps its party lagging, and the walk's depth
 check must stop it.
 
+The near-tie states on their graphs also check the protocol-tree
+builder's equal-or-vanish steps: the leaves of
+:func:`~wdistill.lpo.ev_tree` must be the probabilities of
+:func:`~wdistill.evroutine.ev_distribution`, whose support check must
+pass on every one of them, and must catch a scan that counts only the
+parties exactly at the largest weight as maximal.
+
 The protocol trees are checked against ``data/tree_pinned.json``, the
 values of trees built by the label-and-edge walk: node counts exactly,
 values within 1e-12 (another numpy may move the last bits of the
@@ -71,6 +80,8 @@ from wdistill import (
     ConfigGraph,
     WState,
     build_protocol_tree,
+    ev_distribution,
+    ev_tree,
     graph_catalog,
     standard_w,
 )
@@ -84,7 +95,7 @@ from wdistill.core import (
 )
 from wdistill import evroutine as ev_mod
 from wdistill import lpo as lpo_mod
-from wdistill.evroutine import _decide, _isolated, _scan, _select, _without, enumerate_ev
+from wdistill.evroutine import _decide, _isolated, _scan, _without, enumerate_ev
 from wdistill.lpo import PhaseThreeSolver, _induced, _peel_party, _peel_walk
 from wdistill.mc import random_w_state
 
@@ -273,7 +284,7 @@ def coded_peel_walk(adj):
 
 
 def scan_decide(maxmask, adj, live):
-    """The action of :func:`_select`, given the mask of maximal live
+    """Next action for an x0 = 0 node, given the mask of maximal live
     parties, as (tag, position).
 
     Order of the rules matters: isolated parties (no live neighbour) are
@@ -392,6 +403,14 @@ def plant_maximal_isolate_scan(monkeypatch):
 
     monkeypatch.setattr(ev_mod, "_isolated", isolated)
     monkeypatch.setattr(ev_mod, "_scan", maximal_isolate_scan)
+
+
+def exact_maximal_scan(comps, live):
+    """A planted fault: :func:`_scan` ignoring MAX_EQUAL_RTOL, so that only
+    the parties exactly at the largest weight count as maximal and the
+    walk measures a near-tied one."""
+    top, _, tied = _scan(comps, live)
+    return top, tied, tied
 
 
 def skipped_tie_equalized(comps, k, imax, a, pe):
@@ -634,6 +653,46 @@ def test_the_depth_check_stops_an_equal_child_that_stays_lagging(monkeypatch):
     assert depth_errors() == 13   # of 15: the uniform state and one more never measure
 
 
+def near_tie_states(count):
+    """The first ``count`` seed-26 ``near_tie_inputs`` as states on their
+    graphs, the parties labelled A, B, C, ... by position."""
+    for comps, adj in near_tie_inputs(26, count):
+        n = len(adj)
+        labels = "ABCDEFG"[:n]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1]
+        yield WState(comps, labels), ConfigGraph(labels, edges)
+
+
+def support_errors(count):
+    """How many of ``near_tie_states(count)`` make :func:`ev_distribution`
+    raise, each with the support check's message."""
+    raised = 0
+    for state, g in near_tie_states(count):
+        try:
+            ev_distribution(state, g)
+        except InternalConsistencyError as exc:
+            assert "adjacent to the maximal position" in str(exc), exc
+            raised += 1
+    return raised
+
+
+def test_ev_tree_leaves_are_the_ev_distribution_on_near_ties():
+    # parties at the edge of MAX_EQUAL_RTOL may drift out of it as the
+    # walk rescales; the tree builder takes the same steps as the walk
+    for state, g in near_tie_states(4_000):
+        got = ev_tree(state, g).leaf_probabilities()
+        want = {t.label(): p for t, p in ev_distribution(state, g).items()}
+        assert got.keys() == want.keys(), state
+        for label, p in want.items():
+            assert got[label] == pytest.approx(p, abs=1e-14), (state, label)
+
+
+def test_the_support_check_catches_a_scan_without_its_tolerance(monkeypatch):
+    assert support_errors(1_000) == 0
+    monkeypatch.setattr(ev_mod, "_scan", exact_maximal_scan)
+    assert support_errors(1_000) > 0
+
+
 def test_decide_matches_the_scanning_decide():
     rng = np.random.default_rng(24)
     tags = set()
@@ -665,7 +724,7 @@ def test_select_matches_the_single_loop_select():
     tags = set()
     for _ in range(20_000):
         comps, adj, live = random_select_input(rng)
-        got = _select(comps, adj, live)
+        got = _decide(_scan(comps, live)[1], adj, live, _isolated(adj, live))
         assert got == single_loop_select(comps, adj, live), (comps, adj, live)
         tags.add(got[0])
     assert tags == {"fail2", "isolate", "terminal", "measure"}
