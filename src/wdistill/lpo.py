@@ -136,21 +136,21 @@ def _peel_party(adj, live) -> int:
 
 def _peel_step(adj, live, alpha: float):
     """The peel-off position k of :func:`_peel_party` and the children of
-    its measurement as ``(p, comps, live)``, weights indexed by position:
-    outcome 1 keeps weight 1 on k and alpha elsewhere, normalized; outcome
-    2 removes k and leaves the others uniform."""
+    its measurement as ``(p, comps)``, weights indexed by position: outcome
+    1 keeps weight 1 on k and alpha elsewhere, normalized; outcome 2
+    removes k and leaves the others uniform."""
     k = _peel_party(adj, live)
     n = live.bit_count()
     p1 = (1.0 + alpha * (n - 1)) / n
     scale = 1.0 / (n * p1)
     peeled = [alpha * scale if live >> i & 1 else 0.0 for i in range(len(adj))]
     peeled[k] = scale
-    children = [(p1, tuple(peeled), live)]
+    children = [(p1, tuple(peeled))]
     p2 = (1.0 - alpha) * (n - 1) / n
     if p2 >= NULL_OUTCOME_PROB:
         rest = live & ~(1 << k)
         uniform = tuple(1.0 / (n - 1) if rest >> i & 1 else 0.0 for i in range(len(adj)))
-        children.append((p2, uniform, rest))
+        children.append((p2, uniform))
     return k, children
 
 
@@ -781,7 +781,7 @@ class ProtocolTree:
     tree is; :meth:`node_count` still counts the unrolled tree.  Values
     are summed children first; whatever moves from the root down, the leaf
     probabilities, the truncation mass and :func:`wdistill.mc.simulate`'s
-    trial counts, is one :meth:`_flow` over the table, parents first.
+    trial counts, is one loop over the table, parents first.
     """
 
     root: object
@@ -804,19 +804,23 @@ class ProtocolTree:
         VI and III-c."""
 
         value: dict[DecisionNode, float] = {}
-
-        def of(node) -> float:
-            if isinstance(node, DecisionNode):
-                return value[node]
-            if isinstance(node, Epr):
-                return 1.0
-            if isinstance(node, TruncationLeaf) and credit_truncation:
-                return node.continuation_value
-            return 0.0
-
         for node in self.nodes:
-            value[node] = sum(p * of(child) for p, child in node.children)
-        return of(self.root)
+            total = 0
+            for p, child in node.children:
+                if isinstance(child, DecisionNode):
+                    v = value[child]
+                elif isinstance(child, Epr):
+                    v = 1.0
+                elif credit_truncation and isinstance(child, TruncationLeaf):
+                    v = child.continuation_value
+                else:
+                    v = 0.0
+                total += p * v
+            value[node] = total
+        if isinstance(self.root, DecisionNode):
+            return value[self.root]
+        # a tree that is one leaf: an EPR pair, a failure or a standard W state
+        return 1.0 if isinstance(self.root, Epr) else 0.0
 
     def node_count(self) -> int:
         """Nodes of the unrolled tree: a shared subtree counts once for
@@ -826,23 +830,17 @@ class ProtocolTree:
             count[node] = 1 + sum(count.get(child, 1) for _, child in node.children)
         return count.get(self.root, 1)
 
-    def _flow(self, amount, split) -> dict:
-        """What reaches each distinct leaf when ``amount`` enters at the
-        root: one pass over the node table, parents first, in which every
-        decision node shares what reaches it among its children by
-        ``split(amount, probabilities)``; what reaches a node along several
-        paths is summed before it is shared."""
-        reach = {self.root: amount}
-        for node in reversed(self.nodes):
-            shares = split(reach.pop(node), [p for p, _ in node.children])
-            for share, (_, child) in zip(shares, node.children):
-                reach[child] = reach.get(child, 0) + share
-        return reach
-
     def _leaf_mass(self) -> dict:
         """Probability of ending on each distinct leaf, summed over every
-        path."""
-        return self._flow(1.0, lambda mass, probs: [mass * p for p in probs])
+        path: one pass over the node table, parents first, in which every
+        decision node shares what reaches it, summed over all of its
+        parents, as ``mass * p`` among its children."""
+        reach = {self.root: 1.0}
+        for node in reversed(self.nodes):
+            mass = reach.pop(node)
+            for p, child in node.children:
+                reach[child] = reach.get(child, 0) + mass * p
+        return reach
 
     def truncation_mass(self) -> float:
         return sum((p for leaf, p in self._leaf_mass().items() if isinstance(leaf, TruncationLeaf)), 0.0)
@@ -965,8 +963,8 @@ class _StateStep:
     carry weight.  A state whose node is a leaf in every cycle (``FAILURE``,
     an EPR pair, or a standard W state of an EV tree) holds only ``leaf``;
     any other holds the validated state, its measurement and phase, and its
-    children ``(p, comps, live)`` with the failure mass.  A peel-off also
-    holds its optimizer report and alpha."""
+    children ``(p, comps)`` with the failure mass.  A peel-off also holds
+    its optimizer report and alpha."""
 
     held: int
     leaf: object = None
@@ -987,19 +985,20 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
 
     A node depends on its components and on its cycle.  What depends on
     the components alone, the :class:`_StateStep`, is worked out once per
-    component tuple and kept in ``table``, and every cycle of a loop reuses
-    it: a cycle only wraps the step's children into a
-    :class:`DecisionNode`, or cuts the loop with a :class:`TruncationLeaf`
-    at the cap.  The keys of ``table`` are the nodes of the finite loop
-    graph that the unrolled tree repeats.  Each node is made after all of
-    its children, so the decision nodes of ``shared``, in the order they
-    were made, are the tree's node table."""
+    component tuple and kept in ``table`` beside that state's own
+    ``{cycle: subtree}`` dict, so one lookup of the tuple finds both, and
+    every cycle of a loop reuses the step: a cycle only wraps the step's
+    children into a :class:`DecisionNode`, or cuts the loop with a
+    :class:`TruncationLeaf` at the cap.  The keys of ``table`` are the
+    nodes of the finite loop graph that the unrolled tree repeats.  Each
+    decision node is made after all of its children and appended to
+    ``nodes`` as it is made, which gives the tree's node table."""
     _same_parties(state, graph)
     labels = state.labels
     adj = _adjacency(labels, graph.edges)
     index = None if solver is None else solver._index(labels, adj)
-    table: dict = {}   # comps -> _StateStep
-    shared: dict = {}  # (comps, cycle) -> subtree
+    table: dict = {}  # comps -> (_StateStep, {cycle: subtree})
+    nodes: list = []
 
     def state_step(comps) -> _StateStep:
         """The cycle-free part of the node for ``comps``."""
@@ -1013,7 +1012,8 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         names = _members(labels, held)
         st = WState(tuple(c for i, c in enumerate(comps) if held >> i & 1), names)
         if x0 > X0_TOL:
-            return _StateStep(held, None, st, phase1_measurement(st), "phase1", _phase1_step(comps, held))
+            steps = [(p, sub) for p, sub, _ in _phase1_step(comps, held)]
+            return _StateStep(held, None, st, phase1_measurement(st), "phase1", steps)
 
         top, maxmask, tied = _scan(comps, held)
         tag, k = _decide(maxmask, adj, held, _isolated(adj, held))
@@ -1030,18 +1030,17 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
             m = LocalMeasurement.diagonal(labels[k], [(alpha, 1.0), (1.0 - alpha, 0.0)])
             return _StateStep(held, None, st, m, "phase3", steps, report=report, alpha=alpha)
 
-        rest = held & ~(1 << k)
         if tag == "isolate":
             p, fail = _isolate_outcomes(comps[k])
-            steps = [(p, _vanished(comps, k), rest)] if p else []
+            steps = [(p, _vanished(comps, k))] if p else []
             m = LocalMeasurement.diagonal(labels[k], [(1.0, 0.0), (0.0, 1.0)])
             return _StateStep(held, None, st, m, "isolate", steps, fail)
         a, pe, pv = _measure_outcomes(comps[k], top)
         steps = []
         if pe:  # the lowest tied position holds the largest weight
-            steps.append((pe, _equalized(comps, k, (tied & -tied).bit_length() - 1, a, pe), held))
+            steps.append((pe, _equalized(comps, k, (tied & -tied).bit_length() - 1, a, pe)))
         if pv:
-            steps.append((pv, _vanished(comps, k), rest))
+            steps.append((pv, _vanished(comps, k)))
         return _StateStep(held, None, st, ev_measurement(st, labels[k]), "ev", steps)
 
     def build(comps, live: int, cycle: int):
@@ -1049,41 +1048,43 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         parties; an equal subtree built before is reused.  ``live`` holds
         the parties of the node that leads here: the count carries over
         only if every one of them still carries weight."""
-        s = table.get(comps)
-        if s is None:
-            s = table[comps] = state_step(comps)
+        entry = table.get(comps)
+        if entry is None:
+            entry = table[comps] = (state_step(comps), {})
+        s, made = entry
         if s.leaf is not None:
             return s.leaf
         if s.held != live:
             live, cycle = s.held, 0
-        key = (comps, cycle)
-        node = shared.get(key)
+        node = made.get(cycle)
         if node is not None:
             return node
         if s.phase == "phase3":
             if cycle >= loop_cap:
-                node = shared[key] = TruncationLeaf(s.state, s.report.objective(s.alpha))
+                node = made[cycle] = TruncationLeaf(s.state, s.report.objective(s.alpha))
                 return node
             if cycle == 1:
                 # the first return to this W state: build its later cycles
                 # deepest first, so that each finds the next one built
                 for later in range(loop_cap, 1, -1):
                     build(comps, live, later)
-            cycle += 1
+            after = cycle + 1
+        else:
+            after = cycle
         children = []
-        for p, sub, _ in s.steps:
-            children.append((p, build(sub, live, cycle)))
+        for p, sub in s.steps:
+            children.append((p, build(sub, live, after)))
         if s.fail:
             children.append((s.fail, FAILURE))
-        node = shared[key] = DecisionNode(
+        node = made[cycle] = DecisionNode(
             s.state, s.measurement, s.phase, tuple(children),
-            alpha=s.alpha, cycle=cycle if s.phase == "phase3" else None,
+            alpha=s.alpha, cycle=after if s.phase == "phase3" else None,
         )
+        nodes.append(node)
         return node
 
     root = build(state.components, (1 << len(labels)) - 1, 0)
-    nodes = tuple(node for node in shared.values() if isinstance(node, DecisionNode))
-    return ProtocolTree(root, epsilon, loop_cap, nodes)
+    return ProtocolTree(root, epsilon, loop_cap, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------

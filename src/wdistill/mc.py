@@ -6,7 +6,8 @@ the vector is real, and one matrix product applies every outcome of a
 measurement at once.
 Simulation flows trial counts through a protocol tree's node table,
 splitting them multinomially at every branch, which samples the same
-distribution as per-trial walks but draws once per distinct node.
+distribution as per-trial walks but draws at most once per child of each
+distinct node.
 """
 
 from __future__ import annotations
@@ -243,35 +244,57 @@ class SimResult:
 
 
 def _split(rng, count, probs):
-    """One multinomial draw that shares ``count`` trials among children of
-    probabilities ``probs``, clipped below at 0 and normalized as plain
-    floats: the sum runs in order, as numpy sums a short array, so the
-    draw is bit-identical to clipping and normalizing a numpy array."""
+    """Share ``count`` trials among children of probabilities ``probs``
+    as ``rng.multinomial`` would, draw for draw.
+
+    The probabilities are clipped below at 0 and normalized as plain
+    floats, the sum running in order as numpy sums a short array.  Then
+    come numpy's own binomial steps: each child but the last takes
+    ``rng.binomial(left, q / mass)`` of the ``left`` trials, where q is its
+    normalized probability and ``mass`` starts at 1 and loses each q in
+    turn, and the draws stop once no trial is left.  A ratio that rounding
+    lifts above 1 is drawn at 1, which takes every trial left as numpy's
+    draw does, after the same one uniform."""
     if not count:
         return [0] * len(probs)
     clipped = [0.0 if p < 0.0 else p for p in probs]
     total = 0.0
     for p in clipped:
         total += p
-    return rng.multinomial(count, [p / total for p in clipped]).tolist()
+    shares = [0] * len(probs)
+    left, mass = count, 1.0
+    for j in range(len(probs) - 1):
+        q = clipped[j] / total
+        if q:
+            share = rng.binomial(left, min(1.0, q / mass))
+            shares[j] = share
+            left -= share
+            if not left:
+                return shares
+        mass -= q
+    shares[-1] = left
+    return shares
 
 
 def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = None) -> SimResult:
     """Run ``trials`` protocol executions through the tree.
 
-    All trials take one :meth:`ProtocolTree._flow` over the node table,
-    parents first, on one RNG stream: a decision node splits the trials
-    that reach it, summed over all of its parents, with one multinomial
-    draw (:func:`_split`, which clips and normalizes the child
-    probabilities as Python floats), and a node that no trial reaches
-    draws nothing.  A sum of independent multinomials with equal
+    All trials take one pass over the tree's node table, parents first,
+    on one RNG stream: a decision node splits the trials that reach it,
+    summed over all of its parents, with one multinomial draw
+    (:func:`_split`, numpy's binomial chain on child probabilities
+    clipped and normalized as Python floats), and a node that no trial
+    reaches draws nothing.  A sum of independent multinomials with equal
     probabilities is one multinomial, so this samples the same
     distribution as splitting path by path, at a cost that does not grow
     with ``trials`` (an integer from 1 to 2**63 - 1, numpy's int64
-    counts).  Each truncation leaf resolves its cut loop with one binomial
-    coin of its continuation value.  Results are byte-identical for a
-    given seed, an integer that must not be negative.  ``workers`` is
-    accepted for compatibility and ignored.
+    counts).  The same pass carries each node's path probability with the
+    arithmetic of :meth:`ProtocolTree.leaf_probabilities`, so the
+    analytic probability of each label is read off it.  Each truncation
+    leaf resolves its cut loop with one binomial coin of its continuation
+    value.  Results are byte-identical for a given seed, an integer that
+    must not be negative.  ``workers`` is accepted for compatibility and
+    ignored.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if not 1 <= trials <= 2**63 - 1:
@@ -281,21 +304,32 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
     # spawn(1)[0]: the stream earlier releases drew their first 2**18 trials from
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
 
+    reach = {tree.root: (trials, 1.0)}  # node -> (trials, path probability)
+    for node in reversed(tree.nodes):
+        count, mass = reach.pop(node)
+        children = node.children
+        shares = _split(rng, count, [p for p, _ in children])
+        for share, (p, child) in zip(shares, children):
+            got = reach.get(child)
+            reach[child] = (share, mass * p) if got is None else (got[0] + share, got[1] + mass * p)
+
     counts: dict = {}
+    analytic: dict = {}
     success = 0
-    for leaf, count in tree._flow(trials, functools.partial(_split, rng)).items():
-        counts[leaf.label()] = counts.get(leaf.label(), 0) + int(count)
+    for leaf, (count, mass) in reach.items():
+        label = leaf.label()
+        counts[label] = counts.get(label, 0) + int(count)
+        analytic[label] = analytic.get(label, 0.0) + mass
         if isinstance(leaf, Epr):
             success += int(count)
         elif isinstance(leaf, TruncationLeaf) and count:
             p = min(1.0, max(0.0, leaf.continuation_value))
             success += int(rng.binomial(count, p))
 
-    analytic = tree.leaf_probabilities()
     terminals = []
-    for label in sorted(set(analytic) | set(counts)):
-        p = analytic.get(label, 0.0)
-        c = counts.get(label, 0)
+    for label in sorted(analytic):
+        p = analytic[label]
+        c = counts[label]
         emp = c / trials
         se = math.sqrt(p * (1.0 - p) / trials) if 0.0 < p < 1.0 else 0.0
         if se > 0.0:
@@ -305,7 +339,7 @@ def simulate(tree: ProtocolTree, trials: int, seed: int, workers: int | None = N
             # from it has no z-score
             z = 0.0 if abs(emp - p) < 1e-15 else None
         terminals.append(
-            {"label": label, "count": int(c), "probability": p, "empirical": emp,
+            {"label": label, "count": c, "probability": p, "empirical": emp,
              "std_err": se, "z": z}
         )
     return SimResult(

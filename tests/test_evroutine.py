@@ -202,11 +202,11 @@ def test_branch_polynomial_structure():
             walked = {}
             for term, e, v in paths:
                 walked[term] = walked.get(term, 0.0) + len(term) / n * alpha**e * (1 - alpha) ** v
-            _, ((p_alpha, y, _), *rest) = _peel_step(_adjacency(labels, edges), (1 << n) - 1, alpha)
+            _, ((p_alpha, y), *rest) = _peel_step(_adjacency(labels, edges), (1 << n) - 1, alpha)
             d = ev_distribution(WState(y, labels), g)
             sampled = {t.parties: p * p_alpha for t, p in d.items() if t is not FAILURE}
-            for p, _, live in rest:
-                sub = _members(labels, live)
+            for p, comps in rest:
+                sub = tuple(l for l, c in zip(labels, comps) if c > 0.0)
                 sampled[sub] = sampled.get(sub, 0.0) + p
             for term in walked.keys() | sampled.keys():
                 want = sampled.get(term, 0.0)

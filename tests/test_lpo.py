@@ -143,8 +143,10 @@ def enumerated_f_alpha(solver, labels, edges, alpha):
     edges = _restrict_edges(frozenset(edges), labels)
     adj = _adjacency(labels, edges)
     full = (1 << len(labels)) - 1
-    _, ((p_alpha, y, _), *rest) = _peel_step(adj, full, alpha)
-    total = sum(p * solver.p3(_members(labels, sub), edges).value for p, _, sub in rest)
+    _, ((p_alpha, y), *rest) = _peel_step(adj, full, alpha)
+    total = 0.0
+    for p, comps in rest:
+        total += p * solver.p3(tuple(l for l, c in zip(labels, comps) if c > 0.0), edges).value
     for term, lam in enumerate_ev(y, adj, full).items():
         if term is not FAILURE and term != full:
             total += p_alpha * lam * solver.p3(_members(labels, term), edges).value

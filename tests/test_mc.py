@@ -26,7 +26,7 @@ from wdistill import (
 )
 from wdistill import core, mc, verify
 from wdistill.core import NULL_OUTCOME_PROB
-from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree
+from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf
 
 from test_walk_oracle import TREE_CAPS, TREE_EPSILON, named_graph, tree_states
 
@@ -274,51 +274,72 @@ def diamond_tree():
     return ProtocolTree(root, 1e-3, 1, (shared, left, right, root))
 
 
-def test_a_node_with_two_parents_receives_the_summed_count():
+def test_a_node_with_two_parents_receives_the_summed_count(monkeypatch):
     tree = diamond_tree()
+    # the shared node's mass is summed over both parents: 1/4 + 1/8
+    assert tree._leaf_mass() == {Epr(("A", "C")): 6 / 16, Epr(("A", "B")): 4 / 16, Epr(("C", "D")): 6 / 16}
     seen = []
 
-    def split(amount, probs):
-        seen.append(amount)
-        return [amount * p for p in probs]
+    def split(rng, count, probs):
+        seen.append(count)
+        return [int(count * p) for p in probs]
 
-    reach = tree._flow(16.0, split)
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_split", split)
+        res = simulate(tree, 16, seed=8)
     # the shared node is split once, after both parents: 16/4 + 16/8
     assert len(seen) == len(tree.nodes) == 4
-    assert seen[-1] == 6.0
-    assert reach == {Epr(("A", "C")): 6.0, Epr(("A", "B")): 4.0, Epr(("C", "D")): 6.0}
+    assert seen[-1] == 6
+    assert {t["label"]: t["count"] for t in res.terminals} == {"EPR(A,B)": 4, "EPR(A,C)": 6, "EPR(C,D)": 6}
+    assert {t["label"]: t["probability"] for t in res.terminals} == tree.leaf_probabilities()
     res = simulate(tree, 40_000, seed=8)
     assert res.success_count == sum(t["count"] for t in res.terminals) == 40_000
     assert all(abs(t["z"]) <= 4.0 for t in res.terminals)
 
 
 class CountingGenerator:
-    """A numpy Generator that counts its multinomial draws."""
+    """A numpy Generator that counts its draws, by whatever method."""
 
     made: list = []
     real = np.random.Generator
 
     def __init__(self, bit_generator):
         self._rng = self.real(bit_generator)
-        self.multinomials = 0
+        self.draws = 0
         CountingGenerator.made.append(self)
 
-    def multinomial(self, *args, **kwargs):
-        self.multinomials += 1
-        return self._rng.multinomial(*args, **kwargs)
-
     def __getattr__(self, name):
-        return getattr(self._rng, name)
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.draws += 1
+            return attr(*args, **kwargs)
+
+        return counted
 
 
 def test_one_generator_draws_at_most_once_per_decision_node_per_simulation(solver, monkeypatch):
     g = graph_catalog("complete", 5)
     tree = build_protocol_tree(standard_w(g.labels), g, loop_cap=10, solver=solver)
-    monkeypatch.setattr(CountingGenerator, "made", [])
+    # a split draws for each child but the last, and not at all when no
+    # trial reaches its node; each truncation leaf that trials reach tosses
+    # one coin
+    cut = {c for node in tree.nodes for _, c in node.children if isinstance(c, TruncationLeaf)}
+    assert cut
+    bound = sum(max(0, len(node.children) - 1) for node in tree.nodes) + len(cut)
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    simulate(tree, 300_000, seed=3)
-    [rng] = CountingGenerator.made
-    assert 0 < rng.multinomials <= len(tree.nodes)
+    draws = []
+    for trials in (300_000, 10**12, 10**13):
+        monkeypatch.setattr(CountingGenerator, "made", [])
+        simulate(tree, trials, seed=3)
+        [rng] = CountingGenerator.made
+        draws.append(rng.draws)
+    assert all(0 < d <= bound for d in draws)
+    # from 10**12 trials on every node is reached (the least likely with
+    # probability 3.9e-9), so ten times the trials draws no more
+    assert draws[2] == draws[1]
 
 
 def test_simulate_cost_does_not_grow_with_the_trial_count(solver):
@@ -392,6 +413,57 @@ def test_simulate_draws_what_the_numpy_split_draws(name, monkeypatch):
                 patch.setattr(mc, "_split", numpy_split)
                 want = simulate(tree, trials, seed).to_json()
             assert got == want, (name, tag, trials, seed)
+
+
+SPLIT_PROBS = [
+    [1.0], [0.3],
+    [0.25, 0.75], [0.0, 1.0], [1.0, 0.0], [-0.2, 0.7], [0.1, -1e-17],
+    [0.2, 0.5, 0.3], [0.5, 0.0, 0.5], [0.6, 0.4, 0.0], [0.7, -0.1, 0.2], [1e-300, 0.5, 0.5],
+    [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.3, 0.7], [0.4, 0.6, 0.0, 0.0], [0.25, -1.0, 0.25, 0.5],
+    [0.1, 0.2, 0.3, 0.25, 0.15], [0.0, 0.5, -0.5, 0.5, 0.0], [0.3, 0.3, 0.3, 0.1, 1e-12],
+    # the trials run out before the last child: the rest draw nothing
+    [0.999, 1e-9, 1e-9, 1e-9, 1e-9],
+    # rounding lifts the second ratio above 1 (0.1 / 0.09999999999999998)
+    [0.9, 0.1, 0.0],
+]
+
+
+def random_split_probs(rng, k):
+    """k child probabilities, some of them 0 or negative."""
+    probs = rng.random(k) * rng.choice([1.0, 0.0, -1e-3], size=k, p=[0.7, 0.2, 0.1])
+    probs[rng.integers(k)] = rng.random() + 1e-3
+    return probs.tolist()
+
+
+def test_split_draws_what_rng_multinomial_draws():
+    """``mc._split`` against ``numpy_split``, the clipped and normalized
+    ``rng.multinomial``, on two generators of one seed: equal counts, and
+    the streams left at the same place, including chains of three and more
+    draws, which protocol-tree nodes of at most two children never reach."""
+    rng = np.random.default_rng(2024)
+    cases = SPLIT_PROBS + [random_split_probs(rng, k) for k in range(1, 6) for _ in range(40)]
+    for i, probs in enumerate(cases):
+        for count in (0, 1, 2, 7, 1000, 2**62, 2**63 - 1):
+            ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+            got = mc._split(ours, count, probs)
+            want = numpy_split(theirs, count, probs)
+            assert got == list(want), (probs, count)
+            assert all(type(c) is int for c in got)
+            assert ours.bit_generator.state == theirs.bit_generator.state, (probs, count)
+            assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("name", list(TREE_CAPS))
+def test_simulate_reads_the_tree_probabilities_and_value_bit_for_bit(name):
+    g = named_graph(name)
+    for tag, state in tree_states(name).items():
+        tree = build_protocol_tree(state, g, TREE_EPSILON, TREE_CAPS[name], solver=PhaseThreeSolver())
+        res = simulate(tree, 1000, seed=4)
+        got = {t["label"]: t["probability"] for t in res.terminals}
+        assert list(got) == sorted(tree.leaf_probabilities()), (name, tag)
+        for label, p in tree.leaf_probabilities().items():
+            assert repr(got[label]) == repr(p), (name, tag, label)
+        assert repr(res.success_expected) == repr(tree.analytic_value()), (name, tag)
 
 
 def test_simulate_matches_analytic_tree_value(solver):
