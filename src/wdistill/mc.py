@@ -589,9 +589,12 @@ def monotone_fuzz(
     their roles read from per-graph lookup tables.  The first
     SCALAR_CHECK_STATES states, with all their measurements, also run
     through the object path (``apply_measurement`` and ``bounds.tau`` or
-    ``bounds.gamma``).  The result is the larger of the two maxima, and at
-    least the largest disagreement between the paths on a checked pair if
-    that exceeds PATH_AGREEMENT_TOL, so a fault on either side shows.
+    ``bounds.gamma``), on their weights, parties and Kraus triples read
+    once as Python floats and ints by ``.tolist()``, which hold the array
+    elements' values exactly.  The result is the larger of the two maxima,
+    and at least the largest disagreement between the paths on a checked
+    pair if that exceeds PATH_AGREEMENT_TOL, so a fault on either side
+    shows.
     """
     n_states = _integer("n_states", n_states)
     n_measurements = _integer("n_measurements", n_measurements)
@@ -615,10 +618,12 @@ def monotone_fuzz(
     check = _SCALAR_CHECKS[function_id]
     checked = batched[:SCALAR_CHECK_STATES]
     scalar = np.empty_like(checked)
-    for s, row in enumerate(checked):
-        state = WState(comps[s])
-        for j in range(len(row)):
-            m = LocalMeasurement(state.labels[parties[s, j]], kraus[s, j])
+    rerun = zip(comps[:SCALAR_CHECK_STATES].tolist(), parties[:SCALAR_CHECK_STATES].tolist(),
+                kraus[:SCALAR_CHECK_STATES].tolist())
+    for s, (weights, row_parties, row_kraus) in enumerate(rerun):
+        state = WState(weights)
+        for j, (k, outcomes) in enumerate(zip(row_parties, row_kraus)):
+            m = LocalMeasurement(state.labels[k], outcomes)
             scalar[s, j] = check(state, apply_measurement(state, m), graph)
     gap = np.abs(scalar - checked).max()
     maxima = [batched.max(), scalar.max()]

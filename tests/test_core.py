@@ -102,6 +102,30 @@ def test_incomplete_measurement_rejected():
             update(s, bad)
 
 
+@pytest.mark.parametrize("outcomes", [
+    [(0.5, 0.5)], [(0.5, 0.0, 0.5, 0.0)], [("x", 0, 1)], [(0.5, None, 0.5)], 5, [5], None,
+    [(complex(1, 1), 0.0, 0.0)], [(10 ** 400, 0.0, 0.0)], "abc",
+], ids=repr)
+def test_outcomes_that_are_not_real_triples_are_rejected(outcomes):
+    with pytest.raises(InvalidMeasurementError, match=r"not \(a, b, c\) triples of real numbers"):
+        LocalMeasurement("A", outcomes)
+
+
+@pytest.mark.parametrize("outcome", [(float("nan"), 0.0, 1.0), (1.0, 0.0, float("nan")),
+                                     (np.float64("nan"), 0.0, 0.0)], ids=repr)
+def test_nan_kraus_weights_are_rejected_at_construction(outcome):
+    with pytest.raises(InvalidMeasurementError, match="NaN Kraus weight"):
+        LocalMeasurement("A", [(0.5, 0.0, 0.5), outcome])
+
+
+def test_a_negative_kraus_weight_keeps_its_message():
+    with pytest.raises(InvalidMeasurementError, match=r"^negative Kraus weight in \(-0\.1, 0\.0, 1\.1\)$"):
+        LocalMeasurement("A", [(-0.1, 0.0, 1.1), (1.1, 0.0, -0.1)])
+    # a negative weight is reported as negative even beside a NaN
+    with pytest.raises(InvalidMeasurementError, match="negative Kraus weight"):
+        LocalMeasurement("A", [(float("nan"), 0.0, -0.5)])
+
+
 def test_every_state_and_graph_entry_checks_the_parties_alike():
     state, g = standard_w("ABCD"), ConfigGraph("ABCZ", [("A", "B")])
     entries = [
