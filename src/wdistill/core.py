@@ -329,6 +329,12 @@ def remove_nodes(g: ConfigGraph, s: Iterable[str]) -> ConfigGraph:
     return g.induced(l for l in g.labels if l not in drop)
 
 
+def _not_triples(outcomes) -> InvalidMeasurementError:
+    """The one error for outcomes that are not (a, b, c) triples of real
+    numbers."""
+    return InvalidMeasurementError(f"outcomes {outcomes!r} are not (a, b, c) triples of real numbers")
+
+
 @dataclass(frozen=True)
 class LocalMeasurement:
     """A binary (or k-ary) local measurement in upper-triangular Kraus form.
@@ -346,9 +352,7 @@ class LocalMeasurement:
         try:
             outs = tuple([(float(a), float(b), float(c)) for a, b, c in outcomes])
         except (TypeError, ValueError, OverflowError):
-            raise InvalidMeasurementError(
-                f"outcomes {outcomes!r} are not (a, b, c) triples of real numbers"
-            ) from None
+            raise _not_triples(outcomes) from None
         for a, b, c in outs:
             if a < 0 or c < 0:
                 raise InvalidMeasurementError(f"negative Kraus weight in {(a, b, c)}")
@@ -384,7 +388,11 @@ class LocalMeasurement:
     @classmethod
     def diagonal(cls, party: str, weights: Iterable[Sequence[float]]) -> "LocalMeasurement":
         """Diagonal measurement from (a, c) pairs, all b terms zero."""
-        return cls(party, [(a, 0.0, c) for a, c in weights])
+        try:
+            triples = [(a, 0.0, c) for a, c in weights]
+        except (TypeError, ValueError):
+            raise _not_triples(weights) from None
+        return cls(party, triples)
 
     @classmethod
     def identity_split(cls, party: str) -> "LocalMeasurement":

@@ -29,7 +29,9 @@ node: an equal child keeps it, and :func:`_without` gives a removal
 child its mask, testing only the removed party's live neighbours.  The
 peel-off walk of :mod:`wdistill.lpo` passes :func:`_decide` its own mask
 of maximal parties.  :func:`enumerate_ev` keys its terminals by live
-mask, which :func:`ev_distribution` names.
+mask, which :func:`ev_distribution` names.  Each walk drops its
+self-recursive closure when it returns or raises, so reference counting
+frees all it made and nothing is left for the cyclic garbage collector.
 
 :func:`enumerate_ev` takes every isolate and measure step by one rule,
 and builds and walks only the children that the masks cannot settle.
@@ -273,7 +275,10 @@ def enumerate_ev(comps, adj, live) -> dict:
         if fail:
             acc[FAILURE] = acc.get(FAILURE, 0.0) + pathp * fail
 
-    visit(tuple(comps), live, _isolated(adj, live), 1.0, 0)
+    try:
+        visit(tuple(comps), live, _isolated(adj, live), 1.0, 0)
+    finally:
+        del visit  # the closure holds itself: reference counting frees the walk
     return acc
 
 

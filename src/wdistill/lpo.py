@@ -15,7 +15,10 @@ the monomials.
 A shape is the :func:`~wdistill.core._adjacency` neighbour masks of the
 subgraph's labels in order.  The walks, the subset recursion and the
 baseline :func:`p_fl` all recurse on masks, never on labels; labels
-enter only where a report or a state is handed out.
+enter only where a report or a state is handed out.  Every recursion
+written as a closure that calls itself drops its own name when it
+returns or raises, so reference counting frees all a query made and
+nothing is left for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -210,7 +213,10 @@ def _peel_walk(adj) -> list[tuple[int, int, int]]:
             rest = rest[:-1]
         walk(rest, *_without(adj, live, isolated, j), low, v)
 
-    walk((1 << k, others), full, _isolated(adj, full), 0, 0)
+    try:
+        walk((1 << k, others), full, _isolated(adj, full), 0, 0)
+    finally:
+        del walk  # the closure holds itself: reference counting frees the walk
     return out
 
 
@@ -234,7 +240,10 @@ def _phase1_walk(comps, live) -> list:
         for p, sub, sublive in _phase1_step(comps, live):
             visit(sub, sublive, pathp * p)
 
-    visit(tuple(comps), live, 1.0)
+    try:
+        visit(tuple(comps), live, 1.0)
+    finally:
+        del visit  # the closure holds itself: reference counting frees the walk
     return sorted(entries.items(), key=lambda tp: (tp[0] is FAILURE, -tp[1]))
 
 
@@ -591,7 +600,10 @@ class PhaseThreeSolver:
                     total += lam * self._report(index, adj, term).value
             return total
 
-        return value(state.components, (1 << len(labels)) - 1)
+        try:
+            return value(state.components, (1 << len(labels)) - 1)
+        finally:
+            del value  # the closure holds itself, and through it the solver
 
     def audit(self) -> dict:
         """Every labelled subset the recursion has met, as a new dict from
@@ -625,9 +637,12 @@ class PhaseThreeSolver:
             for (labels, adj), index in self._labelled.items() for live in index
         )
         # largest first, so that most smaller entries are met below one
-        for labels, adj in sorted(asked, key=lambda key: -len(key[0])):
-            if (labels, adj) not in met:
-                expand(labels, adj, set())
+        try:
+            for labels, adj in sorted(asked, key=lambda key: -len(key[0])):
+                if (labels, adj) not in met:
+                    expand(labels, adj, set())
+        finally:
+            del expand  # the closure holds itself, and through it met and covers
         return met
 
     def reports(self) -> list[OptimizationReport]:
@@ -725,7 +740,10 @@ def p_fl(graph: ConfigGraph) -> float:
         memo[live] = out
         return out
 
-    out = kept["p_fl"] = value((1 << graph.n) - 1)
+    try:
+        out = kept["p_fl"] = value((1 << graph.n) - 1)
+    finally:
+        del value  # the closure holds itself, and through it the memo
     return out
 
 
@@ -1083,7 +1101,10 @@ def _unroll(state, graph, epsilon, loop_cap: int, solver) -> ProtocolTree:
         nodes.append(node)
         return node
 
-    root = build(state.components, (1 << len(labels)) - 1, 0)
+    try:
+        root = build(state.components, (1 << len(labels)) - 1, 0)
+    finally:
+        del build  # the closure holds itself, and through it table and nodes
     return ProtocolTree(root, epsilon, loop_cap, tuple(nodes))
 
 

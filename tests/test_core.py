@@ -111,6 +111,16 @@ def test_outcomes_that_are_not_real_triples_are_rejected(outcomes):
         LocalMeasurement("A", outcomes)
 
 
+@pytest.mark.parametrize("weights", [[(0.5,)], 5], ids=repr)
+def test_diagonal_weights_that_are_not_pairs_get_the_constructors_error(weights):
+    with pytest.raises(InvalidMeasurementError) as direct:
+        LocalMeasurement("A", weights)
+    with pytest.raises(InvalidMeasurementError) as diagonal:
+        LocalMeasurement.diagonal("A", weights)
+    assert str(diagonal.value) == str(direct.value)
+    assert str(diagonal.value).endswith("are not (a, b, c) triples of real numbers")
+
+
 @pytest.mark.parametrize("outcome", [(float("nan"), 0.0, 1.0), (1.0, 0.0, float("nan")),
                                      (np.float64("nan"), 0.0, 0.0)], ids=repr)
 def test_nan_kraus_weights_are_rejected_at_construction(outcome):
