@@ -23,7 +23,6 @@ from .core import (
     apply_measurement,
     graph_catalog,
     kt_averages,
-    remove_nodes,
     standard_w,
 )
 from .evroutine import (
@@ -62,7 +61,6 @@ from .bounds import (
 )
 from .mc import (
     SimResult,
-    StateVector,
     monotone_fuzz,
     random_measurement,
     random_w_state,

@@ -320,15 +320,6 @@ def _require_weight(state: WState) -> None:
         raise PreconditionError("the state carries no weight on any party")
 
 
-def remove_nodes(g: ConfigGraph, s: Iterable[str]) -> ConfigGraph:
-    """Subgraph with the nodes in ``s`` and their incident edges removed."""
-    drop = set(s)
-    unknown = drop - set(g.labels)
-    if unknown:
-        raise InvalidPartyError(f"unknown nodes {sorted(unknown)}")
-    return g.induced(l for l in g.labels if l not in drop)
-
-
 def _not_triples(outcomes) -> InvalidMeasurementError:
     """The one error for outcomes that are not (a, b, c) triples of real
     numbers."""
@@ -394,11 +385,6 @@ class LocalMeasurement:
             raise _not_triples(weights) from None
         return cls(party, triples)
 
-    @classmethod
-    def identity_split(cls, party: str) -> "LocalMeasurement":
-        """Two outcomes, each half the identity: it changes no state."""
-        return cls.diagonal(party, [(0.5, 0.5)] * 2)
-
 
 # ---------------------------------------------------------------------------
 # terminal results
@@ -459,7 +445,7 @@ class OutcomeDistribution:
     entries: tuple[tuple[object, float], ...]
 
     def __init__(self, entries):
-        items = tuple(entries.items()) if isinstance(entries, Mapping) else tuple(entries)
+        items = tuple(entries)
         total = 0.0
         for term, p in items:
             if p < -1e-15:

@@ -342,22 +342,3 @@ def full_set_lambda(state: WState) -> float:
             prod *= c
     return len(comps) * prod / xmax ** (len(comps) - 2)
 
-
-def ev_order_sensitivity(state: WState, graph: ConfigGraph) -> float:
-    """Largest change in any terminal probability when the measuring-party
-    tie-break prefers the highest index instead of the lowest.
-
-    Reversing the party order flips every lowest-index choice of
-    :func:`_decide`, so this compares the enumeration on the state with
-    the enumeration on its reversal.  Diagnostic only: nothing in the
-    protocol relies on the answer being zero, this just records how the
-    enumeration responds to the one choice left open by the selection
-    rules.
-    """
-    _check_ev_input(state, graph)
-    n, full = state.n, (1 << state.n) - 1
-    base = enumerate_ev(state.components, _adjacency(state.labels, graph.edges), full)
-    walked = enumerate_ev(state.components[::-1], _adjacency(state.labels[::-1], graph.edges), full)
-    # position i of the reversal is position n - 1 - i of the state
-    rev = {t if t is FAILURE else int(f"{t:0{n}b}"[::-1], 2): p for t, p in walked.items()}
-    return max(abs(base.get(key, 0.0) - rev.get(key, 0.0)) for key in base.keys() | rev.keys())

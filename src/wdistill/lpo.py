@@ -882,7 +882,9 @@ class ProtocolTree:
         ids = self._ids()
         for node, i in ids.items():
             shape = "" if isinstance(node, DecisionNode) else " shape=oval"
-            lines.append(f'  n{i} [label="{node.label()}"{shape}];')
+            # a DOT string is quoted: a backslash or quote in a label is escaped
+            label = node.label().replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{i} [label="{label}"{shape}];')
             for p, child in node.children if isinstance(node, DecisionNode) else ():
                 lines.append(f'  n{i} -> n{ids[child]} [label="{p:.6g}"];')
         lines.append("}")

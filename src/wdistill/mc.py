@@ -13,6 +13,7 @@ distinct node.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -59,9 +60,9 @@ def _support_weights(amps: np.ndarray, n: int) -> np.ndarray:
     """Party weights of normalized real amplitude vectors (..., 2^N), read
     as the squared amplitudes of the single excitations.
 
-    The one support/read rule of :class:`StateVector` and
-    :func:`statevector_oracle`: an amplitude outside the Hamming weight
-    <= 1 support above SUPPORT_TOL raises InternalConsistencyError.
+    The one support/read rule of :func:`statevector_oracle`: an amplitude
+    outside the Hamming weight <= 1 support above SUPPORT_TOL raises
+    InternalConsistencyError.
     """
     support = _support(n)
     stray = np.abs(amps)
@@ -73,80 +74,41 @@ def _support_weights(amps: np.ndarray, n: int) -> np.ndarray:
     return weights * weights
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Dense real amplitude vector for up to MAX_ORACLE_PARTIES qubits.
-
-    Party i occupies bit (N-1-i), so basis index 0 is the all-zero state
-    and index 2^(N-1-i) flips exactly party i.  A W-class state and every
-    upper-triangular Kraus update of it have real amplitudes, so the
-    vector is real (float64 from :meth:`from_wstate`).  Amplitudes that
-    are not a real vector of length 2^len(labels) raise PreconditionError.
-    Two vectors are equal when their labels and amplitudes are; the
-    amplitude array is mutable, so a vector is not hashable.
-    """
-
-    amplitudes: np.ndarray
-    labels: tuple[str, ...]
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.amplitudes, other.amplitudes)
-
-    def __post_init__(self):
-        shape = np.shape(self.amplitudes)
-        if shape != (1 << len(self.labels),) or not np.isrealobj(self.amplitudes):
-            raise PreconditionError(
-                f"{len(self.labels)} parties need a real vector of 2^{len(self.labels)} "
-                f"amplitudes, not {np.asarray(self.amplitudes).dtype} of shape {shape}"
-            )
-
-    @classmethod
-    def from_wstate(cls, state: WState) -> "StateVector":
-        n = state.n
-        if n > MAX_ORACLE_PARTIES:
-            raise PreconditionError(f"oracle supports at most {MAX_ORACLE_PARTIES} parties")
-        amps = np.zeros(1 << n)
-        amps[0] = math.sqrt(state.x0)
-        amps[_support(n)[1:]] = np.sqrt(state.components)
-        return cls(amps, state.labels)
-
-    def to_wstate(self) -> WState:
-        """Project back to component form, checking the support stayed on
-        Hamming weight <= 1."""
-        return WState(_support_weights(self.amplitudes, len(self.labels)).tolist(), self.labels)
-
-
 def statevector_oracle(
     state: WState, m: LocalMeasurement
 ) -> list[tuple[float, WState | None]]:
     """Measurement outcomes computed on the dense 2^N amplitude vector.
 
     Independent of the closed-form component update; the two must agree on
-    every probability and component to ORACLE_TOL.  All outcomes are
-    computed in one pass: the outcomes' Kraus matrices
-    [[sqrt(a), b], [0, sqrt(c)]], stacked, act on the measuring party's
-    axis of the real vector in one matrix product; each probability is
-    the squared norm of its unnormalized post-state; and the weights of
-    every outcome at or above NULL_OUTCOME_PROB are read at once from the
-    normalized post-states under the one support rule of
-    :class:`StateVector`.  An outcome below NULL_OUTCOME_PROB is reported
-    as ``(p, None)``.
+    every probability and component to ORACLE_TOL.  Party i occupies bit
+    (N-1-i) of the basis index, so index 0 is the all-zero state and the
+    support of :func:`_support` holds every amplitude of a W-class state.
+    That state and every upper-triangular Kraus update of it have real
+    amplitudes, so the vector is float64.  All outcomes are computed in
+    one pass: the outcomes' Kraus matrices [[sqrt(a), b], [0, sqrt(c)]],
+    stacked, act on the measuring party's axis of the vector in one matrix
+    product; each probability is the squared norm of its unnormalized
+    post-state; and the weights of every outcome at or above
+    NULL_OUTCOME_PROB are read at once from the normalized post-states by
+    :func:`_support_weights`.  An outcome below NULL_OUTCOME_PROB is
+    reported as ``(p, None)``.  More than MAX_ORACLE_PARTIES parties raise
+    PreconditionError.
     """
     m.require_complete()
     k = state.index(m.party)
     n = state.n
-    vec = StateVector.from_wstate(state)
+    if n > MAX_ORACLE_PARTIES:
+        raise PreconditionError(f"oracle supports at most {MAX_ORACLE_PARTIES} parties")
+    amps = np.zeros(1 << n)
+    amps[0] = math.sqrt(state.x0)
+    amps[_support(n)[1:]] = np.sqrt(state.components)
     kraus = np.array([[[math.sqrt(a), b], [0.0, math.sqrt(c)]] for a, b, c in m.outcomes])
     # the party's axis moves to the front, so one product applies every
     # outcome (stacked over the 2^k blocks before the party, it would be
     # one small product per block); einsum keeps it out of BLAS, whose
     # work buffers raise the peak memory of a run
     blocks = 1 << k
-    axis = vec.amplitudes.reshape(blocks, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    axis = amps.reshape(blocks, 2, -1).swapaxes(0, 1).reshape(2, -1)
     out = np.einsum("kij,jm->kim", kraus, axis).reshape(len(kraus), 2, blocks, -1)
     out = out.swapaxes(1, 2).reshape(len(kraus), -1)
     probs = np.einsum("ij,ij->i", out, out)
@@ -233,14 +195,19 @@ class SimResult:
         return json.dumps(payload, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["label,count,probability,empirical,std_err,z"]
+        """One row per terminal under a header, written by the ``csv``
+        module, so a label with a comma, such as ``EPR(A,B)``, is quoted."""
+        # csv loads a C extension (0.13 MB resident); only CSV output needs it
+        import csv
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("label", "count", "probability", "empirical", "std_err", "z"))
         for t in self.terminals:
             z = "" if t["z"] is None else f"{t['z']:.12g}"
-            lines.append(
-                f"{t['label']},{t['count']},{t['probability']:.12g},"
-                f"{t['empirical']:.12g},{t['std_err']:.12g},{z}"
-            )
-        return "\n".join(lines)
+            fields = (f"{t[key]:.12g}" for key in ("probability", "empirical", "std_err"))
+            writer.writerow((t["label"], t["count"], *fields, z))
+        return out.getvalue().removesuffix("\n")
 
 
 def _split(rng, count, probs):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -196,6 +198,10 @@ def test_simulate_json_and_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "label,count,probability,empirical,std_err,z"
+    # a label such as EPR(A,C) holds a comma, so every row is read back as CSV
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 6 for row in rows)
+    assert "EPR(A,C)" in {row[0] for row in rows}
 
 
 def test_simulate_ignores_the_deprecated_thread_variable(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from wdistill import (
     p_fl,
     p_lpo,
     phase1_distribution,
-    remove_nodes,
     resolve_bound,
     standard_w,
     statevector_oracle,
@@ -61,7 +60,7 @@ def test_tiny_components_are_disentangled():
 
 def test_identity_split_leaves_state_unchanged():
     s = standard_w("ABC")
-    m = LocalMeasurement.identity_split("B")
+    m = LocalMeasurement.diagonal("B", [(0.5, 0.5)] * 2)
     outcomes = apply_measurement(s, m)
     assert len(outcomes) == 2
     for p, post in outcomes:
@@ -149,7 +148,7 @@ def test_every_state_and_graph_entry_checks_the_parties_alike():
 
 def test_unknown_party_rejected():
     s = standard_w("AB")
-    m = LocalMeasurement.identity_split("Z")
+    m = LocalMeasurement.diagonal("Z", [(0.5, 0.5)] * 2)
     with pytest.raises(InvalidPartyError):
         apply_measurement(s, m)
 
@@ -170,7 +169,7 @@ def test_outcome_probabilities_sum_to_one_randomized():
 
 def test_kt_identity_split_all_zero():
     s = WState([0.4, 0.3, 0.2])
-    deltas = kt_averages(s, apply_measurement(s, LocalMeasurement.identity_split("B")))
+    deltas = kt_averages(s, apply_measurement(s, LocalMeasurement.diagonal("B", [(0.5, 0.5)] * 2)))
     assert deltas == pytest.approx((0.0,) * 4, abs=1e-12)
 
 
@@ -210,15 +209,14 @@ def test_kt_mismatched_parties_rejected():
         kt_averages(s, [(1.0, other)])
 
 
-def test_remove_nodes_examples():
+def test_induced_drops_nodes_and_their_edges():
     tri = graph_catalog("triangle")
-    assert remove_nodes(tri, {"C"}).edges == frozenset({("A", "B")})
+    assert tri.induced("AB").edges == frozenset({("A", "B")})
     paw = graph_catalog("VI")
-    reduced = remove_nodes(paw, {"D"})
-    assert reduced.edges == graph_catalog("triangle").edges
-    assert remove_nodes(tri, set()) == tri
+    assert paw.induced("ABC").edges == graph_catalog("triangle").edges
+    assert tri.induced(tri.labels) == tri
     with pytest.raises(InvalidPartyError):
-        remove_nodes(tri, {"Z"})
+        tri.induced({"A", "Z"})
 
 
 @st.composite
@@ -234,10 +232,12 @@ def graph_and_disjoint_subsets(draw):
 
 @given(graph_and_disjoint_subsets())
 @settings(max_examples=200, deadline=None)
-def test_remove_nodes_commutes_on_disjoint_sets(case):
+def test_induced_removals_commute_on_disjoint_sets(case):
     g, s1, s2 = case
-    assert remove_nodes(remove_nodes(g, s1), s2) == remove_nodes(remove_nodes(g, s2), s1)
-    assert remove_nodes(remove_nodes(g, s1), s1 & s2) == remove_nodes(g, s1)
+    keep1, keep2 = set(g.labels) - s1, set(g.labels) - s2
+    assert g.induced(keep1).induced(keep1 & keep2) == g.induced(keep2).induced(keep1 & keep2)
+    assert g.induced(keep1).induced(keep1 & keep2) == g.induced(keep1 & keep2)
+    assert g.induced(keep1).induced(keep1) == g.induced(keep1)
 
 
 def test_standard_w_examples():
@@ -288,7 +288,7 @@ def queried_graphs():
     out = list(presets)
     for g in presets:
         out.append(g.induced(g.labels[1:]))
-        out.append(remove_nodes(g, g.labels[:1]))
+        out.append(g.induced(g.labels[:-1]))
         out.append(ConfigGraph.from_json(json.loads(json.dumps(g.to_json()))))
     out.append(ConfigGraph.from_json({"labels": ["2", "10", "x"], "edges": [["10", "x"], ["x", "2"]]}))
     for name in ("wedge", "triangle"):
@@ -363,8 +363,7 @@ def test_derived_graphs_start_with_no_kept_values():
     derived = [
         vi.induced("ABCD"),
         vi.induced("ABD"),
-        remove_nodes(vi, ()),
-        remove_nodes(vi, "C"),
+        vi.induced(vi.labels),
         ConfigGraph.from_json(vi.to_json()),
         ConfigGraph.from_json({"preset": "VI"}),
         _pad_to_four(standard_w(wedge.labels), wedge)[1],

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import sys
 import types
 from dataclasses import replace
@@ -997,6 +998,18 @@ def test_deep_trees_leave_the_recursion_limit_alone(solver):
     assert tree.to_dot().count(" -> ") == sum(len(node.children) for node in tree.nodes)
     assert simulate(tree, 10_000, seed=3).success_rate > 0.99
     assert sys.getrecursionlimit() == limit
+
+
+def test_dot_labels_are_escaped_dot_strings(solver):
+    labels = ('a"b', "c\\d", "e")
+    g = ConfigGraph(labels, [(labels[0], labels[1]), (labels[1], labels[2]), (labels[0], labels[2])])
+    tree = build_protocol_tree(standard_w(labels), g, loop_cap=2, solver=solver)
+    names = {i: node.label() for node, i in tree._ids().items()}
+    quoted = re.findall(r'^  n(\d+) \[label=("(?:[^"\\]|\\.)*")(?: shape=oval)?\];$', tree.to_dot(), re.M)
+    assert len(quoted) == len(names)
+    assert any('"' in name and "\\" in name for name in names.values())
+    for i, text in quoted:
+        assert re.sub(r"\\(.)", r"\1", text[1:-1]) == names[int(i)]
 
 
 def test_tree_rejects_bad_parameters(solver):

@@ -12,7 +12,6 @@ from wdistill import (
     InvalidInputError,
     LocalMeasurement,
     PreconditionError,
-    StateVector,
     WState,
     apply_measurement,
     build_protocol_tree,
@@ -41,17 +40,17 @@ def solver():
 
 
 def test_statevector_round_trip():
+    # one outcome, the identity: the amplitude vector is built and read back
     s = WState([0.3, 0.3, 0.2])
-    vec = StateVector.from_wstate(s)
-    assert np.linalg.norm(vec.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    back = vec.to_wstate()
+    ((p, back),) = statevector_oracle(s, LocalMeasurement.diagonal("B", [(1.0, 1.0)]))
+    assert p == pytest.approx(1.0, abs=1e-12)
     assert back.components == pytest.approx(s.components, abs=1e-14)
     assert back.x0 == pytest.approx(s.x0, abs=1e-14)
 
 
 def test_oracle_identity_measurement():
     s = WState([0.4, 0.35, 0.25])
-    outs = statevector_oracle(s, LocalMeasurement.identity_split("A"))
+    outs = statevector_oracle(s, LocalMeasurement.diagonal("A", [(0.5, 0.5)] * 2))
     for p, post in outs:
         assert p == pytest.approx(0.5, abs=1e-12)
         assert post.components == pytest.approx(s.components, abs=1e-12)
@@ -67,16 +66,22 @@ def test_oracle_x0_removal_kills_the_zero_amplitude():
 
 
 def test_oracle_agrees_with_component_update():
+    # criterion 3's draw (n = 2..8, x0 > 0), then the reference pairs:
+    # n = 2..12, x0 = 0 states and outcomes of probability 0
     rng = np.random.default_rng(2)
-    worst = 0.0
+    pairs = []
     for _ in range(800):
         n = int(rng.integers(2, 9))
         s = random_w_state(rng, n)
-        m = random_measurement(rng, s.labels[int(rng.integers(n))])
-        for (p, a), (q, b) in zip(apply_measurement(s, m), statevector_oracle(s, m)):
+        pairs.append((s, random_measurement(rng, s.labels[int(rng.integers(n))])))
+    worst = 0.0
+    for s, m in pairs + oracle_reference_pairs():
+        got, ref = apply_measurement(s, m), statevector_oracle(s, m)
+        assert [post is None for _, post in got] == [post is None for _, post in ref]
+        for (p, a), (q, b) in zip(got, ref):
             worst = max(worst, abs(p - q))
-            if a is not None and b is not None:
-                worst = max(worst, max(abs(u - v) for u, v in zip(a.components, b.components)))
+            if a is not None:
+                worst = max(worst, abs(a.x0 - b.x0), *(abs(u - v) for u, v in zip(a.components, b.components)))
     assert worst <= 1e-10
 
 
@@ -151,44 +156,26 @@ def test_oracle_matches_the_complex_per_outcome_reference():
 
 def test_oracle_party_limit():
     s = WState([1.0 / 12] * 12)
-    assert len(statevector_oracle(s, LocalMeasurement.identity_split(s.labels[-1]))) == 2
+    assert len(statevector_oracle(s, LocalMeasurement.diagonal(s.labels[-1], [(0.5, 0.5)] * 2))) == 2
     s = WState([1.0 / 13] * 13)
     with pytest.raises(PreconditionError, match="at most 12 parties"):
-        statevector_oracle(s, LocalMeasurement.identity_split(s.labels[0]))
-
-
-@pytest.mark.parametrize(
-    "amplitudes, labels",
-    [
-        (np.zeros(4), ("A", "B", "C")),
-        (np.eye(8)[1], ("A", "B")),
-        (np.eye(4, dtype=np.complex128)[1], ("A", "B")),
-    ],
-)
-def test_statevector_rejects_amplitudes_that_do_not_fit_its_parties(amplitudes, labels):
-    with pytest.raises(PreconditionError, match="real vector of 2\\^"):
-        StateVector(amplitudes, labels)
-
-
-def test_statevectors_compare_by_labels_and_amplitudes():
-    vec = StateVector.from_wstate(WState([0.3, 0.3, 0.2]))
-    assert vec == StateVector.from_wstate(WState([0.3, 0.3, 0.2]))
-    assert vec != StateVector.from_wstate(WState([0.3, 0.2, 0.3]))
-    assert vec != StateVector(vec.amplitudes, ("A", "B", "D"))
-    assert vec != vec.to_wstate()
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(vec)
+        statevector_oracle(s, LocalMeasurement.diagonal(s.labels[0], [(0.5, 0.5)] * 2))
 
 
 def test_a_stray_amplitude_of_weight_two_fails_the_support_check():
-    clean = StateVector.from_wstate(WState([0.3, 0.3, 0.2])).amplitudes
+    s = WState([0.3, 0.3, 0.2])
+    clean = np.zeros(8)
+    clean[0] = math.sqrt(s.x0)
+    clean[[0b100, 0b010, 0b001]] = np.sqrt(s.components)
     below, above = clean.copy(), clean.copy()
     below[0b011] = 0.1 * mc.SUPPORT_TOL
     above[0b011] = 10.0 * mc.SUPPORT_TOL
-    StateVector(below, ("A", "B", "C")).to_wstate()
+    # the oracle reads the weights by the same rule, on its own vector
+    ((_, back),) = statevector_oracle(s, LocalMeasurement.diagonal("A", [(1.0, 1.0)]))
+    assert tuple(mc._support_weights(below, 3).tolist()) == pytest.approx(back.components, abs=1e-15)
     assert mc._support_weights(np.stack([clean, below]), 3).shape == (2, 3)
     with pytest.raises(core.InternalConsistencyError, match="outside the weight <= 1 support"):
-        StateVector(above, ("A", "B", "C")).to_wstate()
+        mc._support_weights(above, 3)
     with pytest.raises(core.InternalConsistencyError, match="outside the weight <= 1 support"):
         mc._support_weights(np.stack([clean, above]), 3)
 
@@ -266,7 +253,7 @@ def diamond_tree():
     """Root -> left, right; both -> one shared node, which ends on its own
     EPR leaf; left and right also end on leaves of their own."""
     w = standard_w("ABCD")
-    m = LocalMeasurement.identity_split("A")
+    m = LocalMeasurement.diagonal("A", [(0.5, 0.5)] * 2)
     shared = DecisionNode(w, m, "ev", ((1.0, Epr(("A", "C"))),))
     left = DecisionNode(w, m, "ev", ((0.5, shared), (0.5, Epr(("A", "B")))))
     right = DecisionNode(w, m, "ev", ((0.25, shared), (0.75, Epr(("C", "D")))))
