@@ -180,6 +180,26 @@ def test_a_stray_amplitude_of_weight_two_fails_the_support_check():
         mc._support_weights(np.stack([clean, above]), 3)
 
 
+@pytest.mark.parametrize("index", [0b011, 0b101, 0b110, 0b111])
+def test_every_amplitude_outside_the_support_fails_the_check(index):
+    # each basis state of Hamming weight 2 or 3 lies outside the support
+    amps = np.zeros(8)
+    amps[[0b100, 0b010, 0b001]] = math.sqrt(1.0 / 3.0)
+    amps[index] = 10.0 * mc.SUPPORT_TOL
+    with pytest.raises(core.InternalConsistencyError, match="outside the weight <= 1 support"):
+        mc._support_weights(amps, 3)
+    amps[index] = 0.1 * mc.SUPPORT_TOL
+    assert mc._support_weights(amps, 3).tolist() == pytest.approx([1.0 / 3.0] * 3, abs=1e-15)
+
+
+def test_oracle_checks_the_measurement_and_party_before_its_party_limit():
+    s = WState([1.0 / 13] * 13)
+    with pytest.raises(core.InvalidMeasurementError, match="not complete"):
+        statevector_oracle(s, LocalMeasurement.diagonal(s.labels[0], [(0.5, 0.5)]))
+    with pytest.raises(core.InvalidPartyError):
+        statevector_oracle(s, LocalMeasurement.diagonal("Z", [(0.5, 0.5)] * 2))
+
+
 def test_criterion_3_catches_a_component_update_that_drops_its_b_term(monkeypatch):
     assert verify.oracle_equivalence(quick=True).passed
     update = core.component_update
@@ -495,6 +515,30 @@ def test_sim_result_serialization(solver):
     assert abs(sum(t["empirical"] for t in payload["terminals"]) - 1.0) < 1e-12
     csv = res.to_csv()
     assert csv.splitlines()[0] == "label,count,probability,empirical,std_err,z"
+
+
+def test_sim_result_csv_reads_back_every_label_and_number():
+    import csv
+
+    terminals = tuple(
+        {"label": label, "count": count, "probability": p, "empirical": e, "std_err": se, "z": z}
+        for label, count, p, e, se, z in [
+            ("EPR(A,B)", 3, 0.25, 0.3, 0.1, 0.5),
+            ('W3(a"b,c,e)', 1, 0.125, 0.1, 0.05, None),
+            ("FAIL", 6, 0.625, 0.6, 0.2, -0.125),
+        ]
+    )
+    res = mc.SimResult(10, 0, "numpy-pcg64", terminals, 3, 0.3, 0.25)
+    text = res.to_csv()
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["label", "count", "probability", "empirical", "std_err", "z"]
+    assert [row[0] for row in rows[1:]] == [t["label"] for t in terminals]
+    for row, t in zip(rows[1:], terminals):
+        assert int(row[1]) == t["count"]
+        assert [float(x) for x in row[2:5]] == [t["probability"], t["empirical"], t["std_err"]]
+        assert row[5] == ("" if t["z"] is None else f"{t['z']:.12g}")
+    # a row with nothing to quote is the plain comma join
+    assert text.splitlines()[-1] == "FAIL,6,0.625,0.6,0.2,-0.125"
 
 
 def reject_constant(name):
