@@ -3,8 +3,14 @@
 Each bound takes a state plus a graph of the matching configuration
 family, assigns structural roles to the parties (dominant party, its
 unconnected or edge-complementary partner, and so on) and evaluates one
-fixed formula.  All values upper-bound what any local protocol can do and
-are met by the least-party-out protocol whenever x0 = 0.
+fixed formula.  ``_BOUNDS`` is the one map from a four-party class to its
+bound.  The formula bounds of classes I, I', I'', II, III-a/b/c (tau), IV
+(gamma) and V upper-bound what any local protocol can do, and at x0 = 0
+the least-party-out protocol meets them (for the star family, when the
+center holds the largest weight).  The paw graph VI has no proven bound:
+at the standard W state its report is the cited separable-operations
+value 5/6, above the protocol's 0.7887.  ``tau6`` is the protocol's own
+six-party value, not a bound.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ _FOUR_PARTY_PRESETS = {
     for name, (size, _) in _FIXED_PRESETS.items()
     if size == 4
 }
-_UNCONNECTED_PAIRS = ("III-a", "III-b", "III-c")  # every node has an unconnected partner
 
 
 def _four_party_preset(graph: ConfigGraph) -> str | None:
@@ -99,14 +104,16 @@ def tau(state: WState, graph: ConfigGraph) -> BoundReport:
     the other two (when n1 has two unconnected partners, p' is the one that
     is not n1').
     """
-    _same_parties(state, graph)
-    if _four_party_preset(graph) not in _UNCONNECTED_PAIRS:
-        raise GraphMatchError("graph is not an unconnected-pairs configuration")
-    _require_weight(state)
-    return _tau(state, graph)
+    return _checked(_tau, "graph is not an unconnected-pairs configuration", state, graph)
 
 
-def _tau(state: WState, graph: ConfigGraph) -> BoundReport:
+def _tau_formula(xn1, xn1p, xp, xpp):
+    """The tau expression on the role weights, Python floats or numpy
+    arrays alike."""
+    return 2.0 * xp + 2.0 * xpp - 2.0 * xp * xpp / xn1 + (2.0 / 3.0) * xp * xpp * xn1p / (xn1 * xn1)
+
+
+def _tau(state: WState, graph: ConfigGraph, kind: str) -> BoundReport:
     """:func:`tau` on inputs that have passed its checks."""
     x = _weights(state)
     labels = state.labels
@@ -114,13 +121,8 @@ def _tau(state: WState, graph: ConfigGraph) -> BoundReport:
     nbrs = graph.neighbors(n1)
     n1p = _by_component(x, [l for l in labels if l != n1 and l not in nbrs])
     p, pp = (l for l in labels if l not in (n1, n1p))
-    xn1 = x[n1]
-    xn1p = x[n1p]
-    xp = x[p]
-    xpp = x[pp]
-    value = 2.0 * xp + 2.0 * xpp - 2.0 * xp * xpp / xn1 + (2.0 / 3.0) * xp * xpp * xn1p / (xn1 * xn1)
     roles = {"n1": n1, "n1'": n1p, "p": p, "p'": pp}
-    return BoundReport("tau", value, roles, True)
+    return BoundReport("tau", _tau_formula(x[n1], x[n1p], x[p], x[pp]), roles, True)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +136,32 @@ def gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     degree differs from n1's, e2 and e3 the remaining degree-2 and
     degree-3 parties.  The formula branches on n1's own degree.
     """
-    _same_parties(state, graph)
-    if _four_party_preset(graph) != "IV":
-        raise GraphMatchError("graph is not the five-edge configuration")
-    _require_weight(state)
-    return _gamma(state, graph)
+    return _checked(_gamma, "graph is not the five-edge configuration", state, graph)
 
 
-def _gamma(state: WState, graph: ConfigGraph) -> BoundReport:
+def _gamma_deg3(xn1, xn1p, xe2, xe3):
+    """The gamma expression when n1 has degree 3, on the role weights,
+    Python floats or numpy arrays alike."""
+    return (
+        2.0 * xe3
+        + (xe2 + xn1p) * (2.0 - xe3 / xn1)
+        - 2.0 * xn1p * xe2 / xn1
+        + (4.0 / 3.0) * xe2 * xe3 * xn1p / (xn1 * xn1)
+    )
+
+
+def _gamma_deg2(xn1, xn1p, xe2, xe3):
+    """The gamma expression when n1 has degree 2, on the role weights,
+    Python floats or numpy arrays alike."""
+    return (
+        2.0 * xn1p
+        + 2.0 * xe3
+        - xn1p * xe3 / xn1
+        + xe2 * xe3 * xn1p / (3.0 * xn1 * xn1)
+    )
+
+
+def _gamma(state: WState, graph: ConfigGraph, kind: str) -> BoundReport:
     """:func:`gamma` on inputs that have passed its checks."""
     x = _weights(state)
     labels = state.labels
@@ -151,33 +171,13 @@ def _gamma(state: WState, graph: ConfigGraph) -> BoundReport:
     rest = [l for l in labels if l not in (n1, n1p)]
     e2 = next(l for l in rest if graph.degree(l) == 2)
     e3 = next(l for l in rest if graph.degree(l) == 3)
-    xn1 = x[n1]
-    xn1p = x[n1p]
-    xe2 = x[e2]
-    xe3 = x[e3]
-    if d1 == 3:
-        value = (
-            2.0 * xe3
-            + (xe2 + xn1p) * (2.0 - xe3 / xn1)
-            - 2.0 * xn1p * xe2 / xn1
-            + (4.0 / 3.0) * xe2 * xe3 * xn1p / (xn1 * xn1)
-        )
-    else:
-        value = (
-            2.0 * xn1p
-            + 2.0 * xe3
-            - xn1p * xe3 / xn1
-            + xe2 * xe3 * xn1p / (3.0 * xn1 * xn1)
-        )
+    formula = _gamma_deg3 if d1 == 3 else _gamma_deg2
     roles = {"n1": n1, "n1'": n1p, "e2": e2, "e3": e3}
-    return BoundReport("gamma", value, roles, True)
+    return BoundReport("gamma", formula(x[n1], x[n1p], x[e2], x[e3]), roles, True)
 
 
 # ---------------------------------------------------------------------------
 # star-family, triangle-plus-spectator and complete configurations
-
-
-_STAR_TRIANGLE_COMPLETE = ("I", "I'", "I''", "II", "V")
 
 
 def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
@@ -189,12 +189,9 @@ def bound_config(state: WState, graph: ConfigGraph) -> BoundReport:
     component; otherwise the report is flagged not applicable and carries
     the fallback bound 2 x_center instead.
     """
-    _same_parties(state, graph)
-    kind = _four_party_preset(graph)
-    if kind not in _STAR_TRIANGLE_COMPLETE:
-        raise GraphMatchError("graph is outside the star/triangle/complete families")
-    _require_weight(state)
-    return _bound_config(state, graph, kind)
+    return _checked(
+        _bound_config, "graph is outside the star/triangle/complete families", state, graph
+    )
 
 
 def _bound_config(state: WState, graph: ConfigGraph, kind: str) -> BoundReport:
@@ -356,6 +353,39 @@ def _pad_to_four(state: WState, graph: ConfigGraph) -> tuple[WState, ConfigGraph
     return WState(state.components + (0.0,) * missing, padded.labels), padded
 
 
+def _paw_reference(state: WState, graph: ConfigGraph, kind: str) -> BoundReport | None:
+    """The cited separable-operations value 5/6 at the standard W state on
+    the paw graph, which has no proven bound; None at any other state."""
+    uniform = all(abs(c - 0.25) < 1e-9 for c in state.components)
+    if uniform and abs(state.x0) < 1e-9:
+        return BoundReport("SEP reference (paw graph)", SEP_REFERENCES["paw-W4"]["value"], {}, True)
+    return None
+
+
+# the one map from a four-party class to its bound; each body takes
+# (state, graph, class) with the parties matched and weight on some party
+_BOUNDS = {
+    "I": _bound_config, "I'": _bound_config, "I''": _bound_config, "II": _bound_config,
+    "III-a": _tau, "III-b": _tau, "III-c": _tau,  # every node has an unconnected partner
+    "IV": _gamma,
+    "V": _bound_config,
+    "VI": _paw_reference,
+}
+
+
+def _checked(body, message: str, state: WState, graph: ConfigGraph) -> BoundReport:
+    """``body`` on (state, graph) after the checks of the public bounds, in
+    this order: the parties match, the graph's class is one ``_BOUNDS``
+    maps to ``body`` (else GraphMatchError with ``message``) and the state
+    carries weight."""
+    _same_parties(state, graph)
+    kind = _four_party_preset(graph)
+    if _BOUNDS.get(kind) is not body:
+        raise GraphMatchError(message)
+    _require_weight(state)
+    return body(state, graph, kind)
+
+
 def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     """Best known closed-form bound for (state, graph), or None.
 
@@ -369,22 +399,8 @@ def resolve_bound(state: WState, graph: ConfigGraph) -> BoundReport | None:
     if state.n > 4 or state.max_component() == 0.0:
         return None
     work_state, work_graph = (state, graph) if state.n == 4 else _pad_to_four(state, graph)
-    # the checks of tau, gamma and bound_config hold from here: the parties
-    # match, the class is read once and the state carries weight
+    # the checks of the public bounds hold from here: the parties match, the
+    # class is read once and the state carries weight
     kind = _four_party_preset(work_graph)
-    if kind in _UNCONNECTED_PAIRS:
-        return _tau(work_state, work_graph)
-    if kind == "IV":
-        return _gamma(work_state, work_graph)
-    if kind in _STAR_TRIANGLE_COMPLETE:
-        return _bound_config(work_state, work_graph, kind)
-    if kind == "VI":
-        uniform = all(abs(c - 0.25) < 1e-9 for c in work_state.components)
-        if uniform and abs(work_state.x0) < 1e-9:
-            return BoundReport(
-                "SEP reference (paw graph)",
-                SEP_REFERENCES["paw-W4"]["value"],
-                {},
-                True,
-            )
-    return None
+    body = _BOUNDS.get(kind)
+    return None if body is None else body(work_state, work_graph, kind)

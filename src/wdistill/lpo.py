@@ -426,6 +426,14 @@ def _cover(memo, adj) -> list:
     return [entry for entry in children if entry[0] not in reached]
 
 
+def _distinct(labels) -> tuple:
+    """``labels`` as a tuple; a label named twice raises InvalidInputError."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise InvalidInputError(f"duplicate parties in {labels}")
+    return labels
+
+
 class PhaseThreeSolver:
     """Memoized recursion over party subsets.
 
@@ -464,7 +472,7 @@ class PhaseThreeSolver:
     def p3(self, labels, edges) -> OptimizationReport:
         """Best asymptotic success probability for a standard W state on
         ``labels`` against the induced subgraph."""
-        labels = tuple(labels)
+        labels = _distinct(labels)
         adj = _adjacency(labels, edges)
         report = self._report(self._index(labels, adj), adj, (1 << len(labels)) - 1)
         return replace(report, subgraph_key=_subgraph_key(labels, adj))
@@ -565,7 +573,7 @@ class PhaseThreeSolver:
         party, bypassing the lowest-index tie-break: each choice is solved
         with that party named first.  Only the shape memo fills, so
         :meth:`reports` does not change."""
-        labels = tuple(labels)
+        labels = _distinct(labels)
         deg = [nbrs.bit_count() for nbrs in _adjacency(labels, edges)]
         return {
             k: self._solve(_adjacency((k, *(l for l in labels if l != k)), edges))[0].value
@@ -671,8 +679,6 @@ def p3(parties, graph: ConfigGraph, solver: PhaseThreeSolver | None = None) -> O
     unknown = set(parties) - set(graph.labels)
     if unknown:
         raise InvalidPartyError(f"unknown parties {sorted(map(str, unknown))}")
-    if len(set(parties)) != len(parties):
-        raise InvalidInputError(f"duplicate parties in {parties}")
     solver = solver or PhaseThreeSolver()
     return solver.p3(parties, graph.edges)
 

@@ -410,31 +410,20 @@ def _largest(x: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 
 def _tau_values(x: np.ndarray, roles: _RoleTables) -> np.ndarray:
-    """``bounds.tau`` over the last axis of x, term for term."""
+    """``bounds.tau`` over the last axis of x, with its formula."""
     n1 = x.argmax(axis=-1)
     n1p = _largest(x, roles.unconnected[n1])
-    xn1, xn1p = _pick(x, n1), _pick(x, n1p)
-    xp, xpp = _pick(x, roles.rest[n1, n1p, 0]), _pick(x, roles.rest[n1, n1p, 1])
-    return 2.0 * xp + 2.0 * xpp - 2.0 * xp * xpp / xn1 + (2.0 / 3.0) * xp * xpp * xn1p / (xn1 * xn1)
+    p, pp = roles.rest[n1, n1p, 0], roles.rest[n1, n1p, 1]
+    return bounds_mod._tau_formula(_pick(x, n1), _pick(x, n1p), _pick(x, p), _pick(x, pp))
 
 
 def _gamma_values(x: np.ndarray, roles: _RoleTables) -> np.ndarray:
-    """``bounds.gamma`` over the last axis of x, term for term."""
+    """``bounds.gamma`` over the last axis of x, with both branches of its
+    formula evaluated and each row's picked by n1's degree."""
     n1 = x.argmax(axis=-1)
     n1p = _largest(x, roles.differing[n1])
-    xn1, xn1p = _pick(x, n1), _pick(x, n1p)
-    xe2, xe3 = _pick(x, roles.e2[n1, n1p]), _pick(x, roles.e3[n1, n1p])
-    return np.where(
-        roles.degree[n1] == 3,
-        2.0 * xe3
-        + (xe2 + xn1p) * (2.0 - xe3 / xn1)
-        - 2.0 * xn1p * xe2 / xn1
-        + (4.0 / 3.0) * xe2 * xe3 * xn1p / (xn1 * xn1),
-        2.0 * xn1p
-        + 2.0 * xe3
-        - xn1p * xe3 / xn1
-        + xe2 * xe3 * xn1p / (3.0 * xn1 * xn1),
-    )
+    w = (_pick(x, n1), _pick(x, n1p), _pick(x, roles.e2[n1, n1p]), _pick(x, roles.e3[n1, n1p]))
+    return np.where(roles.degree[n1] == 3, bounds_mod._gamma_deg3(*w), bounds_mod._gamma_deg2(*w))
 
 
 _BATCHED_MONOTONES = {"tau": _tau_values, "gamma": _gamma_values}

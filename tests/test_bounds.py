@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from wdistill import (
 )
 from wdistill.bounds import _FOUR_PARTY_PRESETS, SEP_REFERENCES, _four_party_preset, _pad_to_four
 from wdistill.lpo import PhaseThreeSolver
+
+from test_walk_oracle import named_graph
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,49 @@ def test_bound_config_fallback_when_center_not_maximal():
 def test_bound_config_rejects_unknown_families():
     with pytest.raises(GraphMatchError):
         bound_config(standard_w("ABCD"), graph_catalog("VI"))
+
+
+# each public bound, the classes it accepts and the message it raises on any
+# other graph
+ACCEPTED = [
+    (tau, ("III-a", "III-b", "III-c"), "graph is not an unconnected-pairs configuration"),
+    (gamma, ("IV",), "graph is not the five-edge configuration"),
+    (bound_config, ("I", "I'", "I''", "II", "V"), "graph is outside the star/triangle/complete families"),
+]
+# the bound resolve_bound names at the standard W state
+RESOLVED_AT_W = {
+    "I": "I", "I'": "I'", "I''": "I''", "II": "II",
+    "III-a": "tau", "III-b": "tau", "III-c": "tau",
+    "IV": "gamma", "V": "V", "VI": "SEP reference (paw graph)",
+    "triangle": "II", "pairs:6": None,
+}
+
+
+def relabelled(g):
+    """``g`` with its parties renamed and listed in another order."""
+    rename = dict(zip(g.labels, "wzyx"))
+    return ConfigGraph([rename[l] for l in reversed(g.labels)], [(rename[u], rename[v]) for u, v in g.edges])
+
+
+MATRIX_GRAPHS = [(name, False) for name in RESOLVED_AT_W] + [
+    (name, True) for name in ("I", "I'", "I''", "II", "III-a", "III-b", "III-c", "IV", "V", "VI")
+]
+
+
+@pytest.mark.parametrize(
+    "name,renamed", MATRIX_GRAPHS, ids=[n + ("-relabelled" if r else "") for n, r in MATRIX_GRAPHS]
+)
+def test_each_bound_accepts_exactly_its_classes(name, renamed):
+    g = relabelled(named_graph(name)) if renamed else named_graph(name)
+    w = standard_w(g.labels)
+    resolved = resolve_bound(w, g)
+    assert (resolved and resolved.bound_name) == RESOLVED_AT_W[name]
+    for fn, classes, message in ACCEPTED:
+        if name in classes:
+            assert repr(fn(w, g)) == repr(resolved)
+        else:
+            with pytest.raises(GraphMatchError, match=f"^{re.escape(message)}$"):
+                fn(w, g)
 
 
 def test_bounds_dominate_protocol_on_random_states(solver):

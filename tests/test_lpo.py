@@ -239,6 +239,18 @@ def test_p3_rejects_a_repeated_party():
         p3(("A", "A", "B"), g)
     with pytest.raises(InvalidInputError):
         f_alpha(("A", "A", "B"), g, 0.5)
+    with pytest.raises(InvalidPartyError):  # the unknown party is named first
+        p3(("Z", "Z", "B"), g)
+
+
+@pytest.mark.parametrize("method", ["p3", "p3_diagnostic"])
+def test_the_solver_rejects_a_repeated_party(method):
+    # the solver's own entries used to give 0.667 and {'A': 1.0} on
+    # ("A", "A", "B") and file A|A|B[AB] in the audit trail
+    solver = PhaseThreeSolver()
+    with pytest.raises(InvalidInputError, match=re.escape("duplicate parties in ('A', 'A', 'B')")):
+        getattr(solver, method)(["A", "A", "B"], graph_catalog("triangle").edges)
+    assert solver.reports() == []
 
 
 def test_p3_trivial_cases(solver):

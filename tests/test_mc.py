@@ -23,7 +23,7 @@ from wdistill import (
     standard_w,
     statevector_oracle,
 )
-from wdistill import core, mc, verify
+from wdistill import bounds, core, mc, verify
 from wdistill.core import NULL_OUTCOME_PROB
 from wdistill.lpo import DecisionNode, PhaseThreeSolver, ProtocolTree, TruncationLeaf
 
@@ -670,6 +670,61 @@ def test_batched_fuzz_equals_the_object_path_on_ties_and_zeros(fid):
         measurements.append(row)
     batched, scalar = _both_paths(fid, states, measurements)
     assert np.abs(batched - scalar).max() <= 1e-12
+
+
+def recorded(fn, results):
+    """``fn``, with each result also appended to ``results``."""
+
+    def call(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    return call
+
+
+# a 1e-9 change in one coefficient of one formula: the function, the
+# argument whose coefficient changes and n1's degree where the formula runs
+PLANTED_FAULTS = [
+    ("tau", "_tau_formula", 2, None),   # x_p
+    ("gamma", "_gamma_deg3", 3, 3),     # x_e3, n1 of degree 3
+    ("gamma", "_gamma_deg2", 1, 2),     # x_n1', n1 of degree 2
+]
+
+
+@pytest.mark.parametrize("fid,formula,arg,degree", PLANTED_FAULTS, ids=[f[1] for f in PLANTED_FAULTS])
+def test_a_planted_formula_fault_reaches_both_paths(monkeypatch, fid, formula, arg, degree):
+    graph = graph_catalog(mc.FUZZ_GRAPHS[fid])
+    rng = np.random.default_rng(37)
+    rows = [*rng.dirichlet(np.ones(5), size=200)[:, 1:], *rng.dirichlet(np.ones(4), size=200)]
+    rows += [[0.25] * 4, [0.3, 0.1, 0.3, 0.2], [0.1, 0.3, 0.3, 0.1], [0.5, 0.0, 0.3, 0.2]]
+    states = [WState(row, graph.labels) for row in rows]
+    x = np.array([s.components for s in states])
+    tables = mc._RoleTables.of(graph)
+
+    def values():
+        reports = [getattr(bounds, fid)(s, graph) for s in states]
+        return np.array([r.value for r in reports]), mc._BATCHED_MONOTONES[fid](x, tables), reports
+
+    scalar, batched, reports = values()
+    real = getattr(bounds, formula)
+    monkeypatch.setattr(bounds, formula, lambda *w: real(*w) + 1e-9 * w[arg])
+    planted_scalar, planted_batched, _ = values()
+    want = [
+        1e-9 * s.component(list(r.role_assignment.values())[arg])
+        if degree in (None, graph.degree(r.role_assignment["n1"])) else 0.0
+        for s, r in zip(states, reports)
+    ]
+    assert np.abs(planted_scalar - scalar - want).max() <= 1e-15
+    assert np.abs(planted_batched - batched - want).max() <= 1e-15
+    assert max(want) > 1e-10  # the planted branch runs
+
+    # monotone_fuzz's own two paths still agree on the pairs it reruns
+    batched_runs, scalar_checks = [], []
+    monkeypatch.setattr(mc, "_batched_violations", recorded(mc._batched_violations, batched_runs))
+    monkeypatch.setitem(mc._SCALAR_CHECKS, fid, recorded(mc._SCALAR_CHECKS[fid], scalar_checks))
+    monotone_fuzz(fid, 20, 10, seed=3)
+    checked = batched_runs[0][:mc.SCALAR_CHECK_STATES]
+    assert np.abs(np.reshape(scalar_checks, checked.shape) - checked).max() <= mc.PATH_AGREEMENT_TOL
 
 
 def dropped_b(update):
